@@ -37,7 +37,13 @@ def mod_matmul(a, b, p):
 
 
 def mod_rref(a, p):
-    """Row-reduce a copy of `a` mod p; return (rref, pivot column list)."""
+    """Row-reduce a copy of `a` mod p; return (rref, pivot column list).
+
+    Each pivot step touches only the rows with a nonzero entry in the
+    pivot column, and only the columns from the pivot on: the pivot row
+    is zero to its left."""
+    if (p - 1) * (p - 1) >= 2**63:
+        raise OverflowError("modulus too large for int64 elimination")
     m = np.mod(np.array(a, dtype=np.int64), p)
     nrows, ncols = m.shape
     pivots = []
@@ -45,17 +51,20 @@ def mod_rref(a, p):
     for c in range(ncols):
         if r >= nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+        row = m[r, c:]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        col = m[:, c]
+        rows = col.nonzero()[0]
+        if rows.size > 1:
+            rows = rows[rows != r]
+            m[rows, c:] = (m[rows, c:] - np.outer(col[rows], row)) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -75,12 +84,12 @@ def mod_nullspace(a, p):
     if ncols == 0:
         return np.zeros((0, 0), dtype=np.int64)
     r, pivots = mod_rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, c])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
 
 

@@ -429,8 +429,8 @@ def main(argv=None):
         if args.cmd == "formality-demo":
             return cmd_formality_demo(cfg, args.seed)
         raise ValueError(f"unknown command {args.cmd}")
-    except (ValueError, AssertionError, galgebra.StructuralError,
-            FileNotFoundError) as exc:
+    except (ValueError, OverflowError, AssertionError,
+            galgebra.StructuralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
-from .galgebra import GradedAlgebra, RightModule
+from .galgebra import GradedAlgebra, RightModule, StructuralError
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
@@ -453,52 +453,24 @@ def graded_hom_basis(C, M, N, wall=None):
     else:
         elems = _algebra_elements_wall(C, wall, [M, N])
     ell = C.ell
-    shifts = sorted({dn - dm for dn in set(N.degrees)
-                     for dm in set(M.degrees)})
+    gap = np.subtract.outer(np.array(N.degrees), np.array(M.degrees))
     out = {}
-    for d in shifts:
-        pos = {}
-        for n in range(N.dim):
-            for m in range(M.dim):
-                if N.degrees[n] == M.degrees[m] + d:
-                    pos[(n, m)] = len(pos)
-        if not pos:
-            continue
-        rows = []
+    for d in sorted(set(gap.ravel().tolist())):
+        # unknowns: the entries phi[un[k], um[k]] of degree d; constraints:
+        # for each algebra element a, the entries (on, om) of
+        # phi a_M - a_N phi that have degree d + deg(a)
+        un, um = np.nonzero(gap == d)
+        blocks = [np.zeros((0, len(un)), dtype=np.int64)]
         for da, (am, an) in elems:
-            for m in range(M.dim):
-                col = am[:, m]
-                for n in range(N.dim):
-                    if N.degrees[n] != M.degrees[m] + d + da:
-                        continue
-                    row = np.zeros(len(pos), dtype=np.int64)
-                    hit = False
-                    for m2 in np.nonzero(col)[0]:
-                        key = (n, int(m2))
-                        if key in pos:
-                            row[pos[key]] = (row[pos[key]]
-                                             + int(col[m2])) % ell
-                            hit = True
-                    for n2 in np.nonzero(an[n, :])[0]:
-                        key = (int(n2), m)
-                        if key in pos:
-                            row[pos[key]] = (row[pos[key]]
-                                             - int(an[n, int(n2)])) % ell
-                            hit = True
-                    if hit:
-                        rows.append(row)
-        if rows:
-            ker = la.mod_nullspace(np.array(rows, dtype=np.int64), ell)
-        else:
-            ker = np.eye(len(pos), dtype=np.int64)
-        mats = []
-        for v in ker:
-            phi = np.zeros((N.dim, M.dim), dtype=np.int64)
-            for (n, m), k in pos.items():
-                phi[n, m] = v[k]
-            mats.append(phi)
-        if mats:
-            out[d] = mats
+            on, om = np.nonzero(gap == d + da)
+            rows = ((on[:, None] == un) * am[um, om[:, None]]
+                    - (om[:, None] == um) * an[on[:, None], un]) % ell
+            blocks.append(rows[rows.any(axis=1)])
+        ker = la.mod_nullspace(np.concatenate(blocks), ell)
+        if len(ker):
+            mats = np.zeros((len(ker), N.dim, M.dim), dtype=np.int64)
+            mats[:, un, um] = ker
+            out[d] = list(mats)
     return out
 
 
@@ -527,70 +499,86 @@ def _assemble_end_algebra(C, words, modules, wall=None):
     flavor = "wall" if wall is not None else "full"
     basis_blocks = []
     basis_mats = []
-    block_basis = {}
+    span = {}           # (f_to, f_from) -> basis indices, all degrees
+    idems = {}
     for ft in words:
         for fs in words:
+            start = len(basis_blocks)
             homs = graded_hom_basis(C, modules[fs], modules[ft], wall)
             for d, mats in sorted(homs.items()):
                 if ft == fs and d == 0:
-                    # rebase so the identity is the first basis vector
-                    size = modules[ft].dim
-                    ident = np.eye(size, dtype=np.int64)
-                    ech = la._Echelon(size * size, ell)
-                    ech.insert(ident.reshape(-1))
-                    rebased = [ident]
-                    for m in mats:
-                        if ech.insert(m.reshape(-1)) is None:
-                            rebased.append(m)
-                    assert len(rebased) == len(mats), \
-                        "identity missing from End block"
-                    mats = rebased
-                for m in mats:
-                    block_basis.setdefault((ft, fs, d), []).append(
-                        len(basis_blocks))
-                    basis_blocks.append((ft, fs, d))
-                    basis_mats.append(m)
+                    # rebase so the identity is the first basis vector: the
+                    # pivot columns of [I, mats...] are the maps that stay
+                    # independent when inserted after it, in order
+                    ident = np.eye(modules[ft].dim, dtype=np.int64)
+                    cols = np.array([ident] + mats).reshape(len(mats) + 1, -1)
+                    piv = la.mod_rref(cols.T, ell)[1]
+                    if len(piv) != len(mats):
+                        raise StructuralError(
+                            "identity missing from End block")
+                    idems[ft] = len(basis_blocks)
+                    mats = [ident] + [mats[k - 1] for k in piv[1:]]
+                basis_blocks += [(ft, fs, d)] * len(mats)
+                basis_mats += mats
+            span[(ft, fs)] = range(start, len(basis_blocks))
     degrees = [d for (_, _, d) in basis_blocks]
-
-    ech = {}
-    for key, idxs in block_basis.items():
-        e = la._Echelon(basis_mats[idxs[0]].size, ell)
-        for idx in idxs:
-            e.insert(basis_mats[idx].reshape(-1))
-        ech[key] = (e, idxs)
-
-    def coordinatize(key, mat):
-        if key not in ech:
-            assert not np.any(mat), "composite outside computed hom space"
-            return {}
-        e, idxs = ech[key]
-        red, combo = e.reduce(mat.reshape(-1))
-        assert not np.any(red), "composite outside computed hom space"
-        return {idxs[k]: int((-combo[k]) % ell)
-                for k in range(len(combo)) if combo[k] % ell}
+    stacks = {(ft, fs): np.array(basis_mats[r.start:r.stop], dtype=np.int64)
+              .reshape(len(r), modules[ft].dim, modules[fs].dim)
+              for (ft, fs), r in span.items()}
 
     mult = {}
-    for i, (ti, si, di) in enumerate(basis_blocks):
-        for j, (tj, sj, dj) in enumerate(basis_blocks):
-            if si != tj:
-                continue
-            comp = la.mod_matmul(basis_mats[i], basis_mats[j], ell)
-            if not np.any(comp):
-                continue
-            entry = coordinatize((ti, sj, di + dj), comp)
-            if entry:
-                mult[(i, j)] = entry
+    ids = list(range(len(basis_blocks)))    # keys of mult share these ints
+    for ft in words:
+        for fu in words:
+            # coordinates against the basis B of block (ft <- fu): the
+            # RREF of [B | I] is [T B | T], and a composite P in the span
+            # of B has coordinates P[:, piv] @ T
+            basis = stacks[(ft, fu)].reshape(len(span[(ft, fu)]), -1)
+            red, piv = la.mod_rref(np.concatenate(
+                [basis, np.eye(len(basis), dtype=np.int64)], axis=1), ell)
+            if any(c >= basis.shape[1] for c in piv):
+                raise StructuralError("End block basis is not independent")
+            to_coords = red[:, basis.shape[1]:]
+            for fs in words:
+                left, right = stacks[(ft, fs)], stacks[(fs, fu)]
+                nb = len(right)
+                if not len(left) or not nb:
+                    continue
+                # all products left[i] @ right[j] as rows (i, j), a chunk of
+                # left factors at a time to keep each product small
+                rmat = right.transpose(1, 0, 2).reshape(right.shape[1], -1)
+                step = max(1, 2**16 // (nb * basis.shape[1]))
+                for lo in range(0, len(left), step):
+                    chunk = left[lo: lo + step]
+                    prod = la.mod_matmul(chunk.reshape(-1, chunk.shape[2]),
+                                         rmat, ell)
+                    prod = prod.reshape(len(chunk), chunk.shape[1], nb, -1) \
+                        .transpose(0, 2, 1, 3).reshape(len(chunk) * nb, -1)
+                    live = np.flatnonzero(prod.any(axis=1))
+                    prod = prod[live]
+                    coords = la.mod_matmul(prod[:, piv], to_coords, ell)
+                    if not np.array_equal(
+                            la.mod_matmul(coords, basis, ell), prod):
+                        raise StructuralError(
+                            "composite outside computed hom space")
+                    rows, ks = np.nonzero(coords)
+                    vals = coords[rows, ks].tolist()
+                    rows = live[rows]
+                    ii = (span[(ft, fs)].start + lo + rows // nb).tolist()
+                    jj = (span[(fs, fu)].start + rows % nb).tolist()
+                    kk = (span[(ft, fu)].start + ks).tolist()
+                    for i, j, k, c in zip(ii, jj, kk, vals):
+                        mult.setdefault((ids[i], ids[j]), {})[ids[k]] = c
+    mult = {key: mult[key] for key in sorted(mult)}
 
     unit = {}
-    idems = {}
     for f in words:
-        idx = block_basis[(f, f, 0)][0]
-        size = modules[f].dim
-        assert np.array_equal(basis_mats[idx],
-                              np.eye(size, dtype=np.int64)), \
-            "block rebasing failed"
-        idems[f] = idx
-        unit[idx] = 1
+        if f not in idems:
+            raise StructuralError("identity missing from End block")
+        if not np.array_equal(basis_mats[idems[f]],
+                              np.eye(modules[f].dim, dtype=np.int64)):
+            raise StructuralError("block rebasing failed")
+        unit[idems[f]] = 1
     labels = [f"({t!r}<-{s!r}, deg {d})" for (t, s, d) in basis_blocks]
     alg = GradedAlgebra(ell, degrees, mult, unit, labels=labels)
     alg.idempotents = dict(idems)

@@ -150,3 +150,7 @@ def test_koszul_command(capsys):
 def test_soergel_precondition(capsys):
     code, _, err = run(capsys, "endalg", "--type", "A2", "--ell", "3")
     assert code == 1 and "Coxeter" in err
+    # (ell - 1)^2 overflows int64: refused, not wrapped around
+    code, _, err = run(capsys, "endalg", "--type", "A2", "--ell",
+                       "4294967311")
+    assert code == 1 and "modulus too large" in err

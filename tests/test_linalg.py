@@ -104,3 +104,72 @@ def test_elementary_exponents():
 def test_charpoly():
     cp = la.frac_charpoly(la.frac_mat([[1, 0], [0, 6]]))
     assert cp == [Fraction(6), Fraction(-7), Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# loop references for the F_p elimination kernel
+
+
+def _mod_rref_loop(a, p):
+    """Full-matrix update at every pivot: the reference for mod_rref."""
+    m = np.mod(np.array(a, dtype=np.int64), p)
+    nrows, ncols = m.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = (m[r] * inv) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - np.outer(col, m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _mod_nullspace_loop(a, p):
+    """Free-column basis built entry by entry: the reference for
+    mod_nullspace."""
+    a = np.mod(np.array(a, dtype=np.int64), p)
+    ncols = a.shape[1]
+    r, pivots = _mod_rref_loop(a, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-int(r[i, c])) % p
+    return basis
+
+
+@pytest.mark.parametrize("p", [2, 5, 13, 10007])
+def test_mod_rref_matches_loop(p):
+    rng = np.random.default_rng(p)
+    for shape in [(0, 0), (0, 4), (4, 0), (1, 1), (3, 9), (9, 4), (25, 8),
+                  (8, 25), (16, 16)]:
+        full = rng.integers(0, p, size=shape)
+        sparse = full * (rng.random(shape) < 0.2)
+        low_rank = rng.integers(0, p, size=(shape[0], 2)) @ \
+            rng.integers(0, p, size=(2, shape[1]))
+        for a in (full, sparse, low_rank, -full):
+            r, piv = la.mod_rref(a, p)
+            r0, piv0 = _mod_rref_loop(a, p)
+            assert piv == piv0
+            assert r.dtype == r0.dtype and np.array_equal(r, r0)
+            if shape[1]:
+                assert np.array_equal(la.mod_nullspace(a, p),
+                                      _mod_nullspace_loop(a, p))
+
+
+def test_mod_rref_rejects_modulus_beyond_int64():
+    # (p - 1)^2 > 2^63 - 1: the int64 row update would wrap silently
+    with pytest.raises(OverflowError):
+        la.mod_rref([[1, 2], [3, 4]], 4294967311)

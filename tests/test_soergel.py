@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from flagalg import _linalg as la
 from flagalg import soergel as sg
 
 FIX = json.load(open(os.path.join(os.path.dirname(__file__),
@@ -209,3 +212,191 @@ def test_g2_coinvariants_and_small_homs():
     assert D.dims_by_degree() == {0: 1, 2: 2, 4: 1}
     hom = sg.graded_hom(C, D, D)
     assert hom[0] >= 1 and sum(hom.values()) >= 2
+
+
+# ---------------------------------------------------------------------------
+# loop references for the Hom solver and the End assembly
+
+
+def _graded_hom_basis_loop(C, M, N, wall=None):
+    """One constraint row per algebra element and output entry, built
+    entry by entry: the reference for graded_hom_basis."""
+    if wall is None:
+        elems = sg._algebra_elements_full(C, [M, N])
+    else:
+        elems = sg._algebra_elements_wall(C, wall, [M, N])
+    ell = C.ell
+    shifts = sorted({dn - dm for dn in set(N.degrees)
+                     for dm in set(M.degrees)})
+    out = {}
+    for d in shifts:
+        pos = {}
+        for n in range(N.dim):
+            for m in range(M.dim):
+                if N.degrees[n] == M.degrees[m] + d:
+                    pos[(n, m)] = len(pos)
+        rows = []
+        for da, (am, an) in elems:
+            for m in range(M.dim):
+                col = am[:, m]
+                for n in range(N.dim):
+                    if N.degrees[n] != M.degrees[m] + d + da:
+                        continue
+                    row = np.zeros(len(pos), dtype=np.int64)
+                    hit = False
+                    for m2 in np.nonzero(col)[0]:
+                        key = (n, int(m2))
+                        if key in pos:
+                            row[pos[key]] = (row[pos[key]]
+                                             + int(col[m2])) % ell
+                            hit = True
+                    for n2 in np.nonzero(an[n, :])[0]:
+                        key = (int(n2), m)
+                        if key in pos:
+                            row[pos[key]] = (row[pos[key]]
+                                             - int(an[n, int(n2)])) % ell
+                            hit = True
+                    if hit:
+                        rows.append(row)
+        if rows:
+            ker = la.mod_nullspace(np.array(rows, dtype=np.int64), ell)
+        else:
+            ker = np.eye(len(pos), dtype=np.int64)
+        mats = []
+        for v in ker:
+            phi = np.zeros((N.dim, M.dim), dtype=np.int64)
+            for (n, m), k in pos.items():
+                phi[n, m] = v[k]
+            mats.append(phi)
+        if mats:
+            out[d] = mats
+    return out
+
+
+def _assemble_end_algebra_loop(C, words, modules, wall=None):
+    """Structure constants one basis pair at a time, each composite
+    reduced against an incremental echelon form of its target block: the
+    reference for _assemble_end_algebra.  Returns (basis_blocks,
+    basis_mats, mult, unit, idempotents)."""
+    ell = C.ell
+    basis_blocks = []
+    basis_mats = []
+    block_basis = {}
+    for ft in words:
+        for fs in words:
+            homs = sg.graded_hom_basis(C, modules[fs], modules[ft], wall)
+            for d, mats in sorted(homs.items()):
+                if ft == fs and d == 0:
+                    size = modules[ft].dim
+                    ident = np.eye(size, dtype=np.int64)
+                    ech = la._Echelon(size * size, ell)
+                    ech.insert(ident.reshape(-1))
+                    rebased = [ident]
+                    for m in mats:
+                        if ech.insert(m.reshape(-1)) is None:
+                            rebased.append(m)
+                    assert len(rebased) == len(mats)
+                    mats = rebased
+                for m in mats:
+                    block_basis.setdefault((ft, fs, d), []).append(
+                        len(basis_blocks))
+                    basis_blocks.append((ft, fs, d))
+                    basis_mats.append(m)
+    ech = {}
+    for key, idxs in block_basis.items():
+        e = la._Echelon(basis_mats[idxs[0]].size, ell)
+        for idx in idxs:
+            assert e.insert(basis_mats[idx].reshape(-1)) is None
+        ech[key] = (e, idxs)
+    mult = {}
+    for i, (ti, si, di) in enumerate(basis_blocks):
+        for j, (tj, sj, dj) in enumerate(basis_blocks):
+            if si != tj:
+                continue
+            comp = la.mod_matmul(basis_mats[i], basis_mats[j], ell)
+            if not np.any(comp):
+                continue
+            e, idxs = ech[(ti, sj, di + dj)]
+            red, combo = e.reduce(comp.reshape(-1))
+            assert not np.any(red)
+            mult[(i, j)] = {idxs[k]: int((-combo[k]) % ell)
+                            for k in range(len(combo)) if combo[k] % ell}
+    idems = {f: block_basis[(f, f, 0)][0] for f in words}
+    unit = {idx: 1 for idx in idems.values()}
+    return basis_blocks, basis_mats, mult, unit, idems
+
+
+@pytest.mark.parametrize("cartan,ell,max_length", [
+    ("A1", 5, None), ("A2", 5, None), ("B2", 7, None), ("G2", 7, 3)])
+def test_graded_hom_basis_matches_loop(cartan, ell, max_length):
+    C = sg.coinvariant_algebra(cartan, ell)
+    words = [w for w in sg._family_words(C)
+             if max_length is None or len(w) <= max_length]
+    mods = {w: sg.bott_samelson(C, w) for w in words}
+    for wall in (None, *range(C.rank)):
+        for fs in words:
+            for ft in words:
+                got = sg.graded_hom_basis(C, mods[fs], mods[ft], wall)
+                want = _graded_hom_basis_loop(C, mods[fs], mods[ft], wall)
+                assert list(got) == list(want)
+                for d, mats in want.items():
+                    assert np.array_equal(np.array(got[d]), np.array(mats))
+
+
+@pytest.mark.parametrize("cartan,ell,wall", [
+    ("A2", 5, None), ("A2", 5, 0), ("A2", 5, 1),
+    pytest.param("B2", 7, None, marks=pytest.mark.slow),
+    pytest.param("B2", 7, 0, marks=pytest.mark.slow),
+    pytest.param("B2", 7, 1, marks=pytest.mark.slow)])
+def test_end_assembly_matches_loop(cartan, ell, wall):
+    C = sg.coinvariant_algebra(cartan, ell)
+    words = sg._family_words(C)
+    mods = {w: sg.bott_samelson(C, w) for w in words}
+    data = sg._assemble_end_algebra(C, words, mods, wall)
+    blocks, mats, mult, unit, idems = \
+        _assemble_end_algebra_loop(C, words, mods, wall)
+    alg = data.algebra
+    assert data.basis_blocks == blocks
+    assert all(np.array_equal(a, b) for a, b in zip(data.basis_mats, mats))
+    # same values, same key order at both levels
+    assert [(k, list(v.items())) for k, v in alg.mult.items()] == \
+        [(k, list(v.items())) for k, v in mult.items()]
+    assert list(alg.unit.items()) == list(unit.items())
+    assert list(alg.idempotents.items()) == list(idems.items())
+
+
+_TRUNCATED_ASSEMBLY = """
+from flagalg import soergel as sg
+from flagalg.galgebra import StructuralError
+if __debug__:
+    raise SystemExit("expected python -O")
+orig = sg.graded_hom_basis
+def truncated(C, M, N, wall=None):
+    out = orig(C, M, N, wall)
+    if M.word == N.word == {word!r}:
+        d = {degree!r} if {degree!r} is not None else max(out)
+        out[d] = out[d][:-1]
+    return out
+sg.graded_hom_basis = truncated
+try:
+    sg.endomorphism_algebra(sg.coinvariant_algebra("A2", 5))
+except StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+@pytest.mark.parametrize("word,degree,message", [
+    ((0, 1, 0), None, "composite outside computed hom space"),
+    ((0,), 0, "identity missing from End block")])
+def test_end_assembly_certificates_survive_python_O(word, degree, message):
+    # drop one map from one Hom basis: the assembly must refuse even with
+    # asserts stripped
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         _TRUNCATED_ASSEMBLY.format(word=word, degree=degree)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"StructuralError: {message}"
