@@ -127,37 +127,6 @@ def mod_solve(a, b, p):
     return x
 
 
-def mod_inv_matrix(a, p):
-    a = np.mod(np.array(a, dtype=np.int64), p)
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = mod_rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        return None
-    return r[:, n:]
-
-
-def mod_det(a, p):
-    m = np.mod(np.array(a, dtype=np.int64), p)
-    n = m.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            m[[c, i]] = m[[i, c]]
-            det = (-det) % p
-        det = (det * int(m[c, c])) % p
-        inv = pow(int(m[c, c]), p - 2, p)
-        m[c] = (m[c] * inv) % p
-        if c + 1 < n:
-            col = m[c + 1:, c].copy()
-            m[c + 1:] = (m[c + 1:] - np.outer(col, m[c])) % p
-    return det % p
-
-
 class _Echelon:
     """Incremental row echelon over F_p, remembering how each echelon row
     was combined from the inserted rows."""

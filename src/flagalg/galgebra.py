@@ -11,6 +11,12 @@ Module maps of degree d send degree e to degree e + d; the graded Hom
 solver imposes commutation with a generating set of the algebra, which
 suffices by induction on products.
 
+Every slice e A of an algebra by an idempotent e (the projectives, and
+the blocks of E and E^s that graded category O is built from) comes from
+idempotent_slice, which works from the sparse structure constants and
+never forms the regular module; direct_sum and restrict_module assemble
+and restrict such slices.
+
 Indecomposability is certified through degree-zero endomorphism rings:
 the splitting search combines Fitting decompositions with the coprime
 factor splitting of minimal polynomials, so a module survives only if
@@ -28,7 +34,8 @@ __all__ = [
     "DgModule", "StructuralError", "dims_to_laurent", "regular_module",
     "module_hom_basis", "hom_all", "hom_dims", "module_generators",
     "module_presentation", "shift_module", "submodule", "quotient_module",
-    "decompose_module", "decompose_module_with_rows", "is_iso_up_to_shift",
+    "idempotent_slice", "direct_sum", "restrict_module", "decompose_module",
+    "decompose_module_with_rows", "is_iso_up_to_shift",
     "graded_projectives", "v_forget", "v_bar_shear", "minimal_resolution",
     "koszulity_check", "koszul_module_check", "ext_algebra_of_projectives",
     "upsilon_module", "simple_dims",
@@ -318,15 +325,79 @@ def _idempotent_vectors(alg):
     return [alg.unit_vector()]
 
 
-def _projective_rows(alg, evec):
-    """Rows spanning e A inside the algebra coordinates."""
-    rows = []
-    for b in range(alg.dim):
-        v = alg.mul_vec(evec, alg.basis_vec(b))
-        if np.any(v):
-            rows.append(v)
-    r, piv = la.mod_rref(np.array(rows, dtype=np.int64), alg.p)
-    return r[: len(piv)]
+def _right_products(A, X):
+    """X e_b for every basis index b of A in turn, one (rows of X) x dim
+    matrix at a time, accumulated from the sparse structure constants."""
+    p = A.p
+    cols = {int(m) for m in np.flatnonzero(X.any(axis=0))}
+    terms = [[] for _ in range(A.dim)]     # b -> [(m, k, c)] with m in cols
+    for (m, b), prod in A.mult.items():
+        if m in cols:
+            terms[b].extend((m, k, c) for k, c in prod.items())
+    for b in range(A.dim):
+        out = np.zeros((A.dim, X.shape[0]), dtype=np.int64)
+        if terms[b]:
+            m, k, c = np.array(terms[b], dtype=np.int64).T
+            np.add.at(out, k, (X[:, m] * (c % p)).T % p)
+        yield out.T % p
+
+
+def idempotent_slice(A, e):
+    """e A, for an idempotent vector e of A, as a right A-module built from
+    the structure constants (no regular module is formed).
+
+    Returns (module, rows, pivots): the module's basis is the RREF basis
+    `rows` of e A in A's coordinates, so the coordinates of a vector of
+    e A are its entries in the pivot columns."""
+    p = A.p
+    e = np.mod(np.asarray(e, dtype=np.int64), p)
+    spans = np.concatenate(list(_right_products(A, e[None])))
+    red, piv = la.mod_rref(spans[spans.any(axis=1)], p)
+    rows = red[: len(piv)]
+    deg = np.array(A.degrees)
+    if np.any((rows != 0) & (deg != deg[piv][:, None])):
+        raise StructuralError("e A is not spanned by homogeneous rows")
+    # a vector lies in the span of RREF rows iff it vanishes off their
+    # support and agrees there with (pivot entries) @ rows
+    outside = ~rows.any(axis=0)
+    free = ~outside
+    free[piv] = False
+    action = []
+    for img in _right_products(A, rows):
+        coords = img[:, piv]
+        if np.any(img[:, outside]) or not np.array_equal(
+                img[:, free], la.mod_matmul(coords, rows[:, free], p)):
+            raise StructuralError("e A is not closed under the action")
+        action.append(coords.T)
+    return RightModule(A, deg[piv].tolist(), action), rows, piv
+
+
+def direct_sum(modules, shifts):
+    """The block-diagonal direct sum of modules over one algebra, the i-th
+    summand shifted up by shifts[i]."""
+    degrees = [d + k for M, k in zip(modules, shifts) for d in M.degrees]
+    ends = np.cumsum([M.dim for M in modules]).tolist()
+    action = []
+    for a in range(modules[0].algebra.dim):
+        m = np.zeros((len(degrees), len(degrees)), dtype=np.int64)
+        for M, end in zip(modules, ends):
+            m[end - M.dim: end, end - M.dim: end] = M.action[a]
+        action.append(m)
+    return RightModule(modules[0].algebra, degrees, action)
+
+
+def restrict_module(N, B, emb):
+    """N restricted along an algebra map B -> N.algebra given by the matrix
+    emb (column b is the image of e_b): e_b acts as its image."""
+    p = B.p
+    action = []
+    for a in range(B.dim):
+        avec = emb[:, a] % p
+        m = np.zeros((N.dim, N.dim), dtype=np.int64)
+        for k in np.nonzero(avec)[0]:
+            m = (m + int(avec[k]) * N.action[int(k)]) % p
+        action.append(m)
+    return RightModule(B, list(N.degrees), action)
 
 
 def module_generators(M):
@@ -383,7 +454,7 @@ def module_presentation(M):
     alg = M.algebra
     p = alg.p
     gens, idems = module_generators(M)
-    proj_rows = {h: _projective_rows(alg, idems[h])
+    proj_rows = {h: idempotent_slice(alg, idems[h])[1]
                  for h in {h for _, h in gens}}
     col_meta = []
     pi_cols = []
@@ -634,22 +705,11 @@ def graded_projectives(E, family_words, lengths):
     elements, shifted up by the length of x.  Raises StructuralError if
     the count of distinct classes is wrong.
     """
-    reg = regular_module(E)
     order = sorted(family_words, key=lambda x: (lengths[x], str(x)))
     found = {}
     for x in order:
-        f = family_words[x]
-        idx = E.idempotents[f]
-        rows = []
-        for b in range(E.dim):
-            prod = E.mult.get((idx, b))
-            v = np.zeros(E.dim, dtype=np.int64)
-            if prod:
-                for k, c in prod.items():
-                    v[k] = c % E.p
-            if np.any(v):
-                rows.append(v)
-        sub, _ = submodule(reg, np.array(rows, dtype=np.int64))
+        sub, _, _ = idempotent_slice(
+            E, E.basis_vec(E.idempotents[family_words[x]]))
         summands = decompose_module(sub)
         fresh = []
         for s in summands:
@@ -834,26 +894,41 @@ def _component_idempotents(A0):
     return [e for e in idems if np.any(e)]
 
 
+def _simple_idempotents(A, A0, zero_idx):
+    """The component idempotents of the semisimple degree-zero part A0
+    (basis indices zero_idx in A), in A's coordinates."""
+    out = []
+    for e in _component_idempotents(A0):
+        v = np.zeros(A.dim, dtype=np.int64)
+        v[zero_idx] = e
+        out.append(v)
+    return out
+
+
+def _radical_rows(A, M):
+    """The nonzero vectors x e_a spanning M A_+, over the basis vectors x of
+    M and the positive-degree basis elements a, in (a, x) order."""
+    rows = [np.zeros((0, M.dim), dtype=np.int64)]
+    for a in range(A.dim):
+        if A.degrees[a] > 0:
+            r = M.action[a].T % A.p
+            rows.append(r[r.any(axis=1)])
+    return np.concatenate(rows)
+
+
 def _tops_and_cover(A, M, idempotent_vectors):
     """Minimal cover generators of M: witnesses grouped per (idempotent j,
     degree k), chosen greedily against the radical span.  Idempotent
     vectors live in A-coordinates; requires A_0 semisimple so that the
     radical is the positive part."""
     p = A.p
-    plus = [a for a in range(A.dim) if A.degrees[a] > 0]
-    rad_rows = []
-    for a in plus:
-        for x in range(M.dim):
-            v = (M.action[a] @ np.eye(M.dim, dtype=np.int64)[x]) % p
-            if np.any(v):
-                rad_rows.append(v)
     # choose generators: per degree, per idempotent, greedily against the
     # span under right multiplication by degree-zero elements
     gens = []
     zero_idx = [a for a in range(A.dim) if A.degrees[a] == 0]
     chosen_span = la._Echelon(M.dim, p)
     # saturate the radical into the span so tops drive the choice
-    for v in rad_rows:
+    for v in _radical_rows(A, M):
         chosen_span.insert(v)
     for j, evec in enumerate(idempotent_vectors):
         for x in range(M.dim):
@@ -870,25 +945,12 @@ def _tops_and_cover(A, M, idempotent_vectors):
     return gens
 
 
-def _projective_of_idempotent(A, evec):
-    """e A as a right module, from an idempotent vector e."""
-    reg = regular_module(A)
-    rows = []
-    for b in range(A.dim):
-        v = A.mul_vec(evec, A.basis_vec(b))
-        if np.any(v):
-            rows.append(v)
-    sub, basis = submodule(reg, np.array(rows, dtype=np.int64))
-    return sub, basis
-
-
 def minimal_resolution(A, M, idempotent_vectors, steps):
     """Minimal graded projective resolution data for M, up to `steps`
     homological degrees.  Returns a list, per homological degree i, of the
     multiset of (idempotent index, generator degree) of P^i."""
     p = A.p
-    projs = [
-        _projective_of_idempotent(A, e) for e in idempotent_vectors]
+    projs = [idempotent_slice(A, e) for e in idempotent_vectors]
     out = []
     cur = M
     for _ in range(steps + 1):
@@ -897,43 +959,17 @@ def minimal_resolution(A, M, idempotent_vectors, steps):
             break
         gens = _tops_and_cover(A, cur, idempotent_vectors)
         out.append(sorted((j, k) for _, j, k in gens))
-        # build the cover map: for generator (v, j, k): q_j A <k - ?>
-        cols = []
-        col_degs = []
-        for v, j, k in gens:
-            pj, basis = projs[j]
-            for bi in range(pj.dim):
-                avec = basis[bi]
-                img = cur.act_vec(v, avec)
-                cols.append(img)
-                col_degs.append(pj.degrees[bi] + k)
+        # the cover: the sum of the q_j A<k>, row b of q_j A going to v b
+        cols = [cur.act_vec(v, b) for v, j, _ in gens for b in projs[j][1]]
         cover_mat = np.array(cols, dtype=np.int64).T % p \
             if cols else np.zeros((cur.dim, 0), dtype=np.int64)
         ker = la.mod_nullspace(cover_mat, p)
         if ker.shape[0] == 0:
             break
-        # kernel as a module over A: columns of the cover are indexed by
-        # (generator, projective basis); assemble the product module
-        pieces = []
-        deg_list = []
-        for v, j, k in gens:
-            pj, _ = projs[j]
-            pieces.append((pj, k))
-            deg_list.extend(d + k for d in pj.degrees)
-        action = []
-        for a in range(A.dim):
-            blocks = [pj.action[a] for pj, _ in pieces]
-            n = len(deg_list)
-            m = np.zeros((n, n), dtype=np.int64)
-            off = 0
-            for b in blocks:
-                sz = b.shape[0]
-                m[off: off + sz, off: off + sz] = b
-                off += sz
-            action.append(m)
-        big = RightModule(A, deg_list, action)
-        sub, _ = submodule(big, ker)
-        cur = sub
+        # the kernel, as a submodule of the cover's source
+        cover = direct_sum([projs[j][0] for _, j, _ in gens],
+                           [k for _, _, k in gens])
+        cur, _ = submodule(cover, ker)
     return out
 
 
@@ -952,43 +988,22 @@ def koszulity_check(A, cap=None):
     if min(A.degrees) < 0:
         return KoszulReport(False, False, cap, False,
                             "not Koszul-gradable as given")
-    A0, _ = _degree_zero_subalgebra(A)
+    A0, zero_idx = _degree_zero_subalgebra(A)
     rad0 = la.algebra_radical(
         [[_mult_row(A0, i, j) for j in range(A0.dim)]
          for i in range(A0.dim)], A0.p)
     if rad0.shape[0]:
         return KoszulReport(True, False, cap, False,
                             "not Koszul-gradable as given")
-    idems = _component_idempotents(A0)
-    # inflate idempotents to A-coordinates
-    _, zero_idx = _degree_zero_subalgebra(A)
-    big_idems = []
-    for e in idems:
-        v = np.zeros(A.dim, dtype=np.int64)
-        for k, c in enumerate(e):
-            v[zero_idx[k]] = c
-        big_idems.append(v)
+    idems = _simple_idempotents(A, A0, zero_idx)
     # simple modules: top of each q_j A
     linear = True
     gen_degrees = []
     ext_table = {}
-    for j, evec in enumerate(big_idems):
-        pj, _ = _projective_of_idempotent(A, evec)
-        plus = [a for a in range(A.dim) if A.degrees[a] > 0]
-        rad_rows = []
-        for a in plus:
-            for x in range(pj.dim):
-                base = np.zeros(pj.dim, dtype=np.int64)
-                base[x] = 1
-                v = (pj.action[a] @ base) % A.p
-                if np.any(v):
-                    rad_rows.append(v)
-        if rad_rows:
-            simple, _ = quotient_module(pj, np.array(rad_rows,
-                                                     dtype=np.int64))
-        else:
-            simple = pj
-        res = minimal_resolution(A, simple, big_idems, cap)
+    for j, evec in enumerate(idems):
+        pj, _, _ = idempotent_slice(A, evec)
+        simple, _ = quotient_module(pj, _radical_rows(A, pj))
+        res = minimal_resolution(A, simple, idems, cap)
         gen_degrees.append(res)
         for i, layer in enumerate(res):
             for (j2, k) in layer:
@@ -1020,14 +1035,7 @@ def koszul_module_check(A, M, cap=None):
     degree 0."""
     if cap is None:
         cap = 2 * max(max(A.degrees), 1)
-    A0, zero_idx = _degree_zero_subalgebra(A)
-    idems = _component_idempotents(A0)
-    big_idems = []
-    for e in idems:
-        v = np.zeros(A.dim, dtype=np.int64)
-        for k, c in enumerate(e):
-            v[zero_idx[k]] = c
-        big_idems.append(v)
+    big_idems = _simple_idempotents(A, *_degree_zero_subalgebra(A))
     gens = _tops_and_cover(A, M, big_idems)
     if gens:
         base = min(k for _, _, k in gens)
@@ -1037,12 +1045,46 @@ def koszul_module_check(A, M, cap=None):
                for i, layer in enumerate(res))
 
 
+def _span_coordinates(items, p):
+    """For basis matrices given in order as (key, matrix): a function
+    coords(key, mat) returning the coefficients {basis index: c} of mat in
+    the span of the basis matrices with that key.  Raises StructuralError
+    if mat is not in that span."""
+    ech = {}
+    for idx, (key, mat) in enumerate(items):
+        if key not in ech:
+            ech[key] = (la._Echelon(mat.size, p), [])
+        ech[key][0].insert(mat.reshape(-1))
+        ech[key][1].append(idx)
+
+    def coords(key, mat):
+        if key not in ech:
+            if np.any(mat):
+                raise StructuralError("composite leaves the hom space")
+            return {}
+        e, idxs = ech[key]
+        red, combo = e.reduce(mat.reshape(-1))
+        if np.any(red):
+            raise StructuralError("composite leaves the hom space")
+        # reduce() leaves mat = red - combo . inserted, so coefficients
+        # of the inserted basis are -combo
+        return {idxs[k]: int((-combo[k]) % p)
+                for k in range(len(combo)) if combo[k] % p}
+    return coords
+
+
 def ext_algebra_of_projectives(E, projectives):
     """The regraded algebra with n-th component Hom(P, P<-n>), P the sum
     of the normalized graded projectives: the degree-n part consists of
     the maps raising the internal grading by n, and multiplication is
     composition.  Non-negativity of this grading is what the projective
     normalization is for."""
+    return _ext_algebra(E, projectives)[0]
+
+
+def _ext_algebra(E, projectives):
+    """ext_algebra_of_projectives, with its basis: per basis index, (src
+    block, tgt block, n, matrix), the blocks in sorted key order."""
     keys = sorted(projectives, key=str)
     mods = [projectives[k] for k in keys]
     p = E.p
@@ -1055,30 +1097,8 @@ def ext_algebra_of_projectives(E, projectives):
     degrees = [n for _, _, n, _ in basis]
     if min(degrees) < 0:
         raise StructuralError("projective regrading has negative part")
-    # coordinatization per (src, tgt, n)
-    groups = {}
-    for idx, (si, ti, n, phi) in enumerate(basis):
-        groups.setdefault((si, ti, n), []).append(idx)
-    ech = {}
-    for key, idxs in groups.items():
-        e = la._Echelon(basis[idxs[0]][3].size, p)
-        for idx in idxs:
-            e.insert(basis[idx][3].reshape(-1))
-        ech[key] = (e, idxs)
-
-    def coordinatize(si, ti, n, mat):
-        key = (si, ti, n)
-        if key not in ech:
-            assert not np.any(mat)
-            return {}
-        e, idxs = ech[key]
-        red, combo = e.reduce(mat.reshape(-1))
-        assert not np.any(red), "composition leaves the hom space"
-        # reduce() leaves mat = red - combo . inserted, so coefficients
-        # of the inserted basis are -combo
-        return {idxs[k]: int((-combo[k]) % p)
-                for k in range(len(combo)) if combo[k] % p}
-
+    coords = _span_coordinates(
+        (((si, ti, n), phi) for si, ti, n, phi in basis), p)
     mult = {}
     for i, (si, ti, n1, phi) in enumerate(basis):
         for j, (sj, tj, n2, psi) in enumerate(basis):
@@ -1088,7 +1108,7 @@ def ext_algebra_of_projectives(E, projectives):
             comp = (phi @ psi) % p
             if not np.any(comp):
                 continue
-            entry = coordinatize(sj, ti, n1 + n2, comp)
+            entry = coords((sj, ti, n1 + n2), comp)
             if entry:
                 mult[(i, j)] = entry
     unit = {}
@@ -1102,7 +1122,7 @@ def ext_algebra_of_projectives(E, projectives):
     if sum(unit.values()) == 0:
         # identities may not be literal basis vectors; solve for 1 instead
         alg = _solve_unit(alg, basis, keys, p)
-    return alg
+    return alg, basis
 
 
 def upsilon_module(E, projectives, M):
@@ -1110,48 +1130,17 @@ def upsilon_module(E, projectives, M):
     E-module M: its degree-n part is Hom(P, M<-n>) (maps raising internal
     degree by n), with the regraded algebra acting by precomposition.
 
-    Returns a RightModule over ext_algebra_of_projectives(E, projectives);
-    pass the same algebra object for consistent coordinates."""
-    keys = sorted(projectives, key=str)
-    mods = [projectives[k] for k in keys]
+    Returns (K, module) with K = ext_algebra_of_projectives(E,
+    projectives) and the module a RightModule over K."""
+    mods = [projectives[k] for k in sorted(projectives, key=str)]
     p = E.p
-    K = ext_algebra_of_projectives(E, projectives)
+    K, kbasis = _ext_algebra(E, projectives)
     # basis of the module: per source block si, homs P_si -> M by degree
-    mbasis = []
-    mech = {}
-    for si, src in enumerate(mods):
-        for d, mats in sorted(hom_all(src, M).items()):
-            for psi in mats:
-                mech.setdefault((si, d), []).append(len(mbasis))
-                mbasis.append((si, d, psi))
-    degrees = [d for _, d, _ in mbasis]
-    ech = {}
-    for key, idxs in mech.items():
-        e = la._Echelon(mbasis[idxs[0]][2].size, p)
-        for idx in idxs:
-            e.insert(mbasis[idx][2].reshape(-1))
-        ech[key] = (e, idxs)
-
-    def coords(si, d, mat):
-        key = (si, d)
-        if key not in ech:
-            assert not np.any(mat)
-            return {}
-        e, idxs = ech[key]
-        red, combo = e.reduce(mat.reshape(-1))
-        assert not np.any(red), "composite leaves the hom space"
-        return {idxs[k]: int((-combo[k]) % p)
-                for k in range(len(combo)) if combo[k] % p}
-
+    mbasis = [(si, d, psi) for si, src in enumerate(mods)
+              for d, mats in sorted(hom_all(src, M).items()) for psi in mats]
+    coords = _span_coordinates((((si, d), psi) for si, d, psi in mbasis), p)
     # K basis entries are (src block, tgt block, n, matrix kappa);
     # psi: P_ti -> M acts by kappa: P_si -> P_ti to give psi o kappa
-    kbasis = []
-    for si, src in enumerate(mods):
-        for ti, tgt in enumerate(mods):
-            for d, mats in sorted(hom_all(src, tgt).items()):
-                for phi in mats:
-                    kbasis.append((si, ti, d, phi))
-    assert len(kbasis) == K.dim
     action = []
     for (si, ti, n, kappa) in kbasis:
         m = np.zeros((len(mbasis), len(mbasis)), dtype=np.int64)
@@ -1159,10 +1148,10 @@ def upsilon_module(E, projectives, M):
             if sj != ti:
                 continue
             comp = la.mod_matmul(psi, kappa, p)
-            for k, c in coords(si, dj + n, comp).items():
+            for k, c in coords((si, dj + n), comp).items():
                 m[k, j] = c
         action.append(m)
-    return K, RightModule(K, degrees, action)
+    return K, RightModule(K, [d for _, d, _ in mbasis], action)
 
 
 def _solve_unit(alg, basis, keys, p):

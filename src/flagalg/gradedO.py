@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _linalg as la
 from .coxeter import LETTERS
-from .galgebra import (RightModule, StructuralError, hom_all, hom_dims,
-                       module_presentation, quotient_module, regular_module,
-                       shift_module, submodule, _projective_rows,
+from .galgebra import (StructuralError, direct_sum, hom_all, hom_dims,
+                       idempotent_slice, module_presentation, quotient_module,
+                       regular_module, restrict_module, shift_module,
                        graded_projectives, simple_dims)
 from .soergel import endomorphism_algebra, wall_algebra
 
@@ -57,17 +57,7 @@ def translation_data(C, s):
 def translate_from_wall(td, N):
     """Restriction along E -> E^s: the same space, with a in E acting as
     emb(a)."""
-    E = td.e_data.algebra
-    Es = td.wall_data.algebra
-    p = E.p
-    action = []
-    for a in range(E.dim):
-        avec = td.emb[:, a] % p
-        m = np.zeros((N.dim, N.dim), dtype=np.int64)
-        for k in np.nonzero(avec)[0]:
-            m = (m + int(avec[k]) * N.action[int(k)]) % p
-        action.append(m)
-    return RightModule(E, list(N.degrees), action)
+    return restrict_module(N, td.e_data.algebra, td.emb)
 
 
 def translate_to_wall(td, M):
@@ -77,107 +67,36 @@ def translate_to_wall(td, M):
     relation kernel R, the induced module is (sum of e_h E^s) divided by
     the E^s-submodule generated by the embedded relations.  Returns
     (module over E^s, unit matrix M -> restriction of the result)."""
-    E = td.e_data.algebra
     Es = td.wall_data.algebra
-    p = E.p
-    gens, idems, proj_rows_e, raw_meta, pi, rel, sect = \
-        module_presentation(M)
-    col_meta = [(gi, gens[gi][1], t) for gi, t in raw_meta]
-
-    # wall-side projective sum: blocks e_h E^s
-    proj_rows_s = {}
+    p = Es.p
+    gens, idems, proj_rows, _, _, rel, sect = module_presentation(M)
+    # e_h embeds as the idempotent of E^s with the same label; the cover
+    # row t of e_h E embeds into e_h E^s, where its coordinates are its
+    # pivot entries (the slice rows are in RREF)
+    slices, cover = {}, {}
+    for h in {h for _, h in gens}:
+        slices[h], rows, piv = idempotent_slice(Es, (td.emb @ idems[h]) % p)
+        embedded = la.mod_matmul(proj_rows[h], td.emb.T, p)
+        cover[h] = embedded[:, piv]
+        if not np.array_equal(la.mod_matmul(cover[h], rows, p), embedded):
+            raise StructuralError("embedded cover row leaves e_h E^s")
+    # one slice per generator g, shifted up by deg g; the columns of the
+    # presentation run over (generator, cover row) in that order
+    big = direct_sum([slices[h] for _, h in gens],
+                     [M.degrees[int(np.flatnonzero(g)[0])] for g, _ in gens])
+    emb_cols = np.zeros((big.dim, sect.shape[0]), dtype=np.int64)
+    row = col = 0
     for _, h in gens:
-        if h not in proj_rows_s:
-            proj_rows_s[h] = _projective_rows(Es, _idem_vec(Es, h))
-    blocks = []
-    offsets = []
-    total = 0
-    for gi, (g, h) in enumerate(gens):
-        rows = proj_rows_s[h]
-        sub_degs = _rows_degrees(rows, Es.degrees)
-        blocks.append((h, rows, sub_degs))
-        offsets.append(total)
-        total += rows.shape[0]
-    # the element g (x) r has degree deg(g) + deg(r)
-    degrees = []
-    for gi, (g, h) in enumerate(gens):
-        gdeg = int(M.degrees[int(np.nonzero(g)[0][0])])
-        _, rows, sub_degs = blocks[gi]
-        degrees.extend(d + gdeg for d in sub_degs)
-
-    # big module: product of the blocks with the right E^s action
-    action = []
-    for a in range(Es.dim):
-        m = np.zeros((total, total), dtype=np.int64)
-        for gi, (h, rows, _) in enumerate(blocks):
-            off = offsets[gi]
-            k = rows.shape[0]
-            # action of e_a on the row space of e_h E^s
-            sub = np.zeros((k, k), dtype=np.int64)
-            for j in range(k):
-                img = Es.mul_vec(rows[j], Es.basis_vec(a))
-                sub[:, j] = _coords_in_rows(img, rows, p)
-            m[off: off + k, off: off + k] = sub
-        action.append(m)
-    big = RightModule(Es, degrees, action)
-
-    # embedded relations and their E^s-span
-    rel_rows = []
-    for kvec in rel:
-        v = np.zeros(total, dtype=np.int64)
-        for c, coeff in enumerate(kvec):
-            if coeff % p == 0:
-                continue
-            gi, h, t = col_meta[c]
-            evec = (td.emb @ proj_rows_e[h][t]) % p
-            v[offsets[gi]: offsets[gi] + blocks[gi][1].shape[0]] = (
-                v[offsets[gi]: offsets[gi] + blocks[gi][1].shape[0]]
-                + int(coeff) * _coords_in_rows(evec, blocks[gi][1], p)) % p
-        if np.any(v):
-            rel_rows.append(v)
-    span = _spin_rows(big, rel_rows)
+        k, t = slices[h].dim, len(cover[h])
+        emb_cols[row: row + k, col: col + t] = cover[h].T
+        row, col = row + k, col + t
+    # the embedded relations, their E^s-span, and the quotient by it
+    rel_rows = la.mod_matmul(rel, emb_cols.T, p)
+    span = _spin_rows(big, rel_rows[rel_rows.any(axis=1)])
     quot, proj = quotient_module(big, span)
-
     # the unit M -> res(M (x) E^s): m = pi(xi) maps to class of embedded xi
-    emb_cols = np.zeros((total, len(col_meta)), dtype=np.int64)
-    for c, (gi, h, t) in enumerate(col_meta):
-        evec = (td.emb @ proj_rows_e[h][t]) % p
-        off = offsets[gi]
-        k = blocks[gi][1].shape[0]
-        emb_cols[off: off + k, c] = _coords_in_rows(evec, blocks[gi][1], p)
     unit = (proj @ emb_cols @ sect) % p
     return quot, unit
-
-
-def _idem_vec(alg, h):
-    labels = sorted(alg.idempotents, key=str)
-    v = np.zeros(alg.dim, dtype=np.int64)
-    v[alg.idempotents[labels[h]]] = 1
-    return v
-
-
-def _rows_degrees(rows, degrees):
-    out = []
-    for r in rows:
-        supp = np.nonzero(r)[0]
-        ds = {degrees[int(j)] for j in supp}
-        assert len(ds) == 1
-        out.append(ds.pop())
-    return out
-
-
-def _coords_in_rows(vec, rows, p):
-    """Coordinates of vec in the echelon row basis `rows`."""
-    out = np.zeros(rows.shape[0], dtype=np.int64)
-    v = vec.copy() % p
-    for i in range(rows.shape[0]):
-        c = int(np.nonzero(rows[i])[0][0])
-        f = int(v[c])
-        if f:
-            out[i] = f
-            v = (v - f * rows[i]) % p
-    assert not np.any(v), "vector not in the row space"
-    return out
 
 
 def _spin_rows(module, rows):
@@ -218,18 +137,7 @@ def standard_modules(C):
     W = C.group
     e_data = endomorphism_algebra(C)
     E = e_data.algebra
-    reg = regular_module(E)
-    idx = E.idempotents[""]
-    rows = []
-    for b in range(E.dim):
-        prod = E.mult.get((idx, b))
-        v = np.zeros(E.dim, dtype=np.int64)
-        if prod:
-            for k, c in prod.items():
-                v[k] = c % E.p
-        if np.any(v):
-            rows.append(v)
-    m_e, _ = submodule(reg, np.array(rows, dtype=np.int64))
+    m_e, _, _ = idempotent_slice(E, E.basis_vec(E.idempotents[""]))
     out = {W.identity: m_e}
     tds = {}
     for x in sorted(W.elements, key=lambda w: (w.length, w.word)):
@@ -340,44 +248,16 @@ def wall_module_projective_certificate(C, s):
     every indecomposable summand of every idempotent slice is isomorphic,
     up to shift, to a summand of the regular module on the same side."""
     from .galgebra import decompose_module, is_iso_up_to_shift
-    from .soergel import wall_row_block_modules
+    from .soergel import _restricted_slices
     td = translation_data(C, s)
     E = td.e_data.algebra
     Es = td.wall_data.algebra
-    p = E.p
     sides = {}
-    for side in ("right", "left"):
-        if side == "right":
-            alg = E
-            blocks = wall_row_block_modules(C, td.s)
-        else:
-            alg = E.opposite()
-            alg.idempotents = E.idempotents
-            # left module = right module over the opposite algebra; slice
-            # by the column blocks E^s e_f, which are stable under left
-            # multiplication
-            blocks = []
-            for f in td.wall_data.words:
-                idx = [k for k, (_, src, _) in
-                       enumerate(td.wall_data.basis_blocks) if src == f]
-                back = {b: i for i, b in enumerate(idx)}
-                degrees = [Es.degrees[b] for b in idx]
-                action = []
-                for a in range(alg.dim):
-                    avec = td.emb[:, a] % p
-                    m = np.zeros((len(idx), len(idx)), dtype=np.int64)
-                    for i, b in enumerate(idx):
-                        prod = np.zeros(Es.dim, dtype=np.int64)
-                        for k in np.nonzero(avec)[0]:
-                            pr = Es.mult.get((int(k), b))
-                            if pr:
-                                for kk, c in pr.items():
-                                    prod[kk] = (prod[kk]
-                                                + int(avec[k]) * c) % p
-                        for kk in np.nonzero(prod)[0]:
-                            m[back[int(kk)], i] = prod[kk]
-                    action.append(m)
-                blocks.append(RightModule(alg, degrees, action))
+    # a left module is a right module over the opposite algebra, and the
+    # column blocks E^s e_f are the slices e_f (E^s)^op
+    for side, alg, wall in (("right", E, Es),
+                            ("left", E.opposite(), Es.opposite())):
+        blocks = _restricted_slices(alg, wall, td.emb)
         reg = regular_module(alg)
         reg_classes = []
         for piece in decompose_module(reg):

@@ -31,7 +31,8 @@ import numpy as np
 from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
-from .galgebra import GradedAlgebra, RightModule, StructuralError
+from .galgebra import GradedAlgebra, StructuralError, idempotent_slice, \
+    restrict_module
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
@@ -417,25 +418,19 @@ def bott_samelson(C, word):
 
 
 def _algebra_elements_full(C, modules):
-    """(degree, action on each module) for every positive-degree basis
-    element of C; used as the commutation constraints for Hom over C."""
-    out = []
-    for d in range(1, C.top + 1):
-        for k, mon in enumerate(C.basis[d]):
-            acts = [C.monomial_action(m.gen_action, mon) for m in modules]
-            out.append((2 * d, acts))
-    return out
+    """(degree, action on each module) for the generators of C, which sit
+    in degree 2; commuting with them is commuting with C."""
+    return [(2, [m.gen_action[i] for m in modules]) for i in range(C.rank)]
 
 
 def _algebra_elements_wall(C, s, modules):
-    """Same for the invariant subalgebra C^s."""
+    """Same for C^s, from its invariants of polynomial degree 1 and 2:
+    ell > h >= 2 makes averaging over <s> exact, so C^s is the image of
+    the invariant ring S^s = F[(V*)^s, alpha_s^2], generated in those
+    degrees."""
     inv = C.invariants(s)
-    out = []
-    for d in range(1, C.top + 1):
-        for row in inv[d]:
-            acts = [C.element_action(m.gen_action, row, d) for m in modules]
-            out.append((2 * d, acts))
-    return out
+    return [(2 * d, [C.element_action(m.gen_action, row, d) for m in modules])
+            for d in (1, 2) if d <= C.top for row in inv[d]]
 
 
 def graded_hom(C, M, N, wall=None):
@@ -659,38 +654,18 @@ def wall_algebra(C, s, words=None):
 
 
 def wall_row_block_modules(C, s):
-    """The right E-modules e_f E^s, built directly: their bases are the
-    basis vectors of E^s in the row blocks (f, *), and a in E acts by
-    right multiplication with emb(a)."""
+    """The right E-modules e_f E^s: the slices e_f E^s restricted along
+    the embedding E -> E^s."""
     e_data = endomorphism_algebra(C)
     wall_data, emb = wall_algebra(C, s)
-    E = e_data.algebra
-    Es = wall_data.algebra
-    p = E.p
-    out = []
-    for f in wall_data.words:
-        idx = [k for k, (t, _, _) in enumerate(wall_data.basis_blocks)
-               if t == f]
-        back = {b: i for i, b in enumerate(idx)}
-        degrees = [Es.degrees[b] for b in idx]
-        action = []
-        for a in range(E.dim):
-            avec = emb[:, a] % p
-            m = np.zeros((len(idx), len(idx)), dtype=np.int64)
-            for i, b in enumerate(idx):
-                prod = np.zeros(Es.dim, dtype=np.int64)
-                for k in np.nonzero(avec)[0]:
-                    pr = Es.mult.get((b, int(k)))
-                    if pr:
-                        for kk, c in pr.items():
-                            prod[kk] = (prod[kk]
-                                        + int(avec[k]) * c) % p
-                for kk in np.nonzero(prod)[0]:
-                    assert int(kk) in back, "row block not stable"
-                    m[back[int(kk)], i] = prod[kk]
-            action.append(m)
-        out.append(RightModule(E, degrees, action))
-    return out
+    return _restricted_slices(e_data.algebra, wall_data.algebra, emb)
+
+
+def _restricted_slices(E, Es, emb):
+    """The slices e_f Es, one per idempotent of Es in order, restricted
+    along the algebra map E -> Es with matrix emb."""
+    return [restrict_module(idempotent_slice(Es, Es.basis_vec(i))[0], E, emb)
+            for i in Es.idempotents.values()]
 
 
 def regular_slices(e_data):
@@ -699,23 +674,9 @@ def regular_slices(e_data):
     cached = getattr(e_data, "_reg_slices", None)
     if cached is not None:
         return cached
-    from .galgebra import regular_module, submodule
     E = e_data.algebra
-    reg = regular_module(E)
-    out = []
-    for f in e_data.words:
-        idx = E.idempotents[f]
-        rows = []
-        for b in range(E.dim):
-            prod = E.mult.get((idx, b))
-            v = np.zeros(E.dim, dtype=np.int64)
-            if prod:
-                for k, c in prod.items():
-                    v[k] = c % E.p
-            if np.any(v):
-                rows.append(v)
-        sub, _ = submodule(reg, np.array(rows, dtype=np.int64))
-        out.append(sub)
+    out = [idempotent_slice(E, E.basis_vec(E.idempotents[f]))[0]
+           for f in e_data.words]
     e_data._reg_slices = out
     return out
 

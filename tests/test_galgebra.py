@@ -124,22 +124,41 @@ def test_graded_projectives_counts(C_A1, C_A2):
     assert pe.dims_by_degree() == {0: 2}
 
 
+def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2):
+    # every basis idempotent of E(A1), E(A2) and E^s(A1), the component
+    # idempotents of K(A1), and E11 + E21 in M_2(F_5), whose slice rows
+    # E11 + E21, E12 + E22 are not basis vectors
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    m2 = ga.GradedAlgebra(5, [0] * 4, {
+        (2 * i + j, 2 * k + m): {2 * i + m: 1} if j == k else {}
+        for i, j in pairs for k, m in pairs}, {0: 1, 3: 1})
+    cases = [(m2, np.array([1, 0, 1, 0]))]
+    for A in (sg.endomorphism_algebra(C_A1).algebra,
+              sg.endomorphism_algebra(C_A2).algebra,
+              sg.wall_algebra(C_A1, 0)[0].algebra):
+        cases += [(A, A.basis_vec(i)) for i in A.idempotents.values()]
+    K = ga.ext_algebra_of_projectives(sg.endomorphism_algebra(C_A1).algebra,
+                                      go.projectives_for(C_A1))
+    cases += [(K, e) for e in
+              ga._simple_idempotents(K, *ga._degree_zero_subalgebra(K))]
+    for A, e in cases:
+        M, rows, piv = ga.idempotent_slice(A, e)
+        spans = [A.mul_vec(e, A.basis_vec(b)) for b in range(A.dim)]
+        want, want_rows = ga.submodule(
+            ga.regular_module(A), np.array([v for v in spans if np.any(v)]))
+        assert np.array_equal(rows, want_rows)
+        assert piv == [int(np.flatnonzero(r)[0]) for r in want_rows]
+        assert M.degrees == want.degrees
+        assert len(M.action) == len(want.action) == A.dim
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(M.action, want.action))
+
+
 def test_bs_w0_mirror_decomposition(C_A2):
     """e_f E for f the word of w0^{-1} splits into the new projective and
     one lower one, with the frozen multiplicities."""
     E = sg.endomorphism_algebra(C_A2).algebra
-    reg = ga.regular_module(E)
-    idx = E.idempotents["sts"]
-    rows = []
-    for b in range(E.dim):
-        prod = E.mult.get((idx, b))
-        v = np.zeros(E.dim, dtype=np.int64)
-        if prod:
-            for k, c in prod.items():
-                v[k] = c
-        if np.any(v):
-            rows.append(v)
-    sub, _ = ga.submodule(reg, np.array(rows, dtype=np.int64))
+    sub, _, _ = ga.idempotent_slice(E, E.basis_vec(E.idempotents["sts"]))
     pieces = ga.decompose_module(sub)
     projs = go.projectives_for(C_A2)
     summary = {}

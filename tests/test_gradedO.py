@@ -107,24 +107,10 @@ def test_free_module_translates_to_wall_regular(C_A1):
 def test_adjunction_dimensions(C_A1):
     td = go.translation_data(C_A1, 0)
     std = go.standard_modules(C_A1)
-    walls = sg.wall_row_block_modules(C_A1, 0)
     # wall-side test modules: the row blocks of E^s over E^s itself
     Es = td.wall_data.algebra
-    reg_s = ga.regular_module(Es)
-    wall_mods = []
-    for f in td.wall_data.words:
-        idx = Es.idempotents[f]
-        rows = []
-        for b in range(Es.dim):
-            prod = Es.mult.get((idx, b))
-            v = np.zeros(Es.dim, dtype=np.int64)
-            if prod:
-                for k, c in prod.items():
-                    v[k] = c
-            if np.any(v):
-                rows.append(v)
-        sub, _ = ga.submodule(reg_s, np.array(rows, dtype=np.int64))
-        wall_mods.append(sub)
+    wall_mods = [ga.idempotent_slice(Es, Es.basis_vec(Es.idempotents[f]))[0]
+                 for f in td.wall_data.words]
     for x, M in std.items():
         TM, _ = go.translate_to_wall(td, M)
         for N in wall_mods:
@@ -174,6 +160,58 @@ def test_reduced_word_independence_a2(C_A2):
         for word in cx.reduced_expressions(W, x):
             m = build_along(word)
             assert ga.is_iso_up_to_shift(m, std[x]) == 0
+
+
+def _wall_block_modules_loop(C, s, side):
+    """The E-modules e_f E^s ("right") or, over the opposite algebra, the
+    E^s e_f ("left"), built basis element by basis element from the
+    structure constants of E^s: the reference for the slices restricted
+    along E -> E^s."""
+    wall_data, emb = sg.wall_algebra(C, s)
+    E = sg.endomorphism_algebra(C).algebra
+    if side == "left":
+        E = E.opposite()
+    Es = wall_data.algebra
+    p = E.p
+    out = []
+    for f in wall_data.words:
+        idx = [k for k, (t, src, _) in enumerate(wall_data.basis_blocks)
+               if (t if side == "right" else src) == f]
+        back = {b: i for i, b in enumerate(idx)}
+        action = []
+        for a in range(E.dim):
+            avec = emb[:, a] % p
+            m = np.zeros((len(idx), len(idx)), dtype=np.int64)
+            for i, b in enumerate(idx):
+                prod = np.zeros(Es.dim, dtype=np.int64)
+                for k in np.nonzero(avec)[0]:
+                    key = (b, int(k)) if side == "right" else (int(k), b)
+                    for kk, c in Es.mult.get(key, {}).items():
+                        prod[kk] = (prod[kk] + int(avec[k]) * c) % p
+                for kk in np.nonzero(prod)[0]:
+                    assert int(kk) in back, "block not stable"
+                    m[back[int(kk)], i] = prod[kk]
+            action.append(m)
+        out.append(ga.RightModule(E, [Es.degrees[b] for b in idx], action))
+    return out
+
+
+@pytest.mark.parametrize("cartan,s", [("A1", 0), ("A2", 0), ("A2", 1)])
+def test_wall_blocks_match_loop(cartan, s, C_A1, C_A2):
+    C = {"A1": C_A1, "A2": C_A2}[cartan]
+    E = sg.endomorphism_algebra(C).algebra
+    wall_data, emb = sg.wall_algebra(C, s)
+    for side, got in (
+            ("right", sg.wall_row_block_modules(C, s)),
+            ("left", sg._restricted_slices(
+                E.opposite(), wall_data.algebra.opposite(), emb))):
+        want = _wall_block_modules_loop(C, s, side)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.degrees == w.degrees
+            assert len(g.action) == len(w.action)
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(g.action, w.action))
 
 
 def test_wall_projectivity_certificate(C_A1):

@@ -18,9 +18,6 @@ def test_solve_and_inverse():
     a = la.mod_mat([[1, 2], [3, 4]], 7)
     x = la.mod_solve(a, [5, 6], 7)
     assert np.array_equal((a @ x) % 7, np.array([5, 6]))
-    inv = la.mod_inv_matrix(a, 7)
-    assert np.array_equal((a @ inv) % 7, np.eye(2, dtype=np.int64))
-    assert la.mod_det(a, 7) == (1 * 4 - 2 * 3) % 7
 
 
 def test_nullspace_chunked_matches():

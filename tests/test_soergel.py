@@ -219,12 +219,18 @@ def test_g2_coinvariants_and_small_homs():
 
 
 def _graded_hom_basis_loop(C, M, N, wall=None):
-    """One constraint row per algebra element and output entry, built
-    entry by entry: the reference for graded_hom_basis."""
+    """One constraint row per basis element of C (or C^s) and output
+    entry, built entry by entry: the reference for graded_hom_basis, which
+    imposes commutation with generators only."""
     if wall is None:
-        elems = sg._algebra_elements_full(C, [M, N])
+        elems = [(2 * d, [C.monomial_action(m.gen_action, mon)
+                          for m in (M, N)])
+                 for d in range(1, C.top + 1) for mon in C.basis[d]]
     else:
-        elems = sg._algebra_elements_wall(C, wall, [M, N])
+        inv = C.invariants(wall)
+        elems = [(2 * d, [C.element_action(m.gen_action, row, d)
+                          for m in (M, N)])
+                 for d in range(1, C.top + 1) for row in inv[d]]
     ell = C.ell
     shifts = sorted({dn - dm for dn in set(N.degrees)
                      for dm in set(M.degrees)})
