@@ -7,9 +7,15 @@ graded resolutions.
 A GradedAlgebra stores a basis with integer degrees and sparse structure
 constants; a RightModule stores one action matrix per algebra basis
 element (columns are coordinates, so coords(x * a) = action[a] @ coords(x)).
-Module maps of degree d send degree e to degree e + d; the graded Hom
-solver imposes commutation with a generating set of the algebra, which
-suffices by induction on products.
+Module maps of degree d send degree e to degree e + d; hom_all solves
+for them through a projective presentation of the source: a hom is fixed
+by its values on module generators, subject to the relations.
+
+The submodule R A that rows R generate is spanned by the products r e_a
+over the basis of A, and that span is already A-stable, since
+(r e_a) e_b = r (e_a e_b) and 1 = sum u_a e_a.  So span_under_action
+finds it in one round of products; module generators and translation to
+the wall both use it, and no generating set of the algebra is needed.
 
 Every slice e A of an algebra by an idempotent e (the projectives, and
 the blocks of E and E^s that graded category O is built from) comes from
@@ -34,8 +40,8 @@ __all__ = [
     "DgModule", "StructuralError", "dims_to_laurent", "regular_module",
     "module_hom_basis", "hom_all", "hom_dims", "module_generators",
     "module_presentation", "shift_module", "submodule", "quotient_module",
-    "idempotent_slice", "direct_sum", "restrict_module", "decompose_module",
-    "decompose_module_with_rows", "is_iso_up_to_shift",
+    "span_under_action", "idempotent_slice", "direct_sum", "restrict_module",
+    "decompose_module", "decompose_module_with_rows", "is_iso_up_to_shift",
     "graded_projectives", "v_forget", "v_bar_shear", "minimal_resolution",
     "koszulity_check", "koszul_module_check", "ext_algebra_of_projectives",
     "upsilon_module", "simple_dims",
@@ -72,9 +78,6 @@ class GradedAlgebra:
     unit: dict
     labels: list = None          # optional printable label per basis index
     idempotents: dict = None     # optional label -> basis index
-
-    def __post_init__(self):
-        self._gens = None
 
     @property
     def dim(self):
@@ -138,53 +141,10 @@ class GradedAlgebra:
             assert np.array_equal(ab_c, a_bc), "associativity fails"
 
     def generators(self):
-        """A generating set (as basis indices) found greedily by degree:
-        an element is added only if it is not in the unital subalgebra
-        generated by the previous ones."""
-        if self._gens is not None:
-            return self._gens
-        order = sorted(range(self.dim), key=lambda i: (self.degrees[i], i))
-        gens = []
-        span = _SpanClosure(self)
-        span.add(self.unit_vector())
-        for i in order:
-            v = self.basis_vec(i)
-            if not span.contains(v):
-                gens.append(i)
-                span.add(v)
-                span.close()
-        self._gens = gens
-        return gens
-
-
-class _SpanClosure:
-    """Subalgebra span tracker: a set of vectors closed under products."""
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.ech = la._Echelon(alg.dim, alg.p)
-        self.vecs = []
-
-    def contains(self, v):
-        red, _ = self.ech.reduce(v)
-        return not np.any(red)
-
-    def add(self, v):
-        if self.ech.insert(v) is None:
-            self.vecs.append(v)
-
-    def close(self):
-        frontier = list(self.vecs)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in list(self.vecs):
-                    for prod in (self.alg.mul_vec(a, b),
-                                 self.alg.mul_vec(b, a)):
-                        if np.any(prod) and not self.contains(prod):
-                            self.add(prod)
-                            new.append(prod)
-            frontier = new
+        """Every basis index: the basis generates the algebra.  Nothing in
+        flagalg calls this; it stays only because perfbench/tracer.py wraps
+        it by name."""
+        return list(range(self.dim))
 
 
 @dataclass
@@ -263,7 +223,8 @@ def submodule(M, rows):
     for i in range(k):
         supp = np.nonzero(basis[i])[0]
         ds = {M.degrees[int(j)] for j in supp}
-        assert len(ds) == 1, "submodule basis is not homogeneous"
+        if len(ds) != 1:
+            raise StructuralError("submodule basis is not homogeneous")
         degrees.append(ds.pop())
     # batch coordinate extraction: for echelon rows the coordinates of an
     # ambient vector are just its pivot entries, provided it lies in the
@@ -275,8 +236,8 @@ def submodule(M, rows):
         img = (M.action[a] @ bt) % p          # dim x k
         sub = img[pivarr, :] % p if k else \
             np.zeros((0, 0), dtype=np.int64)
-        assert np.array_equal((bt @ sub) % p, img), \
-            "rows are not closed under the action"
+        if not np.array_equal((bt @ sub) % p, img):
+            raise StructuralError("rows are not closed under the action")
         action.append(sub)
     return RightModule(M.algebra, degrees, action), basis
 
@@ -291,25 +252,17 @@ def quotient_module(M, rows):
         red = r[: len(piv)]
     else:
         red, piv = np.zeros((0, dim), dtype=np.int64), []
-    keep = [c for c in range(dim) if c not in piv]
-    proj = np.zeros((len(keep), dim), dtype=np.int64)
-    for out_i, c in enumerate(keep):
-        proj[out_i, c] = 1
-    for i, c in enumerate(piv):
-        # e_c = -sum over kept columns of red[i, c'] e_c'
-        for out_i, c1 in enumerate(keep):
-            proj[out_i, c] = (-int(red[i, c1])) % p
-    # sanity: homogeneity of the reduction
-    for i, c in enumerate(piv):
-        for out_i, c1 in enumerate(keep):
-            if proj[out_i, c] and M.degrees[c1] != M.degrees[c]:
-                raise AssertionError("quotient reduction is not graded")
-    lift = np.zeros((dim, len(keep)), dtype=np.int64)
-    for out_i, c in enumerate(keep):
-        lift[c, out_i] = 1
-    degrees = [M.degrees[c] for c in keep]
-    action = [(proj @ M.action[a] @ lift) % p for a in range(M.algebra.dim)]
-    return RightModule(M.algebra, degrees, action), proj
+    keep = np.setdiff1d(np.arange(dim), piv)
+    # e_c for a pivot column c of row i is -sum over kept columns c' of
+    # red[i, c'] e_c'
+    proj = np.eye(dim, dtype=np.int64)[keep]
+    proj[:, piv] = (-red[:, keep].T) % p
+    deg = np.array(M.degrees, dtype=np.int64)
+    if np.any((proj[:, piv] != 0) & (deg[keep][:, None] != deg[piv])):
+        raise StructuralError("quotient reduction is not graded")
+    action = [la.mod_matmul(proj, M.action[a][:, keep], p)
+              for a in range(M.algebra.dim)]
+    return RightModule(M.algebra, deg[keep].tolist(), action), proj
 
 
 def _idempotent_vectors(alg):
@@ -400,54 +353,68 @@ def restrict_module(N, B, emb):
     return RightModule(B, list(N.degrees), action)
 
 
+# product entries folded into the running RREF at once by span_under_action
+_SPAN_BUDGET = 2 ** 16
+
+
+def span_under_action(M, rows, base=None):
+    """The submodule R A of M that the rows generate, as (RREF rows,
+    pivots); `base`, the (RREF rows, pivots) of a submodule, is added to it.
+
+    R A is spanned by the products r e_a over the basis of A, and that span
+    is already A-stable: (r e_a) e_b = r (e_a e_b) and 1 = sum u_a e_a.  So
+    one round of products suffices; they are folded into the running RREF
+    a few basis elements at a time."""
+    p = M.algebra.p
+    red, piv = base if base is not None else \
+        (np.zeros((0, M.dim), dtype=np.int64), [])
+    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, M.dim)
+    rows = rows[rows.any(axis=1)]
+    if not rows.size:
+        return red, piv
+    step = max(1, _SPAN_BUDGET // rows.size)
+    for a0 in range(0, M.algebra.dim, step):
+        stack = np.concatenate(
+            [red] + [la.mod_matmul(rows, M.action[a].T, p)
+                     for a in range(a0, min(a0 + step, M.algebra.dim))])
+        r, piv = la.mod_rref(stack[stack.any(axis=1)], p)
+        red = r[: len(piv)]
+    return red, piv
+
+
 def module_generators(M):
     """Minimal-ish generating set of M over its algebra: pairs (vector,
     idempotent slot), found greedily by increasing degree.  Each generator
     g satisfies g = g e_h for its slot h."""
-    alg = M.algebra
-    p = alg.p
-    idems = _idempotent_vectors(alg)
+    p = M.algebra.p
+    idems = _idempotent_vectors(M.algebra)
     order = sorted(range(M.dim), key=lambda i: (M.degrees[i], i))
-    span = la._Echelon(M.dim, p)
+    span = (np.zeros((0, M.dim), dtype=np.int64), [])
     gens = []
-    # spinning under the algebra generators suffices: closure under a
-    # generating set implies closure under the whole algebra
-    acting = [alg.unit_vector()] + \
-        [alg.basis_vec(a) for a in alg.generators()]
-    mats = [sum((int(av[a]) * M.action[a] for a in np.nonzero(av)[0]),
-                np.zeros((M.dim, M.dim), dtype=np.int64)) % p
-            for av in acting]
+
+    def outside(v):
+        # v lies in the span of RREF rows iff v - v[piv] @ rows vanishes
+        red, piv = span
+        return np.any((v - la.mod_matmul(v[None, piv], red, p)[0]) % p)
+
     for k in order:
-        v = np.zeros(M.dim, dtype=np.int64)
-        v[k] = 1
-        red, _ = span.reduce(v)
-        if not np.any(red):
+        v = np.eye(1, M.dim, k, dtype=np.int64)[0]
+        if not outside(v):
             continue
         for h, evec in enumerate(idems):
             g = M.act_vec(v, evec)
-            if not np.any(g):
-                continue
-            red, _ = span.reduce(g)
-            if not np.any(red):
-                continue
-            gens.append((g.copy(), h))
-            frontier = [g]
-            span.insert(g)
-            while frontier:
-                w = frontier.pop()
-                for m in mats:
-                    img = (m @ w) % p
-                    if np.any(img):
-                        dep = span.insert(img)
-                        if dep is None:
-                            frontier.append(img)
+            if np.any(g) and outside(g):
+                gens.append((g, h))
+                span = span_under_action(M, g, span)
     return gens, idems
 
 
 def module_presentation(M):
     """Projective presentation data of M (cached on the module): the
-    generators with their idempotent slots, the projective row bases, the
-    matrix of the cover, its relation kernel, and a section."""
+    generators with their idempotent slots, the projective row bases, and
+    the relation kernel and a section of the cover.  The cover's columns
+    run over (generator g, row beta of its slot's basis), with value
+    g beta."""
     cached = getattr(M, "_presentation", None)
     if cached is not None:
         return cached
@@ -456,20 +423,14 @@ def module_presentation(M):
     gens, idems = module_generators(M)
     proj_rows = {h: idempotent_slice(alg, idems[h])[1]
                  for h in {h for _, h in gens}}
-    col_meta = []
-    pi_cols = []
-    for gi, (g, h) in enumerate(gens):
-        for t in range(proj_rows[h].shape[0]):
-            beta = proj_rows[h][t]
-            pi_cols.append(M.act_vec(g, beta))
-            col_meta.append((gi, t))
+    pi_cols = [M.act_vec(g, beta) for g, h in gens for beta in proj_rows[h]]
     pi = np.array(pi_cols, dtype=np.int64).T % p if pi_cols else \
         np.zeros((M.dim, 0), dtype=np.int64)
-    if gens:
-        assert la.mod_rank(pi, p) == M.dim, "generators do not generate"
+    if gens and la.mod_rank(pi, p) != M.dim:
+        raise StructuralError("generators do not generate")
     rel = la.mod_nullspace(pi, p)
     sect = _right_inverse(pi, p) if gens else None
-    out = (gens, idems, proj_rows, col_meta, pi, rel, sect)
+    out = (gens, idems, proj_rows, rel, sect)
     M._presentation = out
     return out
 
@@ -486,98 +447,69 @@ def hom_all(M, N):
     p = alg.p
     if M.dim == 0 or N.dim == 0:
         return {}
-    gens, idems, proj_rows, col_meta, pi, rel, sect = module_presentation(M)
+    gens, idems, proj_rows, rel, sect = module_presentation(M)
     if not gens:
         return {}
 
-    # unknowns: coordinates of n_i in a basis of N e_{h_i}
+    # unknowns: coordinates of n_i in a basis of N e_{h_i}; N e_h is
+    # spanned by the columns of e_h's action matrix
     nbases = {}
     for h in proj_rows:
-        img = []
-        for x in range(N.dim):
-            xv = np.zeros(N.dim, dtype=np.int64)
-            xv[x] = 1
-            w = N.act_vec(xv, idems[h])
-            if np.any(w):
-                img.append(w)
-        r, piv = la.mod_rref(np.array(img, dtype=np.int64), p) \
-            if img else (np.zeros((0, N.dim), dtype=np.int64), [])
+        img = N.act_vec(np.eye(N.dim, dtype=np.int64), idems[h]).T
+        r, piv = la.mod_rref(img[img.any(axis=1)], p)
         nbases[h] = r[: len(piv)]
 
-    # precompute w . beta for each generator block: tensors indexed by
-    # (t, u) -> N-vector
-    wbeta = []
-    offsets = []
-    total_u = 0
-    for gi, (g, h) in enumerate(gens):
-        W = nbases[h]            # (u, dimN)
-        B = proj_rows[h]         # (t, dimA)
-        aw = np.zeros((alg.dim, W.shape[0], N.dim), dtype=np.int64)
-        for a in range(alg.dim):
-            if W.shape[0]:
-                aw[a] = (W @ N.action[a].T) % p
-        # value[t, u, :] = sum_a B[t, a] * (w_u . e_a)
-        if W.shape[0] and B.shape[0]:
-            val = np.tensordot(B, aw, axes=([1], [0])) % p
-        else:
-            val = np.zeros((B.shape[0], W.shape[0], N.dim), dtype=np.int64)
-        wbeta.append(val)
-        offsets.append(total_u)
-        total_u += W.shape[0]
+    # wbeta[h][t, u, :] = w_u . beta_t = sum_a B[t, a] * (w_u . e_a), for
+    # the basis w of N e_h and the cover rows beta (rows of B) of e_h A
+    wbeta = {}
+    for h, W in nbases.items():
+        aw = np.stack([la.mod_matmul(W, N.action[a].T, p)
+                       for a in range(alg.dim)])
+        wbeta[h] = la.mod_matmul(proj_rows[h], aw.reshape(alg.dim, -1),
+                                 p).reshape(len(proj_rows[h]), *W.shape)
+    # the unknowns and the presentation columns of each generator
+    ublocks, cblocks = [], []
+    for _, h in gens:
+        u0 = ublocks[-1].stop if ublocks else 0
+        c0 = cblocks[-1].stop if cblocks else 0
+        ublocks.append(slice(u0, u0 + nbases[h].shape[0]))
+        cblocks.append(slice(c0, c0 + proj_rows[h].shape[0]))
+    total_u = ublocks[-1].stop
+    if not total_u:
+        return {}
 
-    rows = []
-    for kvec in rel:
-        acc = np.zeros((total_u, N.dim), dtype=np.int64)
-        for c, coeff in enumerate(kvec):
-            if coeff % p == 0:
-                continue
-            gi, t = col_meta[c]
-            u0 = offsets[gi]
-            usz = wbeta[gi].shape[1]
-            if usz:
-                acc[u0: u0 + usz] = (acc[u0: u0 + usz]
-                                     + int(coeff) * wbeta[gi][t]) % p
-        eqs = acc.T              # dimN equations, total_u unknowns
-        nz = np.any(eqs, axis=1)
-        if np.any(nz):
-            rows.append(eqs[nz])
-    if rows:
-        big = np.concatenate(rows, axis=0) % p
-        sols = la.mod_nullspace_chunked(big, p)
-    else:
-        sols = np.eye(total_u, dtype=np.int64)
+    # one equation per relation and coordinate of N: the relation applied
+    # to the generator values
+    acc = np.zeros((len(rel), total_u, N.dim), dtype=np.int64)
+    for (_, h), ub, cb in zip(gens, ublocks, cblocks):
+        t, u, _ = wbeta[h].shape
+        acc[:, ub] = la.mod_matmul(rel[:, cb], wbeta[h].reshape(t, -1),
+                                   p).reshape(len(rel), u, N.dim)
+    eqs = acc.transpose(0, 2, 1).reshape(-1, total_u)
+    eqs = eqs[eqs.any(axis=1)]
+    sols = la.mod_nullspace_chunked(eqs, p) if len(eqs) else \
+        np.eye(total_u, dtype=np.int64)
 
-    out = {}
-    for x in sols:
-        # values on each Pi column
-        vals = np.zeros((len(col_meta), N.dim), dtype=np.int64)
-        for c, (gi, t) in enumerate(col_meta):
-            usz = wbeta[gi].shape[1]
-            if usz:
-                u0 = offsets[gi]
-                vals[c] = (x[u0: u0 + usz] @ wbeta[gi][t]) % p
-        psi = (vals.T @ sect) % p
-        for d in sorted({N.degrees[n] - M.degrees[m]
-                         for n in range(N.dim) for m in range(M.dim)}):
-            piece = np.zeros_like(psi)
-            hit = False
-            for n in range(N.dim):
-                for m in range(M.dim):
-                    if N.degrees[n] - M.degrees[m] == d and psi[n, m]:
-                        piece[n, m] = psi[n, m]
-                        hit = True
-            if hit:
-                out.setdefault(d, []).append(piece)
-    # reduce each degree piece list to a basis
+    # vals[s, c, :]: solution s's value on presentation column c; the hom
+    # is vals[s].T @ sect
+    vals = []
+    for (_, h), ub in zip(gens, ublocks):
+        t, u, _ = wbeta[h].shape
+        by_u = wbeta[h].transpose(1, 0, 2).reshape(u, t * N.dim)
+        vals.append(la.mod_matmul(sols[:, ub], by_u, p).reshape(
+            len(sols), t, N.dim))
+    vals = np.concatenate(vals, axis=1).transpose(0, 2, 1)
+    psi = la.mod_matmul(vals.reshape(-1, len(sect)), sect, p).reshape(
+        len(sols), N.dim, M.dim)
+    # split each hom by degree; per degree, the pieces independent of the
+    # earlier ones are the pivot columns of the stacked pieces
+    gap = np.subtract.outer(N.degrees, M.degrees)
     final = {}
-    for d, mats in out.items():
-        ech = la._Echelon(M.dim * N.dim, p)
-        keep = []
-        for m in mats:
-            if ech.insert(m.reshape(-1)) is None:
-                keep.append(m)
-        if keep:
-            final[d] = keep
+    for d in np.unique(gap).tolist():
+        mask = gap == d
+        _, piv = la.mod_rref(psi[:, mask].T, p)
+        if piv:
+            final[d] = [np.where(mask, psi[i], 0) for i in piv]
     return final
 
 
@@ -589,7 +521,7 @@ def _right_inverse(mat, p):
     x = np.zeros((ncols, nrows), dtype=np.int64)
     for i, c in enumerate(piv):
         if c >= ncols:
-            raise AssertionError("matrix does not have full row rank")
+            raise StructuralError("matrix does not have full row rank")
         x[c] = r[i, ncols:]
     return x
 
@@ -945,12 +877,12 @@ def _tops_and_cover(A, M, idempotent_vectors):
     return gens
 
 
-def minimal_resolution(A, M, idempotent_vectors, steps):
+def minimal_resolution(A, M, idempotent_vectors, slices, steps):
     """Minimal graded projective resolution data for M, up to `steps`
-    homological degrees.  Returns a list, per homological degree i, of the
-    multiset of (idempotent index, generator degree) of P^i."""
+    homological degrees; `slices` holds idempotent_slice(A, e) for each of
+    the idempotent vectors.  Returns a list, per homological degree i, of
+    the multiset of (idempotent index, generator degree) of P^i."""
     p = A.p
-    projs = [idempotent_slice(A, e) for e in idempotent_vectors]
     out = []
     cur = M
     for _ in range(steps + 1):
@@ -960,14 +892,14 @@ def minimal_resolution(A, M, idempotent_vectors, steps):
         gens = _tops_and_cover(A, cur, idempotent_vectors)
         out.append(sorted((j, k) for _, j, k in gens))
         # the cover: the sum of the q_j A<k>, row b of q_j A going to v b
-        cols = [cur.act_vec(v, b) for v, j, _ in gens for b in projs[j][1]]
+        cols = [cur.act_vec(v, b) for v, j, _ in gens for b in slices[j][1]]
         cover_mat = np.array(cols, dtype=np.int64).T % p \
             if cols else np.zeros((cur.dim, 0), dtype=np.int64)
         ker = la.mod_nullspace(cover_mat, p)
         if ker.shape[0] == 0:
             break
         # the kernel, as a submodule of the cover's source
-        cover = direct_sum([projs[j][0] for _, j, _ in gens],
+        cover = direct_sum([slices[j][0] for _, j, _ in gens],
                            [k for _, _, k in gens])
         cur, _ = submodule(cover, ker)
     return out
@@ -996,14 +928,14 @@ def koszulity_check(A, cap=None):
         return KoszulReport(True, False, cap, False,
                             "not Koszul-gradable as given")
     idems = _simple_idempotents(A, A0, zero_idx)
+    slices = [idempotent_slice(A, e) for e in idems]
     # simple modules: top of each q_j A
     linear = True
     gen_degrees = []
     ext_table = {}
-    for j, evec in enumerate(idems):
-        pj, _, _ = idempotent_slice(A, evec)
+    for j, (pj, _, _) in enumerate(slices):
         simple, _ = quotient_module(pj, _radical_rows(A, pj))
-        res = minimal_resolution(A, simple, idems, cap)
+        res = minimal_resolution(A, simple, idems, slices, cap)
         gen_degrees.append(res)
         for i, layer in enumerate(res):
             for (j2, k) in layer:
@@ -1040,7 +972,8 @@ def koszul_module_check(A, M, cap=None):
     if gens:
         base = min(k for _, _, k in gens)
         M = shift_module(M, -base)
-    res = minimal_resolution(A, M, big_idems, cap)
+    slices = [idempotent_slice(A, e) for e in big_idems]
+    res = minimal_resolution(A, M, big_idems, slices, cap)
     return all(all(k == i for _, k in layer)
                for i, layer in enumerate(res))
 

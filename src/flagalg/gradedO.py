@@ -23,7 +23,7 @@ from .coxeter import LETTERS
 from .galgebra import (StructuralError, direct_sum, hom_all, hom_dims,
                        idempotent_slice, module_presentation, quotient_module,
                        regular_module, restrict_module, shift_module,
-                       graded_projectives, simple_dims)
+                       span_under_action, graded_projectives, simple_dims)
 from .soergel import endomorphism_algebra, wall_algebra
 
 __all__ = [
@@ -69,7 +69,7 @@ def translate_to_wall(td, M):
     (module over E^s, unit matrix M -> restriction of the result)."""
     Es = td.wall_data.algebra
     p = Es.p
-    gens, idems, proj_rows, _, _, rel, sect = module_presentation(M)
+    gens, idems, proj_rows, rel, sect = module_presentation(M)
     # e_h embeds as the idempotent of E^s with the same label; the cover
     # row t of e_h E embeds into e_h E^s, where its coordinates are its
     # pivot entries (the slice rows are in RREF)
@@ -92,33 +92,11 @@ def translate_to_wall(td, M):
         row, col = row + k, col + t
     # the embedded relations, their E^s-span, and the quotient by it
     rel_rows = la.mod_matmul(rel, emb_cols.T, p)
-    span = _spin_rows(big, rel_rows[rel_rows.any(axis=1)])
+    span, _ = span_under_action(big, rel_rows)
     quot, proj = quotient_module(big, span)
     # the unit M -> res(M (x) E^s): m = pi(xi) maps to class of embedded xi
     unit = (proj @ emb_cols @ sect) % p
     return quot, unit
-
-
-def _spin_rows(module, rows):
-    """Smallest action-stable row space containing the rows."""
-    p = module.algebra.p
-    if not len(rows):
-        return np.zeros((0, module.dim), dtype=np.int64)
-    ech = la._Echelon(module.dim, p)
-    frontier = []
-    for r in rows:
-        if ech.insert(np.array(r, dtype=np.int64)) is None:
-            frontier.append(np.array(r, dtype=np.int64))
-    while frontier:
-        new = []
-        for v in frontier:
-            for a in range(module.algebra.dim):
-                img = (module.action[a] @ v) % p
-                if np.any(img) and ech.insert(img) is None:
-                    new.append(img)
-        frontier = new
-    return np.array(ech.rows, dtype=np.int64) if ech.rows else \
-        np.zeros((0, module.dim), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from flagalg import _linalg as la
 from flagalg import galgebra as ga
 from flagalg import gradedO as go
 from flagalg import soergel as sg
@@ -325,3 +328,138 @@ def test_hom_all_matches_brute_force_a2_standards(C_A2):
     for M in mods:
         for N in mods:
             assert ga.hom_dims(M, N) == _brute_hom_dims(M, N)
+
+
+# ---------------------------------------------------------------------------
+# closure references for module generators and the submodule certificates
+
+
+def _closure_algebra_generators(alg):
+    """Basis indices found greedily by degree: one is added only if it is
+    not in the unital subalgebra that the earlier ones generate, which is
+    closed under products by a frontier loop."""
+    ech = la._Echelon(alg.dim, alg.p)
+    vecs = []
+
+    def contains(v):
+        return not np.any(ech.reduce(v)[0])
+
+    def add(v):
+        if ech.insert(v) is None:
+            vecs.append(v)
+
+    add(alg.unit_vector())
+    gens = []
+    for i in sorted(range(alg.dim), key=lambda i: (alg.degrees[i], i)):
+        v = alg.basis_vec(i)
+        if contains(v):
+            continue
+        gens.append(i)
+        add(v)
+        frontier = list(vecs)
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in list(vecs):
+                    for prod in (alg.mul_vec(a, b), alg.mul_vec(b, a)):
+                        if np.any(prod) and not contains(prod):
+                            add(prod)
+                            new.append(prod)
+            frontier = new
+    return gens
+
+
+def _module_generators_closure(M, alg_gens):
+    """Greedy module generators, each new one spun by a frontier loop under
+    the unit and the algebra generators alg_gens: the reference for
+    module_generators."""
+    alg = M.algebra
+    p = alg.p
+    idems = ga._idempotent_vectors(alg)
+    span = la._Echelon(M.dim, p)
+    acting = [alg.unit_vector()] + [alg.basis_vec(a) for a in alg_gens]
+    mats = [sum((int(av[a]) * M.action[a] for a in np.nonzero(av)[0]),
+                np.zeros((M.dim, M.dim), dtype=np.int64)) % p
+            for av in acting]
+    gens = []
+    for k in sorted(range(M.dim), key=lambda i: (M.degrees[i], i)):
+        v = np.zeros(M.dim, dtype=np.int64)
+        v[k] = 1
+        if not np.any(span.reduce(v)[0]):
+            continue
+        for h, evec in enumerate(idems):
+            g = M.act_vec(v, evec)
+            if not np.any(g) or not np.any(span.reduce(g)[0]):
+                continue
+            gens.append((g.copy(), h))
+            frontier = [g]
+            span.insert(g)
+            while frontier:
+                w = frontier.pop()
+                for m in mats:
+                    img = (m @ w) % p
+                    if np.any(img) and span.insert(img) is None:
+                        frontier.append(img)
+    return gens
+
+
+def test_module_generators_match_closure(C_A1, C_A2):
+    # every slice e_f E of E(A1) and E(A2), E(A1) and E(A2) themselves
+    # (seven generators, several per slot), and the A2 standard modules
+    cases = []
+    for C in (C_A1, C_A2):
+        E = sg.endomorphism_algebra(C).algebra
+        cases += [ga.idempotent_slice(E, E.basis_vec(i))[0]
+                  for i in E.idempotents.values()] + [ga.regular_module(E)]
+    cases += list(go.standard_modules(C_A2).values())
+    alg_gens = {}
+    for M in cases:
+        A = M.algebra
+        if id(A) not in alg_gens:
+            alg_gens[id(A)] = _closure_algebra_generators(A)
+        got, _ = ga.module_generators(M)
+        want = _module_generators_closure(M, alg_gens[id(A)])
+        assert [(g.tolist(), h) for g, h in got] == \
+            [(g.tolist(), h) for g, h in want]
+
+
+def test_span_under_action_is_the_generated_submodule():
+    # in F[x]/(x^2), 1 generates everything and x only itself
+    A = dual_numbers()
+    reg = ga.regular_module(A)
+    rows, piv = ga.span_under_action(reg, [[1, 0]])
+    assert rows.tolist() == [[1, 0], [0, 1]] and piv == [0, 1]
+    rows, piv = ga.span_under_action(reg, [[0, 3]])
+    assert rows.tolist() == [[0, 1]] and piv == [1]
+    assert ga.span_under_action(reg, [[0, 1]], (rows, piv))[1] == [1]
+
+
+_NOT_CLOSED = """
+import numpy as np
+from flagalg import galgebra as ga
+if __debug__:
+    raise SystemExit("expected python -O")
+A = ga.GradedAlgebra(5, [0, 1], {{(0, 0): {{0: 1}}, (0, 1): {{1: 1}},
+                                 (1, 0): {{1: 1}}, (1, 1): {{}}}}, {{0: 1}})
+try:
+    ga.submodule(ga.regular_module(A), np.array({rows!r}))
+except ga.StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+def test_submodule_not_closed_raises_structural_error():
+    # the span of 1 in F[x]/(x^2) misses 1 . x = x
+    rows = [[1, 0]]
+    with pytest.raises(ga.StructuralError,
+                       match="rows are not closed under the action"):
+        ga.submodule(ga.regular_module(dual_numbers()), np.array(rows))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NOT_CLOSED.format(rows=rows)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "StructuralError: rows are not closed under the action"

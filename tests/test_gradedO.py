@@ -223,3 +223,45 @@ def test_wall_projectivity_certificate(C_A1):
 def test_wall_projectivity_certificate_a2(C_A2):
     sides = go.wall_module_projective_certificate(C_A2, 0)
     assert sides == {"right": True, "left": True}
+
+
+def _spin_rows_frontier(module, rows):
+    """Smallest action-stable row space containing the rows, by a frontier
+    loop over the basis of the algebra: the reference for
+    span_under_action in translate_to_wall."""
+    p = module.algebra.p
+    ech = la._Echelon(module.dim, p)
+    frontier = [r for r in rows if ech.insert(r) is None]
+    while frontier:
+        new = []
+        for v in frontier:
+            for a in range(module.algebra.dim):
+                img = (module.action[a] @ v) % p
+                if np.any(img) and ech.insert(img) is None:
+                    new.append(img)
+        frontier = new
+    return np.array(ech.rows, dtype=np.int64).reshape(-1, module.dim)
+
+
+@pytest.mark.parametrize("cartan,s", [("A1", 0), ("A2", 0), ("A2", 1)])
+def test_translate_to_wall_span_matches_frontier_spin(cartan, s, C_A1, C_A2,
+                                                      monkeypatch):
+    # the relation spans of every standard module, against the old spin
+    C = {"A1": C_A1, "A2": C_A2}[cartan]
+    td = go.translation_data(C, s)
+    std = go.standard_modules(C)
+    seen = []
+
+    def recording(M, rows):
+        out = ga.span_under_action(M, rows)
+        seen.append((M, rows, out))
+        return out
+
+    monkeypatch.setattr(go, "span_under_action", recording)
+    for M in std.values():
+        go.translate_to_wall(td, M)
+    assert len(seen) == len(std)
+    for M, rows, (got, piv) in seen:
+        r, want_piv = la.mod_rref(_spin_rows_frontier(M, rows), C.ell)
+        assert piv == want_piv
+        assert np.array_equal(got, r[: len(want_piv)])
