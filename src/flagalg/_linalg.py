@@ -33,7 +33,9 @@ def mod_matmul(a, b, p):
     # entries < p, so dot products stay below 2**63 for all our sizes
     if a.shape[1] > 0 and int(a.shape[1]) * (p - 1) * (p - 1) >= 2**62:
         raise OverflowError("modulus too large for int64 matmul")
-    return np.mod(a @ b, p)
+    out = a @ b
+    out %= p
+    return out
 
 
 def mod_rref(a, p):
@@ -44,7 +46,8 @@ def mod_rref(a, p):
     is zero to its left."""
     if (p - 1) * (p - 1) >= 2**63:
         raise OverflowError("modulus too large for int64 elimination")
-    m = np.mod(np.array(a, dtype=np.int64), p)
+    m = np.array(a, dtype=np.int64)
+    m %= p
     nrows, ncols = m.shape
     pivots = []
     r = 0

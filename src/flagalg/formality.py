@@ -12,6 +12,13 @@ dg-subalgebra, and both the inclusion into R and the projection onto the
 cohomology are quasi-isomorphisms; this module computes all three objects
 and certifies the two maps.
 
+Products go through the dense structure tensor T[a, b, k] (the
+coefficient of e_k in e_a e_b), cached per instance.  `check` raises
+StructuralError unless: D D = 0; D and T are nonzero only where the
+bidegrees fit; u T and T u (u the unit vector) are the identity; D u = 0;
+and, one slice a at a time, D T[a, b, :] = sum_c D[c, a] T[c, b, :] +
+(-1)^i sum_c D[c, b] T[a, c, :] for all b.  Associativity is not checked.
+
 Seeded random instances are built so the hypothesis holds by
 construction: a square-zero diagonal algebra extended by acyclic
 off-diagonal pairs with zero products.  The quasi-isomorphism checks are
@@ -23,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
+from .galgebra import StructuralError
 
 __all__ = [
     "BigradedDgAlgebra", "BigradedComponents", "cohomology",
@@ -58,168 +66,172 @@ class BigradedDgAlgebra:
             v[k] = c % self.p
         return v
 
+    def structure_tensor(self):
+        """T[a, b, k], the coefficient of e_k in e_a e_b reduced mod p;
+        built from `mult` on first use and cached on the instance."""
+        T = getattr(self, "_tensor", None)
+        if T is None:
+            n, p = self.dim, self.p
+            T = np.zeros((n, n, n), dtype=np.int64)
+            entries = [(a, b, k, c % p) for (a, b), prod in self.mult.items()
+                       for k, c in prod.items()]
+            a, b, k, c = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+            T[a, b, k] = c
+            self._tensor = T
+        return T
+
     def mul_vec(self, a, b):
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(a)[0]:
-            for j in np.nonzero(b)[0]:
-                prod = self.mult.get((int(i), int(j)))
-                if prod:
-                    for k, c in prod.items():
-                        out[k] = (out[k] + int(a[i]) * int(b[j]) * c) % self.p
-        return out
+        n, p = self.dim, self.p
+        left = la.mod_matmul(np.mod(a, p)[None],
+                             self.structure_tensor().reshape(n, n * n), p)
+        return la.mod_matmul(np.mod(b, p)[None], left.reshape(n, n), p)[0]
 
     def check(self):
         """d^2 = 0, bidegree bookkeeping, unit, and the graded Leibniz rule
-        on all basis pairs.  Runs once per instance."""
+        on all basis pairs, over the structure tensor; raises
+        StructuralError.  Runs once per instance."""
         if getattr(self, "_checked", False):
             return
-        p = self.p
-        d2 = la.mod_matmul(self.diff, self.diff, p)
-        assert not np.any(d2), "d^2 != 0"
-        for j in range(self.dim):
-            i0, j0 = self.bidegrees[j]
-            for i in np.nonzero(self.diff[:, j])[0]:
-                assert self.bidegrees[int(i)] == (i0 + 1, j0), \
-                    "differential is not of bidegree (1, 0)"
-        for (a, b), prod in self.mult.items():
-            ia, ja = self.bidegrees[a]
-            ib, jb = self.bidegrees[b]
-            for k, c in prod.items():
-                if c % p:
-                    assert self.bidegrees[k] == (ia + ib, ja + jb), \
-                        "product is not bidegree-additive"
+        n, p = self.dim, self.p
+        D = np.mod(self.diff, p)
+        T = self.structure_tensor()
+        bd = _bidegree_array(self)
+        if np.any(la.mod_matmul(D, D, p)):
+            raise StructuralError("d^2 != 0")
+        rows, cols = np.nonzero(self.diff)
+        if np.any(bd[rows] != bd[cols] + (1, 0)):
+            raise StructuralError("differential is not of bidegree (1, 0)")
+        a, b, k = np.nonzero(T)
+        if np.any(bd[k] != bd[a] + bd[b]):
+            raise StructuralError("product is not bidegree-additive")
         u = self.unit_vector()
-        for k in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[k] = 1
-            assert np.array_equal(self.mul_vec(u, e), e), "unit fails"
-            assert np.array_equal(self.mul_vec(e, u), e), "unit fails"
-        assert not np.any((self.diff @ u) % p), "d(1) != 0"
-        for a in range(self.dim):
-            for b in range(self.dim):
-                ea = np.zeros(self.dim, dtype=np.int64)
-                eb = np.zeros(self.dim, dtype=np.int64)
-                ea[a] = 1
-                eb[b] = 1
-                lhs = (self.diff @ self.mul_vec(ea, eb)) % p
-                sign = 1 if self.bidegrees[a][0] % 2 == 0 else p - 1
-                rhs = (self.mul_vec((self.diff @ ea) % p, eb)
-                       + sign * self.mul_vec(ea, (self.diff @ eb) % p)) % p
-                assert np.array_equal(lhs, rhs), "Leibniz rule fails"
+        eye = np.eye(n, dtype=np.int64)
+        flat = T.reshape(n, n * n)
+        if not np.array_equal(
+                la.mod_matmul(u[None], flat, p).reshape(n, n), eye):
+            raise StructuralError("unit fails")
+        if not np.array_equal(la.mod_matmul(u[None], T, p)[:, 0], eye):
+            raise StructuralError("unit fails")
+        if np.any(la.mod_matmul(D, u[:, None], p)):
+            raise StructuralError("d(1) != 0")
+        sign = np.where(bd[:, 0] % 2 == 0, 1, p - 1)
+        for a in range(n):
+            # row b: d(e_a e_b) against (d e_a) e_b + (-1)^i e_a (d e_b)
+            lhs = la.mod_matmul(T[a], D.T, p)
+            rhs = la.mod_matmul(D[None, :, a], flat, p).reshape(n, n) + \
+                sign[a] * la.mod_matmul(D.T, T[a], p)
+            if np.any((lhs - rhs) % p):
+                raise StructuralError("Leibniz rule fails")
         self._checked = True
 
-    def indices_at(self, bd):
-        return [k for k, b in enumerate(self.bidegrees) if b == bd]
+
+def _bidegree_array(R):
+    return np.array(R.bidegrees, dtype=np.int64).reshape(R.dim, 2)
+
+
+def _by_bidegree(R):
+    by_bd = {}
+    for k, bd in enumerate(R.bidegrees):
+        by_bd.setdefault(bd, []).append(k)
+    return dict(sorted(by_bd.items()))
+
+
+def _products(R, X):
+    """Every product x_a x_b of rows of X in R, as an (m, m, dim) array,
+    in two contractions with the structure tensor."""
+    n, p = R.dim, R.p
+    left = la.mod_matmul(X, R.structure_tensor().reshape(n, n * n), p)
+    return la.mod_matmul(X, left.reshape(-1, n, n), p)
+
+
+def _lift(R, idxs, local):
+    """Rows of `local`, given on the basis indices idxs, in R-coords."""
+    out = np.zeros((len(local), R.dim), dtype=np.int64)
+    out[:, idxs] = local
+    return out
+
+
+def _entry(vec):
+    return {int(k): int(vec[k]) for k in np.flatnonzero(vec)}
+
+
+def _sparse_mult(coords, m):
+    """Structure constants {(a, b): {k: c}} from the coordinate rows of
+    the products x_a x_b, in (a, b) order; zero products are left out."""
+    return {divmod(int(t), m): _entry(coords[t])
+            for t in np.flatnonzero(coords.any(axis=1))}
 
 
 @dataclass
 class CohomologyData:
     """Cohomology of a bigraded dg-algebra: the quotient algebra (d = 0),
-    the cycle representatives, and the class map."""
+    the cycle representatives, and the class map, which sends a batch of
+    cycles (rows) to their coordinates in the cohomology basis."""
 
     algebra: BigradedDgAlgebra
     reps: np.ndarray          # rows: representative cycles in R-coords
     classify: object = field(repr=False, default=None)
 
-    def class_of(self, vec):
-        """Coordinates in the cohomology basis of a cycle vector."""
-        return self.classify(vec)
-
 
 def cohomology(R):
     """Bigraded cohomology with the induced product, as a dg-algebra with
     zero differential.  Rejects inputs violating the dg axioms; memoized
-    per instance (recomputation would be identical)."""
+    per instance (recomputation would be identical).
+
+    At each bidegree the representatives are the kernel vectors that are
+    pivot columns of one RREF of the columns [image | kernel]: each is
+    independent of the boundaries and of the kernel vectors before it."""
     cached = getattr(R, "_cohomology", None)
     if cached is not None:
         return cached
     R.check()
     p = R.p
-    by_bd = {}
-    for k, bd in enumerate(R.bidegrees):
-        by_bd.setdefault(bd, []).append(k)
-    reps = []
-    rep_bd = []
-    # reduction data per bidegree: image rows echelon + H representatives
-    reducers = {}
-    for bd, idxs in sorted(by_bd.items()):
+    by_bd = _by_bidegree(R)
+    reps, rep_bd, offset, bases = [], [], {}, {}
+    for bd, idxs in by_bd.items():
         i, j = bd
-        up = by_bd.get((i + 1, j), [])
-        dn = by_bd.get((i - 1, j), [])
-        dmat = R.diff[np.ix_(up, idxs)] if up else \
-            np.zeros((0, len(idxs)), dtype=np.int64)
-        ker = la.mod_nullspace(dmat, p)
-        img_rows = []
-        if dn:
-            dprev = R.diff[np.ix_(idxs, dn)]
-            for c in range(dprev.shape[1]):
-                v = dprev[:, c]
-                if np.any(v):
-                    img_rows.append(v % p)
-        ech = la._Echelon(len(idxs), p)
-        for v in img_rows:
-            ech.insert(np.array(v, dtype=np.int64))
-        img_rank = ech.rank
-        h_local = []
-        for v in ker:
-            red, _ = ech.reduce(v)
-            if np.any(red):
-                ech.insert(v)
-                h_local.append(v)
-        reducers[bd] = (idxs, img_rows, h_local)
-        for v in h_local:
-            big = np.zeros(R.dim, dtype=np.int64)
-            for pos, k in enumerate(idxs):
-                big[k] = v[pos]
-            reps.append(big)
-            rep_bd.append(bd)
+        ker = la.mod_nullspace(R.diff[np.ix_(by_bd.get((i + 1, j), []),
+                                             idxs)], p)
+        img = np.mod(R.diff[np.ix_(idxs, by_bd.get((i - 1, j), []))], p)
+        _, piv = la.mod_rref(np.concatenate([img, ker.T], axis=1), p)
+        h_local = ker[[c - img.shape[1] for c in piv if c >= img.shape[1]]]
+        # columns: the representatives first, then the boundaries
+        bases[bd] = (idxs, np.concatenate([h_local.T, img], axis=1),
+                     len(h_local))
+        offset[bd] = len(rep_bd)
+        reps.append(_lift(R, idxs, h_local))
+        rep_bd.extend([bd] * len(h_local))
+    reps_arr = np.concatenate(reps)
 
-    reps_arr = np.array(reps, dtype=np.int64) if reps else \
-        np.zeros((0, R.dim), dtype=np.int64)
-
-    def classify(vec):
-        """Coordinates of a cycle in the cohomology basis."""
-        out = np.zeros(len(reps), dtype=np.int64)
-        vec = vec % p
-        for bd, (idxs, img_rows, h_local) in reducers.items():
-            local = vec[idxs]
+    def classify(vecs):
+        """Coordinates in the cohomology basis of each row of `vecs`, a
+        batch of cycles, with one elimination per bidegree."""
+        vecs = np.mod(vecs, p)
+        out = np.zeros((len(vecs), len(rep_bd)), dtype=np.int64)
+        for bd, (idxs, basis, nh) in bases.items():
+            local = vecs[:, idxs]
             if not np.any(local):
                 continue
-            # solve local = sum a_i h_i + boundary
-            basis_rows = list(h_local) + list(img_rows)
-            if not basis_rows:
-                raise AssertionError("vector is not a cycle")
-            mat = np.array(basis_rows, dtype=np.int64).T
-            sol = la.mod_solve(mat, local, p)
-            assert sol is not None, "vector is not a cycle/boundary combo"
-            base = _rep_offset(rep_bd, bd)
-            for t in range(len(h_local)):
-                out[base + t] = sol[t] % p
+            if not basis.shape[1]:
+                raise StructuralError("vector is not a cycle")
+            red, piv = la.mod_rref(
+                np.concatenate([basis, local.T], axis=1), p)
+            if piv[-1] >= basis.shape[1]:
+                raise StructuralError("vector is not a cycle/boundary combo")
+            # the representatives are independent, so they are the first
+            # nh pivots, and their coefficients are unique
+            out[:, offset[bd]: offset[bd] + nh] = \
+                red[:nh, basis.shape[1]:].T
         return out
 
-    mult = {}
-    for a in range(len(reps)):
-        for b in range(len(reps)):
-            prod = R.mul_vec(reps_arr[a], reps_arr[b])
-            if np.any(prod):
-                cls = classify(prod)
-                entry = {int(k): int(c) for k, c in enumerate(cls) if c % p}
-                if entry:
-                    mult[(a, b)] = entry
-    unit_cls = classify(R.unit_vector())
-    unit = {int(k): int(c) for k, c in enumerate(unit_cls) if c % p}
-    H = BigradedDgAlgebra(p, rep_bd, mult, unit,
-                          np.zeros((len(reps), len(reps)), dtype=np.int64))
+    h = len(rep_bd)
+    cls = classify(np.concatenate([_products(R, reps_arr).reshape(-1, R.dim),
+                                   R.unit_vector()[None]]))
+    H = BigradedDgAlgebra(p, rep_bd, _sparse_mult(cls[:-1], h),
+                          _entry(cls[-1]), np.zeros((h, h), dtype=np.int64))
     out = CohomologyData(H, reps_arr, classify)
     R._cohomology = out
     return out
-
-
-def _rep_offset(rep_bd, bd):
-    for k, b in enumerate(rep_bd):
-        if b == bd:
-            return k
-    return len(rep_bd)
 
 
 def diagonal_check(R):
@@ -236,67 +248,45 @@ def shear_subalgebra(R):
     Returns (sub dg-algebra, inclusion matrix into R, projection matrix
     onto the cohomology, cohomology data).  The sub is always a
     dg-subalgebra; when the cohomology of R is diagonal, both maps are
-    quasi-isomorphisms."""
+    quasi-isomorphisms.  The products of all pairs of basis vectors, the
+    unit and the differential are coordinatised in one RREF of
+    [inclusion | targets]; a pivot among the targets means the sub is
+    not closed, which raises StructuralError."""
     R.check()
     p = R.p
-    rows = []
-    row_bd = []
-    by_bd = {}
-    for k, bd in enumerate(R.bidegrees):
-        by_bd.setdefault(bd, []).append(k)
-    for bd, idxs in sorted(by_bd.items()):
+    by_bd = _by_bidegree(R)
+    blocks, row_bd = [], []
+    for bd, idxs in by_bd.items():
         i, j = bd
         if j > i:
-            for k in idxs:
-                v = np.zeros(R.dim, dtype=np.int64)
-                v[k] = 1
-                rows.append(v)
-                row_bd.append(bd)
+            local = np.eye(len(idxs), dtype=np.int64)
         elif j == i:
-            up = by_bd.get((i + 1, j), [])
-            dmat = R.diff[np.ix_(up, idxs)] if up else \
-                np.zeros((0, len(idxs)), dtype=np.int64)
-            for v in la.mod_nullspace(dmat, p):
-                big = np.zeros(R.dim, dtype=np.int64)
-                for pos, k in enumerate(idxs):
-                    big[k] = v[pos]
-                rows.append(big)
-                row_bd.append(bd)
-    inc = np.array(rows, dtype=np.int64).T if rows else \
+            local = la.mod_nullspace(
+                R.diff[np.ix_(by_bd.get((i + 1, j), []), idxs)], p)
+        else:
+            continue
+        blocks.append(_lift(R, idxs, local))
+        row_bd.extend([bd] * len(local))
+    inc = np.concatenate(blocks).T if blocks else \
         np.zeros((R.dim, 0), dtype=np.int64)
     n = inc.shape[1]
-
-    def coords_in_sub(vec):
-        sol = la.mod_solve(inc, vec, p)
-        assert sol is not None, "shear subalgebra is not closed"
-        return sol
-
-    mult = {}
-    for a in range(n):
-        for b in range(n):
-            prod = R.mul_vec(inc[:, a], inc[:, b])
-            if np.any(prod):
-                sol = coords_in_sub(prod)
-                entry = {int(k): int(c) for k, c in enumerate(sol) if c % p}
-                if entry:
-                    mult[(a, b)] = entry
-    unit_sol = coords_in_sub(R.unit_vector())
-    unit = {int(k): int(c) for k, c in enumerate(unit_sol) if c % p}
-    diff = np.zeros((n, n), dtype=np.int64)
-    for b in range(n):
-        img = (R.diff @ inc[:, b]) % p
-        if np.any(img):
-            diff[:, b] = coords_in_sub(img)
-    sub = BigradedDgAlgebra(p, row_bd, mult, unit, diff)
+    red, piv = la.mod_rref(np.concatenate(
+        [inc, _products(R, inc.T).reshape(n * n, R.dim).T,
+         R.unit_vector()[:, None], la.mod_matmul(np.mod(R.diff, p), inc, p)],
+        axis=1), p)
+    if piv and piv[-1] >= n:
+        raise StructuralError("shear subalgebra is not closed")
+    # inc has independent columns, so they are the first n pivots
+    coords = red[:n, n:]
+    sub = BigradedDgAlgebra(p, row_bd, _sparse_mult(coords[:, :n * n].T, n),
+                            _entry(coords[:, n * n]),
+                            coords[:, n * n + 1:].copy())
     sub.check()
 
     hdata = cohomology(R)
-    H = hdata.algebra
-    proj = np.zeros((H.dim, n), dtype=np.int64)
-    for b in range(n):
-        i, j = row_bd[b]
-        if i == j:
-            proj[:, b] = hdata.class_of(inc[:, b])
+    diag = [b for b, (i, j) in enumerate(row_bd) if i == j]
+    proj = np.zeros((hdata.algebra.dim, n), dtype=np.int64)
+    proj[:, diag] = hdata.classify(inc[:, diag].T).T
     return sub, inc, proj, hdata
 
 
@@ -309,19 +299,14 @@ def verify_quasi_iso(src, tgt, mat):
     rhs = la.mod_matmul(mat % p, src.diff, p)
     if not np.array_equal(lhs, rhs):
         raise ValueError("not a chain map")
-    for b in range(src.dim):
-        for a in np.nonzero(mat[:, b])[0]:
-            if tgt.bidegrees[int(a)] != src.bidegrees[b]:
-                raise ValueError("map does not respect bidegrees")
+    rows, cols = np.nonzero(mat)
+    if np.any(_bidegree_array(tgt)[rows] != _bidegree_array(src)[cols]):
+        raise ValueError("map does not respect bidegrees")
     hs = cohomology(src)
     ht = cohomology(tgt)
     if sorted(hs.algebra.bidegrees) != sorted(ht.algebra.bidegrees):
         return False
-    induced = np.zeros((ht.algebra.dim, hs.algebra.dim), dtype=np.int64)
-    for b in range(hs.algebra.dim):
-        induced[:, b] = ht.class_of((mat @ hs.reps[b]) % p)
-    if hs.algebra.dim != ht.algebra.dim:
-        return False
+    induced = ht.classify(la.mod_matmul(hs.reps, (mat % p).T, p)).T
     return la.mod_rank(induced, p) == hs.algebra.dim
 
 
@@ -340,11 +325,13 @@ class BigradedComponents:
 
     def check(self):
         for (i, j), m in self.diff.items():
-            assert m.shape == (self.dims.get((i + 1, j), 0),
-                               self.dims.get((i, j), 0))
+            if m.shape != (self.dims.get((i + 1, j), 0),
+                           self.dims.get((i, j), 0)):
+                raise StructuralError("differential block has wrong shape")
             nxt = self.diff.get((i + 1, j))
-            if nxt is not None and m.size and nxt.size:
-                assert not np.any(la.mod_matmul(nxt, m, self.p)), "d^2 != 0"
+            if nxt is not None and m.size and nxt.size and \
+                    np.any(la.mod_matmul(nxt, m, self.p)):
+                raise StructuralError("d^2 != 0")
 
     def shift_internal(self, n):
         """<n>: component (i, j) of the result is component (i, j - n)."""

@@ -421,8 +421,14 @@ def module_presentation(M):
     alg = M.algebra
     p = alg.p
     gens, idems = module_generators(M)
-    proj_rows = {h: idempotent_slice(alg, idems[h])[1]
-                 for h in {h for _, h in gens}}
+    # rows of e_h A, kept on the algebra; the first request certifies them
+    slice_rows = alg.__dict__.setdefault("_slice_rows", {})
+    proj_rows = {}
+    for h in {h for _, h in gens}:
+        key = idems[h].tobytes()
+        if key not in slice_rows:
+            slice_rows[key] = idempotent_slice(alg, idems[h])[1]
+        proj_rows[h] = slice_rows[key]
     pi_cols = [M.act_vec(g, beta) for g, h in gens for beta in proj_rows[h]]
     pi = np.array(pi_cols, dtype=np.int64).T % p if pi_cols else \
         np.zeros((M.dim, 0), dtype=np.int64)

@@ -1,7 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from flagalg import formality as fm
+from flagalg.galgebra import StructuralError
 
 
 def unit_line(p=5):
@@ -139,3 +145,198 @@ def test_omega_shear_random_shift_law():
         lhs = fm.omega_shear(M.shift_internal(n))
         rhs = fm.omega_shear(M).shift_cohomological(n).shift_internal(n)
         assert lhs.equal_to(rhs)
+
+
+# ---------------------------------------------------------------------------
+# the loop versions of mul_vec and check, kept as references
+
+
+def _mul_vec_loop(A, a, b):
+    out = np.zeros(A.dim, dtype=np.int64)
+    for i in np.nonzero(a)[0]:
+        for j in np.nonzero(b)[0]:
+            prod = A.mult.get((int(i), int(j)))
+            if prod:
+                for k, c in prod.items():
+                    out[k] = (out[k] + int(a[i]) * int(b[j]) * c) % A.p
+    return out
+
+
+def _check_loop(A):
+    p = A.p
+    d2 = (A.diff @ A.diff) % p
+    assert not np.any(d2), "d^2 != 0"
+    for j in range(A.dim):
+        i0, j0 = A.bidegrees[j]
+        for i in np.nonzero(A.diff[:, j])[0]:
+            assert A.bidegrees[int(i)] == (i0 + 1, j0), \
+                "differential is not of bidegree (1, 0)"
+    for (a, b), prod in A.mult.items():
+        ia, ja = A.bidegrees[a]
+        ib, jb = A.bidegrees[b]
+        for k, c in prod.items():
+            if c % p:
+                assert A.bidegrees[k] == (ia + ib, ja + jb), \
+                    "product is not bidegree-additive"
+    u = A.unit_vector()
+    for k in range(A.dim):
+        e = np.zeros(A.dim, dtype=np.int64)
+        e[k] = 1
+        assert np.array_equal(_mul_vec_loop(A, u, e), e), "unit fails"
+        assert np.array_equal(_mul_vec_loop(A, e, u), e), "unit fails"
+    assert not np.any((A.diff @ u) % p), "d(1) != 0"
+    for a in range(A.dim):
+        for b in range(A.dim):
+            ea = np.zeros(A.dim, dtype=np.int64)
+            eb = np.zeros(A.dim, dtype=np.int64)
+            ea[a] = 1
+            eb[b] = 1
+            lhs = (A.diff @ _mul_vec_loop(A, ea, eb)) % p
+            sign = 1 if A.bidegrees[a][0] % 2 == 0 else p - 1
+            rhs = (_mul_vec_loop(A, (A.diff @ ea) % p, eb)
+                   + sign * _mul_vec_loop(A, ea, (A.diff @ eb) % p)) % p
+            assert np.array_equal(lhs, rhs), "Leibniz rule fails"
+
+
+def _fresh(A):
+    """A copy of A with nothing cached, so check runs again."""
+    return fm.BigradedDgAlgebra(A.p, list(A.bidegrees), dict(A.mult),
+                                dict(A.unit), A.diff.copy())
+
+
+def test_check_matches_loop_on_seeds():
+    for seed in range(100):
+        R = fm.random_diagonal_instance(seed)
+        sub, _, _, hd = fm.shear_subalgebra(R)
+        for A in (R, sub, hd.algebra):
+            _check_loop(A)
+            _fresh(A).check()
+
+
+def _with_unit(bidegrees, diff_entries=(), products=None, p=5):
+    """Basis element 0 is the unit at (0, 0); diff_entries are (row, col)
+    positions of d set to 1; products are added to the unit's."""
+    n = len(bidegrees)
+    diff = np.zeros((n, n), dtype=np.int64)
+    for r, c in diff_entries:
+        diff[r, c] = 1
+    mult = {}
+    for k in range(n):
+        mult[(0, k)] = {k: 1}
+        mult[(k, 0)] = {k: 1}
+    mult.update(products or {})
+    return fm.BigradedDgAlgebra(p, list(bidegrees), mult, {0: 1}, diff)
+
+
+def _broken_leibniz():
+    # d x = y, d w = v and x x = w: d(x x) = v but (dx) x + x (dx) = 0
+    return _with_unit([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
+                      [(2, 1), (4, 3)], {(1, 1): {3: 1}})
+
+
+MUTANTS = [
+    ("d^2 != 0",
+     lambda: _with_unit([(0, 0), (0, 1), (1, 1), (2, 1)], [(2, 1), (3, 2)])),
+    ("differential is not of bidegree (1, 0)",
+     lambda: _with_unit([(0, 0), (0, 1), (1, 2)], [(2, 1)])),
+    ("product is not bidegree-additive",
+     lambda: _with_unit([(0, 0), (1, 1), (2, 1)], (), {(1, 1): {2: 1}})),
+    ("unit fails",                                     # left unit
+     lambda: _with_unit([(0, 0), (1, 1)], (), {(0, 1): {1: 2}})),
+    ("unit fails",                                     # right unit
+     lambda: _with_unit([(0, 0), (1, 1)], (), {(1, 0): {1: 2}})),
+    ("d(1) != 0",
+     lambda: _with_unit([(0, 0), (1, 0)], [(1, 0)])),
+    ("Leibniz rule fails", _broken_leibniz),
+]
+
+
+@pytest.mark.parametrize("message, build", MUTANTS)
+def test_check_rejects_each_mutant(message, build):
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        _check_loop(build())
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        build().check()
+
+
+def test_mul_vec_matches_loop():
+    rng = np.random.default_rng(7)
+    algebras = [fm.random_diagonal_instance(seed) for seed in range(5)]
+    for _ in range(5):
+        # arbitrary structure constants, with coefficients outside [0, p)
+        n = int(rng.integers(1, 8))
+        mult = {(a, b): {int(k): int(rng.integers(-9, 9))
+                         for k in rng.integers(0, n, size=3)}
+                for a in range(n) for b in range(n) if rng.random() < 0.6}
+        algebras.append(fm.BigradedDgAlgebra(
+            7, [(0, 0)] * n, mult, {}, np.zeros((n, n), dtype=np.int64)))
+    for A in algebras:
+        for _ in range(10):
+            a, b = rng.integers(-12, 12, size=(2, A.dim))
+            assert np.array_equal(A.mul_vec(a, b), _mul_vec_loop(A, a, b))
+
+
+_LEIBNIZ_UNDER_O = """
+import numpy as np
+from flagalg import formality as fm
+from flagalg.galgebra import StructuralError
+if __debug__:
+    raise SystemExit("expected python -O")
+n = 5
+diff = np.zeros((n, n), dtype=np.int64)
+diff[2, 1] = diff[4, 3] = 1
+mult = {(0, k): {k: 1} for k in range(n)}
+mult.update({(k, 0): {k: 1} for k in range(n)})
+mult[(1, 1)] = {3: 1}
+R = fm.BigradedDgAlgebra(5, [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
+                         mult, {0: 1}, diff)
+try:
+    R.check()
+except StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+def test_broken_leibniz_raises_structural_error_under_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _LEIBNIZ_UNDER_O],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "StructuralError: Leibniz rule fails"
+
+
+def test_classify_rejects_non_cycles():
+    # the middle basis vector a has d(a) = b
+    R = acyclic_pair(at=(0, 0))
+    hd = fm.cohomology(R)
+    with pytest.raises(StructuralError, match="vector is not a cycle/"):
+        hd.classify(np.array([[0, 1, 0]]))
+    R = acyclic_pair(at=(0, 1))
+    with pytest.raises(StructuralError, match="vector is not a cycle$"):
+        fm.cohomology(R).classify(np.array([[0, 1, 0]]))
+
+
+def test_shear_not_closed_raises_structural_error():
+    # x x = w leaves ker d at (2, 2); only a skipped check lets R through
+    R = _with_unit([(0, 0), (1, 1), (2, 2), (3, 2)], [(3, 2)],
+                   {(1, 1): {2: 1}})
+    with pytest.raises(StructuralError, match="Leibniz rule fails"):
+        _fresh(R).check()
+    R._checked = True
+    with pytest.raises(StructuralError,
+                       match="shear subalgebra is not closed"):
+        fm.shear_subalgebra(R)
+
+
+def test_components_check_raises_structural_error():
+    one = np.ones((1, 1), dtype=np.int64)
+    M = fm.BigradedComponents(5, {(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                              {(0, 0): one, (1, 0): one})
+    with pytest.raises(StructuralError, match=re.escape("d^2 != 0")):
+        M.check()
+    M = fm.BigradedComponents(5, {(0, 0): 1}, {(0, 0): one})
+    with pytest.raises(StructuralError, match="wrong shape"):
+        M.check()

@@ -463,3 +463,23 @@ def test_submodule_not_closed_raises_structural_error():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == \
         "StructuralError: rows are not closed under the action"
+
+
+def test_presentations_slice_each_idempotent_once(monkeypatch):
+    # two modules over one algebra: the rows of e A are built once
+    A = dual_numbers()
+    calls = []
+    real = ga.idempotent_slice
+
+    def counted(B, e):
+        calls.append(e.tobytes())
+        return real(B, e)
+
+    monkeypatch.setattr(ga, "idempotent_slice", counted)
+    reg = ga.regular_module(A)
+    first = ga.module_presentation(reg)
+    second = ga.module_presentation(ga.shift_module(reg, 1))
+    assert len(calls) == 1
+    assert first[2].keys() == second[2].keys()
+    for h in first[2]:
+        assert np.array_equal(first[2][h], second[2][h])
