@@ -21,6 +21,18 @@ import numpy as np
 # prime field F_p
 
 
+def is_prime(n):
+    """Trial division; n is a prime number."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def mod_mat(rows, p):
     """Build an int64 matrix with entries reduced mod p."""
     a = np.array(rows, dtype=np.int64)
@@ -96,40 +108,6 @@ def mod_nullspace(a, p):
     return basis
 
 
-def mod_nullspace_chunked(a, p, chunk=4096):
-    """Nullspace of a tall constraint matrix: deduplicate rows, then fold
-    chunks into a growing row-space basis, stopping early at full column
-    rank.  Same answer as mod_nullspace."""
-    a = np.mod(np.array(a, dtype=np.int64), p)
-    nrows, ncols = a.shape
-    if nrows <= chunk:
-        return mod_nullspace(a, p)
-    a = np.unique(a, axis=0)
-    basis = np.zeros((0, ncols), dtype=np.int64)
-    for start in range(0, a.shape[0], chunk):
-        stack = np.concatenate([basis, a[start: start + chunk]], axis=0)
-        r, piv = mod_rref(stack, p)
-        basis = r[: len(piv)]
-        if basis.shape[0] == ncols:
-            return np.zeros((0, ncols), dtype=np.int64)
-    return mod_nullspace(basis, p)
-
-
-def mod_solve(a, b, p):
-    """One solution x of a @ x = b mod p, or None."""
-    a = np.mod(np.array(a, dtype=np.int64), p)
-    b = np.mod(np.array(b, dtype=np.int64), p).reshape(-1)
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    r, pivots = mod_rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, ncols]
-    return x
-
-
 class _Echelon:
     """Incremental row echelon over F_p, remembering how each echelon row
     was combined from the inserted rows."""
@@ -193,18 +171,25 @@ def mod_minpoly(a, p):
     if n == 0:
         return [1]
     g = [1]
+    squares = [a]           # a^(2^j)
     for start in range(n):
-        v = np.zeros(n, dtype=np.int64)
-        v[start] = 1
-        ech = _Echelon(n, p)
-        w = v
+        # the Krylov columns v, av, a^2 v, ...: the first non-pivot column k
+        # of their RREF is a^k v = sum_i r[i, k] a^i v over i < k.  They
+        # are doubled until one is dependent, so a short minimal
+        # polynomial costs few columns
+        krylov = np.eye(n, 1, -start, dtype=np.int64)
         while True:
-            dep = ech.insert(w)
-            if dep is not None:
-                # w = sum dep[i] * a^i v
-                mp = [(-int(c)) % p for c in dep] + [1]
+            r, piv = mod_rref(krylov, p)
+            if len(piv) < krylov.shape[1]:
                 break
-            w = mod_matmul(a, w.reshape(-1, 1), p).reshape(-1)
+            # 2^j columns so far: the next 2^j are a^(2^j) times them
+            j = krylov.shape[1].bit_length() - 1
+            if j == len(squares):
+                squares.append(mod_matmul(squares[-1], squares[-1], p))
+            krylov = np.concatenate(
+                [krylov, mod_matmul(squares[j], krylov, p)], axis=1)
+        k = len(piv)
+        mp = [(-int(c)) % p for c in r[:k, k]] + [1]
         g = poly_lcm(g, mp, p)
         if len(g) == n + 1:
             break
@@ -437,13 +422,8 @@ def _algebra_quotient(mult, ideal_rows, p):
     for k, c in enumerate(comp):
         lift[k, c] = 1
 
-    def project(vec):
-        v = np.mod(np.array(vec, dtype=np.int64), p)
-        for i, c in enumerate(piv):
-            f = int(v[c])
-            if f:
-                v = (v - f * red_rows[i]) % p
-        return v[comp]
+    def project(v):
+        return np.mod(v - mod_matmul(v[None, piv], red_rows, p)[0], p)[comp]
 
     qmult = [[project(_mult_vec(mult, lift[i], lift[j], p))
               for j in range(len(comp))] for i in range(len(comp))]

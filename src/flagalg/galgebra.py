@@ -29,6 +29,7 @@ factor splitting of minimal polynomials, so a module survives only if
 every tested endomorphism is nilpotent or invertible.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +126,10 @@ class GradedAlgebra:
         u = self.unit_vector()
         for i in range(self.dim):
             b = self.basis_vec(i)
-            assert np.array_equal(self.mul_vec(u, b), b), "unit fails (left)"
-            assert np.array_equal(self.mul_vec(b, u), b), "unit fails (right)"
+            if not np.array_equal(self.mul_vec(u, b), b):
+                raise StructuralError("unit fails (left)")
+            if not np.array_equal(self.mul_vec(b, u), b):
+                raise StructuralError("unit fails (right)")
         n = self.dim
         rng = np.random.default_rng(0)
         triples = [(int(a), int(b), int(c))
@@ -138,7 +141,8 @@ class GradedAlgebra:
             a_bc = self.mul_vec(self.basis_vec(a),
                                 self.mul_vec(self.basis_vec(b),
                                              self.basis_vec(c)))
-            assert np.array_equal(ab_c, a_bc), "associativity fails"
+            if not np.array_equal(ab_c, a_bc):
+                raise StructuralError("associativity fails")
 
     def generators(self):
         """Every basis index: the basis generates the algebra.  Nothing in
@@ -180,15 +184,16 @@ class RightModule:
         ident = np.zeros((self.dim, self.dim), dtype=np.int64)
         for a in np.nonzero(u)[0]:
             ident = (ident + int(u[a]) * self.action[a]) % p
-        assert np.array_equal(ident % p, np.eye(self.dim, dtype=np.int64)), \
-            "unit does not act as identity"
+        if not np.array_equal(ident, np.eye(self.dim, dtype=np.int64)):
+            raise StructuralError("unit does not act as identity")
         for a in range(self.algebra.dim):
             da = self.algebra.degrees[a]
             m = self.action[a]
             for j in range(self.dim):
                 for i in np.nonzero(m[:, j])[0]:
-                    assert self.degrees[int(i)] == self.degrees[j] + da, \
-                        "action does not respect degrees"
+                    if self.degrees[int(i)] != self.degrees[j] + da:
+                        raise StructuralError(
+                            "action does not respect degrees")
 
 
 def regular_module(alg):
@@ -382,6 +387,12 @@ def span_under_action(M, rows, base=None):
     return red, piv
 
 
+def _outside(v, red, piv, p):
+    """Is v outside the span of the RREF rows red with pivots piv?  It lies
+    inside iff v - v[piv] @ red vanishes."""
+    return np.any((v - la.mod_matmul(v[None, piv], red, p)[0]) % p)
+
+
 def module_generators(M):
     """Minimal-ish generating set of M over its algebra: pairs (vector,
     idempotent slot), found greedily by increasing degree.  Each generator
@@ -391,19 +402,13 @@ def module_generators(M):
     order = sorted(range(M.dim), key=lambda i: (M.degrees[i], i))
     span = (np.zeros((0, M.dim), dtype=np.int64), [])
     gens = []
-
-    def outside(v):
-        # v lies in the span of RREF rows iff v - v[piv] @ rows vanishes
-        red, piv = span
-        return np.any((v - la.mod_matmul(v[None, piv], red, p)[0]) % p)
-
     for k in order:
         v = np.eye(1, M.dim, k, dtype=np.int64)[0]
-        if not outside(v):
+        if not _outside(v, *span, p):
             continue
         for h, evec in enumerate(idems):
             g = M.act_vec(v, evec)
-            if np.any(g) and outside(g):
+            if np.any(g) and _outside(g, *span, p):
                 gens.append((g, h))
                 span = span_under_action(M, g, span)
     return gens, idems
@@ -493,8 +498,7 @@ def hom_all(M, N):
                                    p).reshape(len(rel), u, N.dim)
     eqs = acc.transpose(0, 2, 1).reshape(-1, total_u)
     eqs = eqs[eqs.any(axis=1)]
-    sols = la.mod_nullspace_chunked(eqs, p) if len(eqs) else \
-        np.eye(total_u, dtype=np.int64)
+    sols = la.mod_nullspace(eqs, p)
 
     # vals[s, c, :]: solution s's value on presentation column c; the hom
     # is vals[s].T @ sect
@@ -810,25 +814,21 @@ def _component_idempotents(A0):
     """Orthogonal idempotents from a right-module decomposition of the
     regular module of a semisimple algebra: the components of 1 across the
     summand row spans."""
-    reg = regular_module(A0)
-    pieces = decompose_module_with_rows(reg)
-    one = A0.unit_vector()
-    cols = np.concatenate([rows.T for _, rows in pieces], axis=1)
-    sol = la.mod_solve(cols, one, A0.p)
-    assert sol is not None, "unit not reached by summand spans"
-    idems = []
-    off = 0
-    for s, rows in pieces:
-        comp = (rows.T @ sol[off: off + s.dim]) % A0.p
-        off += s.dim
-        idems.append(comp)
+    p = A0.p
+    pieces = [rows for _, rows in
+              decompose_module_with_rows(regular_module(A0))]
+    one = _coordinates(np.concatenate(pieces), p,
+                       "unit not reached by summand spans")(
+        A0.unit_vector()[None])[0]
+    ends = np.cumsum([len(rows) for rows in pieces])[:-1]
+    idems = [la.mod_matmul(c[None], rows, p)[0]
+             for c, rows in zip(np.split(one, ends), pieces)]
     for i, e in enumerate(idems):
-        assert np.array_equal(A0.mul_vec(e, e), e % A0.p), \
-            "component of 1 is not idempotent"
+        if not np.array_equal(A0.mul_vec(e, e), e):
+            raise StructuralError("component of 1 is not idempotent")
         for j, f in enumerate(idems):
-            if i != j:
-                assert not np.any(A0.mul_vec(e, f)), \
-                    "components of 1 are not orthogonal"
+            if i != j and np.any(A0.mul_vec(e, f)):
+                raise StructuralError("components of 1 are not orthogonal")
     return [e for e in idems if np.any(e)]
 
 
@@ -861,25 +861,23 @@ def _tops_and_cover(A, M, idempotent_vectors):
     radical is the positive part."""
     p = A.p
     # choose generators: per degree, per idempotent, greedily against the
-    # span under right multiplication by degree-zero elements
+    # span under right multiplication by degree-zero elements, seeded with
+    # the radical so that tops drive the choice
     gens = []
     zero_idx = [a for a in range(A.dim) if A.degrees[a] == 0]
-    chosen_span = la._Echelon(M.dim, p)
-    # saturate the radical into the span so tops drive the choice
-    for v in _radical_rows(A, M):
-        chosen_span.insert(v)
+    red, piv = la.mod_rref(_radical_rows(A, M), p)
+    red = red[: len(piv)]
     for j, evec in enumerate(idempotent_vectors):
         for x in range(M.dim):
-            base = np.zeros(M.dim, dtype=np.int64)
-            base[x] = 1
-            v = M.act_vec(base, evec)
-            red, _ = chosen_span.reduce(v)
-            if not np.any(red):
+            v = M.act_vec(np.eye(1, M.dim, x, dtype=np.int64)[0], evec)
+            if not _outside(v, red, piv, p):
                 continue
-            gens.append((v.copy(), j, M.degrees[x]))
-            for a in zero_idx:
-                chosen_span.insert((M.action[a] @ v) % p)
-            chosen_span.insert(v)
+            gens.append((v, j, M.degrees[x]))
+            stack = np.concatenate(
+                [red] + [(M.action[a] @ v)[None] % p for a in zero_idx]
+                + [v[None]])
+            red, piv = la.mod_rref(stack, p)
+            red = red[: len(piv)]
     return gens
 
 
@@ -984,32 +982,80 @@ def koszul_module_check(A, M, cap=None):
                for i, layer in enumerate(res))
 
 
-def _span_coordinates(items, p):
-    """For basis matrices given in order as (key, matrix): a function
-    coords(key, mat) returning the coefficients {basis index: c} of mat in
-    the span of the basis matrices with that key.  Raises StructuralError
-    if mat is not in that span."""
-    ech = {}
-    for idx, (key, mat) in enumerate(items):
-        if key not in ech:
-            ech[key] = (la._Echelon(mat.size, p), [])
-        ech[key][0].insert(mat.reshape(-1))
-        ech[key][1].append(idx)
+def _coordinates(basis, p, outside="composite outside computed hom space"):
+    """The coordinates map of the independent rows `basis` (a stack of
+    vectors, or of matrices read as vectors): the RREF of [B | I] is
+    [T B | T], so rows P in the span of B have coordinates P[:, piv] @ T.
+    The map takes a stack like `basis` and certifies coords @ B == P; a
+    dependent basis or a row outside the span raises StructuralError."""
+    basis = basis.reshape(len(basis), math.prod(basis.shape[1:]))
+    red, piv = la.mod_rref(np.concatenate(
+        [basis, np.eye(len(basis), dtype=np.int64)], axis=1), p)
+    if any(c >= basis.shape[1] for c in piv):
+        raise StructuralError("basis is not independent")
+    to_coords = red[:, basis.shape[1]:]
 
-    def coords(key, mat):
-        if key not in ech:
-            if np.any(mat):
-                raise StructuralError("composite leaves the hom space")
-            return {}
-        e, idxs = ech[key]
-        red, combo = e.reduce(mat.reshape(-1))
-        if np.any(red):
-            raise StructuralError("composite leaves the hom space")
-        # reduce() leaves mat = red - combo . inserted, so coefficients
-        # of the inserted basis are -combo
-        return {idxs[k]: int((-combo[k]) % p)
-                for k in range(len(combo)) if combo[k] % p}
+    def coords(items):
+        rows = items.reshape(len(items), basis.shape[1])
+        out = la.mod_matmul(rows[:, piv], to_coords, p)
+        if not np.array_equal(la.mod_matmul(out, basis, p), rows):
+            raise StructuralError(outside)
+        return out
     return coords
+
+
+# product entries per chunk of composites in _block_products
+_PRODUCT_BUDGET = 2 ** 16
+
+
+def _block_products(left, right, target, p):
+    """Every composite l @ r of a map l in block (a, b) of `left` with a
+    map r in block (b, c) of `right`, in the coordinates of block (a, c)
+    of `target`.
+
+    Each argument maps a block key (a, b) to (start, stack): the block's
+    maps as one (n, rows, cols) array, the first of them basis index
+    `start`.  Yields arrays (i, j, k, c) one chunk of products at a time:
+    the composite of left map i with right map j has the nonzero
+    coefficient c at target basis index k, the k ascending per pair."""
+    pairs = {}
+    for (a, b), lblock in left.items():
+        for (b2, c), rblock in right.items():
+            if b2 == b and len(lblock[1]) and len(rblock[1]):
+                pairs.setdefault((a, c), []).append((lblock, rblock))
+    for key, todo in pairs.items():
+        t0, tstack = target[key]
+        coords = _coordinates(tstack, p)
+        for (l0, lstack), (r0, rstack) in todo:
+            nb = len(rstack)
+            rmat = rstack.transpose(1, 0, 2).reshape(rstack.shape[1], -1)
+            size = lstack.shape[1] * rstack.shape[2]
+            step = max(1, _PRODUCT_BUDGET // (nb * size))
+            for lo in range(0, len(lstack), step):
+                chunk = lstack[lo: lo + step]
+                prod = la.mod_matmul(chunk.reshape(-1, chunk.shape[2]),
+                                     rmat, p)
+                prod = prod.reshape(len(chunk), chunk.shape[1], nb, -1) \
+                    .transpose(0, 2, 1, 3).reshape(len(chunk) * nb, -1)
+                live = np.flatnonzero(prod.any(axis=1))
+                cs = coords(prod[live])
+                rows, ks = np.nonzero(cs)
+                vals = cs[rows, ks]
+                rows = live[rows]
+                yield l0 + lo + rows // nb, r0 + rows % nb, t0 + ks, vals
+
+
+def _composition_mult(blocks, dim, p):
+    """Structure constants, keys sorted, of the algebra with the `dim`
+    maps of `blocks` (as for _block_products) as basis and composition as
+    product: e_i e_j is map i after map j."""
+    mult = {}
+    ids = list(range(dim))      # the keys of mult share these ints
+    for ii, jj, kk, vals in _block_products(blocks, blocks, blocks, p):
+        for i, j, k, c in zip(ii.tolist(), jj.tolist(), kk.tolist(),
+                              vals.tolist()):
+            mult.setdefault((ids[i], ids[j]), {})[ids[k]] = c
+    return {key: mult[key] for key in sorted(mult)}
 
 
 def ext_algebra_of_projectives(E, projectives):
@@ -1021,47 +1067,45 @@ def ext_algebra_of_projectives(E, projectives):
     return _ext_algebra(E, projectives)[0]
 
 
+def _hom_blocks(sources, targets):
+    """The homs from each of `sources` to each of `targets`, source by
+    source and degree by degree: a list of (source index, target index,
+    degree), one per hom, and the same homs as the blocks
+    {(target index, source index): (start, stack)} of _block_products."""
+    basis, blocks = [], {}
+    for si, src in enumerate(sources):
+        for ti, tgt in enumerate(targets):
+            mats = [(d, phi) for d, ms in sorted(hom_all(src, tgt).items())
+                    for phi in ms]
+            blocks[(ti, si)] = (len(basis), np.array(
+                [phi for _, phi in mats], dtype=np.int64).reshape(
+                    len(mats), tgt.dim, src.dim))
+            basis += [(si, ti, d) for d, _ in mats]
+    return basis, blocks
+
+
 def _ext_algebra(E, projectives):
-    """ext_algebra_of_projectives, with its basis: per basis index, (src
-    block, tgt block, n, matrix), the blocks in sorted key order."""
+    """ext_algebra_of_projectives, with its basis maps as the blocks
+    {(tgt, src): (start, stack)} of _hom_blocks, the projectives in sorted
+    key order."""
     keys = sorted(projectives, key=str)
     mods = [projectives[k] for k in keys]
     p = E.p
-    basis = []       # (src block, tgt block, n, matrix)
-    for si, src in enumerate(mods):
-        for ti, tgt in enumerate(mods):
-            for d, mats in sorted(hom_all(src, tgt).items()):
-                for phi in mats:
-                    basis.append((si, ti, d, phi))
-    degrees = [n for _, _, n, _ in basis]
+    basis, blocks = _hom_blocks(mods, mods)
+    degrees = [n for _, _, n in basis]
     if min(degrees) < 0:
         raise StructuralError("projective regrading has negative part")
-    coords = _span_coordinates(
-        (((si, ti, n), phi) for si, ti, n, phi in basis), p)
-    mult = {}
-    for i, (si, ti, n1, phi) in enumerate(basis):
-        for j, (sj, tj, n2, psi) in enumerate(basis):
-            # product e_i e_j = phi after psi (phi o psi): needs tj == si
-            if tj != si:
-                continue
-            comp = (phi @ psi) % p
-            if not np.any(comp):
-                continue
-            entry = coords((sj, ti, n1 + n2), comp)
-            if entry:
-                mult[(i, j)] = entry
+    mult = _composition_mult(blocks, len(basis), p)
+    # 1 is the identity of each block (i, i), in that block's coordinates
     unit = {}
-    for idx, (si, ti, n, phi) in enumerate(basis):
-        if si == ti and n == 0 and \
-                np.array_equal(phi % p, np.eye(phi.shape[0],
-                                               dtype=np.int64)):
-            unit[idx] = 1
-    lab = [f"{keys[si]}->{keys[ti]}:{n}" for si, ti, n, _ in basis]
-    alg = GradedAlgebra(p, degrees, mult, unit, labels=lab)
-    if sum(unit.values()) == 0:
-        # identities may not be literal basis vectors; solve for 1 instead
-        alg = _solve_unit(alg, basis, keys, p)
-    return alg, basis
+    for i, P in enumerate(mods):
+        start, stack = blocks[(i, i)]
+        one = _coordinates(stack, p, "identity not in Hom(P, P)")(
+            np.eye(P.dim, dtype=np.int64)[None])[0]
+        unit.update((start + int(k), int(one[k]))
+                    for k in np.flatnonzero(one))
+    lab = [f"{keys[si]}->{keys[ti]}:{n}" for si, ti, n in basis]
+    return GradedAlgebra(p, degrees, mult, unit, labels=lab), blocks
 
 
 def upsilon_module(E, projectives, M):
@@ -1072,42 +1116,11 @@ def upsilon_module(E, projectives, M):
     Returns (K, module) with K = ext_algebra_of_projectives(E,
     projectives) and the module a RightModule over K."""
     mods = [projectives[k] for k in sorted(projectives, key=str)]
-    p = E.p
-    K, kbasis = _ext_algebra(E, projectives)
+    K, kblocks = _ext_algebra(E, projectives)
     # basis of the module: per source block si, homs P_si -> M by degree
-    mbasis = [(si, d, psi) for si, src in enumerate(mods)
-              for d, mats in sorted(hom_all(src, M).items()) for psi in mats]
-    coords = _span_coordinates((((si, d), psi) for si, d, psi in mbasis), p)
-    # K basis entries are (src block, tgt block, n, matrix kappa);
-    # psi: P_ti -> M acts by kappa: P_si -> P_ti to give psi o kappa
-    action = []
-    for (si, ti, n, kappa) in kbasis:
-        m = np.zeros((len(mbasis), len(mbasis)), dtype=np.int64)
-        for j, (sj, dj, psi) in enumerate(mbasis):
-            if sj != ti:
-                continue
-            comp = la.mod_matmul(psi, kappa, p)
-            for k, c in coords((si, dj + n), comp).items():
-                m[k, j] = c
-        action.append(m)
-    return K, RightModule(K, [d for _, d, _ in mbasis], action)
-
-
-def _solve_unit(alg, basis, keys, p):
-    # the identity of each End block expressed in the chosen basis
-    unit = {}
-    by_block = {}
-    for idx, (si, ti, n, phi) in enumerate(basis):
-        if si == ti and n == 0:
-            by_block.setdefault(si, []).append((idx, phi))
-    for si, items in by_block.items():
-        dim = items[0][1].shape[0]
-        cols = np.array([phi.reshape(-1) for _, phi in items],
-                        dtype=np.int64).T
-        sol = la.mod_solve(cols, np.eye(dim, dtype=np.int64).reshape(-1), p)
-        assert sol is not None, "identity not in Hom(P, P) degree 0"
-        for (idx, _), c in zip(items, sol):
-            if c % p:
-                unit[idx] = int(c % p)
-    alg.unit = unit
-    return alg
+    mbasis, mblocks = _hom_blocks(mods, [M])
+    # kappa: P_si -> P_ti acts on psi: P_ti -> M to give psi o kappa
+    action = np.zeros((K.dim, len(mbasis), len(mbasis)), dtype=np.int64)
+    for i, j, k, c in _block_products(mblocks, kblocks, mblocks, E.p):
+        action[j, k, i] = c
+    return K, RightModule(K, [d for _, _, d in mbasis], list(action))

@@ -25,17 +25,6 @@ __all__ = [
 ]
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _transpose(m):
     return [list(col) for col in zip(*m)]
 
@@ -65,7 +54,7 @@ class PhiModule:
         return m
 
     def validate(self):
-        if not _is_prime(self.ell):
+        if not la.is_prime(self.ell):
             raise ValueError(f"ell = {self.ell} is not prime")
         if self.q % self.ell == 0:
             raise ValueError("q must be a unit mod ell")

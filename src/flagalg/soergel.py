@@ -31,8 +31,8 @@ import numpy as np
 from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
-from .galgebra import GradedAlgebra, StructuralError, idempotent_slice, \
-    restrict_module
+from .galgebra import GradedAlgebra, StructuralError, _composition_mult, \
+    _coordinates, idempotent_slice, restrict_module
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
@@ -73,6 +73,10 @@ class CoinvariantAlgebra:
             raise ValueError(
                 f"need ell > Coxeter number ({h}) for type {cartan_type}; "
                 f"got ell = {ell}")
+        if (ell - 1) ** 2 >= 2**63:
+            raise OverflowError("modulus too large for int64 elimination")
+        if not la.is_prime(ell):
+            raise ValueError(f"ell = {ell} is not prime")
         self.cartan_type = cartan_type
         self.ell = ell
         self.group = build_group(cartan_type)
@@ -517,54 +521,11 @@ def _assemble_end_algebra(C, words, modules, wall=None):
                 basis_mats += mats
             span[(ft, fs)] = range(start, len(basis_blocks))
     degrees = [d for (_, _, d) in basis_blocks]
-    stacks = {(ft, fs): np.array(basis_mats[r.start:r.stop], dtype=np.int64)
-              .reshape(len(r), modules[ft].dim, modules[fs].dim)
-              for (ft, fs), r in span.items()}
-
-    mult = {}
-    ids = list(range(len(basis_blocks)))    # keys of mult share these ints
-    for ft in words:
-        for fu in words:
-            # coordinates against the basis B of block (ft <- fu): the
-            # RREF of [B | I] is [T B | T], and a composite P in the span
-            # of B has coordinates P[:, piv] @ T
-            basis = stacks[(ft, fu)].reshape(len(span[(ft, fu)]), -1)
-            red, piv = la.mod_rref(np.concatenate(
-                [basis, np.eye(len(basis), dtype=np.int64)], axis=1), ell)
-            if any(c >= basis.shape[1] for c in piv):
-                raise StructuralError("End block basis is not independent")
-            to_coords = red[:, basis.shape[1]:]
-            for fs in words:
-                left, right = stacks[(ft, fs)], stacks[(fs, fu)]
-                nb = len(right)
-                if not len(left) or not nb:
-                    continue
-                # all products left[i] @ right[j] as rows (i, j), a chunk of
-                # left factors at a time to keep each product small
-                rmat = right.transpose(1, 0, 2).reshape(right.shape[1], -1)
-                step = max(1, 2**16 // (nb * basis.shape[1]))
-                for lo in range(0, len(left), step):
-                    chunk = left[lo: lo + step]
-                    prod = la.mod_matmul(chunk.reshape(-1, chunk.shape[2]),
-                                         rmat, ell)
-                    prod = prod.reshape(len(chunk), chunk.shape[1], nb, -1) \
-                        .transpose(0, 2, 1, 3).reshape(len(chunk) * nb, -1)
-                    live = np.flatnonzero(prod.any(axis=1))
-                    prod = prod[live]
-                    coords = la.mod_matmul(prod[:, piv], to_coords, ell)
-                    if not np.array_equal(
-                            la.mod_matmul(coords, basis, ell), prod):
-                        raise StructuralError(
-                            "composite outside computed hom space")
-                    rows, ks = np.nonzero(coords)
-                    vals = coords[rows, ks].tolist()
-                    rows = live[rows]
-                    ii = (span[(ft, fs)].start + lo + rows // nb).tolist()
-                    jj = (span[(fs, fu)].start + rows % nb).tolist()
-                    kk = (span[(ft, fu)].start + ks).tolist()
-                    for i, j, k, c in zip(ii, jj, kk, vals):
-                        mult.setdefault((ids[i], ids[j]), {})[ids[k]] = c
-    mult = {key: mult[key] for key in sorted(mult)}
+    blocks = {(ft, fs): (r.start, np.array(
+        basis_mats[r.start:r.stop], dtype=np.int64).reshape(
+            len(r), modules[ft].dim, modules[fs].dim))
+        for (ft, fs), r in span.items()}
+    mult = _composition_mult(blocks, len(basis_blocks), ell)
 
     unit = {}
     for f in words:
@@ -624,28 +585,27 @@ def wall_algebra(C, s, words=None):
     full = endomorphism_algebra(C, words)
     data = _assemble_end_algebra(C, words, modules, wall=s)
     ell = C.ell
-    block_of = {}
-    for idx, key in enumerate(data.basis_blocks):
-        block_of.setdefault(key, []).append(idx)
+    # each block of E, in the coordinates of the same block of E^s
     emb = np.zeros((data.algebra.dim, full.algebra.dim), dtype=np.int64)
-    for j, key in enumerate(full.basis_blocks):
-        mat = full.basis_mats[j]
-        idxs = block_of.get(key, [])
-        cols = np.array([data.basis_mats[i].reshape(-1) for i in idxs],
-                        dtype=np.int64).T
-        sol = la.mod_solve(cols, mat.reshape(-1), ell)
-        assert sol is not None, "embedding failed: C-map not C^s-map?"
-        for i, c in zip(idxs, sol):
-            emb[i, j] = c % ell
-    assert la.mod_rank(emb, ell) == full.algebra.dim, "embedding not injective"
+    for ft in words:
+        for fs in words:
+            rows, cols = (d.block_indices(ft, fs) for d in (data, full))
+            if not cols:
+                continue
+            coords = _coordinates(np.array(
+                [data.basis_mats[i] for i in rows], dtype=np.int64).reshape(
+                    len(rows), modules[ft].dim, modules[fs].dim), ell,
+                "embedding failed: C-map not C^s-map?")
+            emb[np.ix_(rows, cols)] = coords(
+                np.array([full.basis_mats[j] for j in cols])).T
+    if la.mod_rank(emb, ell) != full.algebra.dim:
+        raise StructuralError("embedding not injective")
     # e_f maps to e_f
     for f in words:
-        src = np.zeros(full.algebra.dim, dtype=np.int64)
-        src[full.algebra.idempotents[f]] = 1
-        tgt = (emb @ src) % ell
-        expect = np.zeros(data.algebra.dim, dtype=np.int64)
-        expect[data.algebra.idempotents[f]] = 1
-        assert np.array_equal(tgt, expect), "embedding moves an idempotent"
+        image = emb[:, full.algebra.idempotents[f]]
+        if not np.array_equal(image, data.algebra.basis_vec(
+                data.algebra.idempotents[f])):
+            raise StructuralError("embedding moves an idempotent")
     C._end_cache[key] = (data, emb)
     return data, emb
 

@@ -154,3 +154,8 @@ def test_soergel_precondition(capsys):
     code, _, err = run(capsys, "endalg", "--type", "A2", "--ell",
                        "4294967311")
     assert code == 1 and "modulus too large" in err
+    # a non-prime ell is refused as such, not deep inside the algebra
+    for cmd, t in (("endalg", "A2"), ("koszul", "A1"), ("standards", "A2")):
+        code, out, err = run(capsys, cmd, "--type", t, "--ell", "9")
+        assert code == 1 and out == ""
+        assert err.strip() == "error: ell = 9 is not prime"

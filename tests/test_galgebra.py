@@ -483,3 +483,238 @@ def test_presentations_slice_each_idempotent_once(monkeypatch):
     assert first[2].keys() == second[2].keys()
     for h in first[2]:
         assert np.array_equal(first[2][h], second[2][h])
+
+
+# ---------------------------------------------------------------------------
+# per-pair references for the regraded algebra K and the modules Upsilon(M)
+
+
+def _span_coordinates_ref(items, p):
+    """For basis matrices given in order as (key, matrix): a function
+    coords(key, mat) returning the coefficients {basis index: c} of mat in
+    the span of the basis matrices with that key, from an incremental
+    echelon form per key."""
+    ech = {}
+    for idx, (key, mat) in enumerate(items):
+        if key not in ech:
+            ech[key] = (la._Echelon(mat.size, p), [])
+        ech[key][0].insert(mat.reshape(-1))
+        ech[key][1].append(idx)
+
+    def coords(key, mat):
+        if key not in ech:
+            assert not np.any(mat), "composite leaves the hom space"
+            return {}
+        e, idxs = ech[key]
+        red, combo = e.reduce(mat.reshape(-1))
+        assert not np.any(red), "composite leaves the hom space"
+        # reduce() leaves mat = red - combo . inserted
+        return {idxs[k]: int((-combo[k]) % p)
+                for k in range(len(combo)) if combo[k] % p}
+    return coords
+
+
+def _ext_algebra_ref(E, projectives):
+    """K one basis pair at a time, each composite reduced against the
+    echelon form of its (source, target, degree) piece: the reference for
+    ext_algebra_of_projectives.  Returns (K, basis) with basis entries
+    (src block, tgt block, n, matrix)."""
+    keys = sorted(projectives, key=str)
+    mods = [projectives[k] for k in keys]
+    p = E.p
+    basis = []
+    for si, src in enumerate(mods):
+        for ti, tgt in enumerate(mods):
+            for d, mats in sorted(ga.hom_all(src, tgt).items()):
+                basis += [(si, ti, d, phi) for phi in mats]
+    coords = _span_coordinates_ref(
+        (((si, ti, n), phi) for si, ti, n, phi in basis), p)
+    mult = {}
+    for i, (si, ti, n1, phi) in enumerate(basis):
+        for j, (sj, tj, n2, psi) in enumerate(basis):
+            if tj != si:
+                continue
+            comp = (phi @ psi) % p
+            if np.any(comp):
+                entry = coords((sj, ti, n1 + n2), comp)
+                if entry:
+                    mult[(i, j)] = entry
+    # the identities are literal basis vectors in every block here (the
+    # solve for 1 that used to back this up never ran)
+    unit = {idx: 1 for idx, (si, ti, n, phi) in enumerate(basis)
+            if si == ti and n == 0 and np.array_equal(
+                phi % p, np.eye(phi.shape[0], dtype=np.int64))}
+    assert len(unit) == len(mods)
+    lab = [f"{keys[si]}->{keys[ti]}:{n}" for si, ti, n, _ in basis]
+    return ga.GradedAlgebra(p, [n for _, _, n, _ in basis], mult, unit,
+                            labels=lab), basis
+
+
+def _upsilon_module_ref(E, projectives, M):
+    """Upsilon(M) one (K basis element, module basis element) pair at a
+    time: the reference for upsilon_module."""
+    mods = [projectives[k] for k in sorted(projectives, key=str)]
+    p = E.p
+    K, kbasis = _ext_algebra_ref(E, projectives)
+    mbasis = [(si, d, psi) for si, src in enumerate(mods)
+              for d, mats in sorted(ga.hom_all(src, M).items())
+              for psi in mats]
+    coords = _span_coordinates_ref((((si, d), psi) for si, d, psi in mbasis),
+                                   p)
+    action = []
+    for (si, ti, n, kappa) in kbasis:
+        m = np.zeros((len(mbasis), len(mbasis)), dtype=np.int64)
+        for j, (sj, dj, psi) in enumerate(mbasis):
+            if sj == ti:
+                for k, c in coords((si, dj + n),
+                                   la.mod_matmul(psi, kappa, p)).items():
+                    m[k, j] = c
+        action.append(m)
+    return K, ga.RightModule(K, [d for _, d, _ in mbasis], action)
+
+
+def _same_algebra(A, B):
+    # same values in the same key order at both levels of mult
+    assert [(k, list(v.items())) for k, v in A.mult.items()] == \
+        [(k, list(v.items())) for k, v in B.mult.items()]
+    assert list(A.unit.items()) == list(B.unit.items())
+    assert A.degrees == B.degrees and A.labels == B.labels
+    assert A.p == B.p
+
+
+@pytest.mark.parametrize("cartan", [
+    "A1", "A2", pytest.param("B2", marks=pytest.mark.slow)])
+def test_ext_algebra_matches_per_pair_reference(cartan, C_A1, C_A2, C_B2):
+    C = {"A1": C_A1, "A2": C_A2, "B2": C_B2}[cartan]
+    E = sg.endomorphism_algebra(C).algebra
+    projs = go.projectives_for(C)
+    want, _ = _ext_algebra_ref(E, projs)
+    _same_algebra(ga.ext_algebra_of_projectives(E, projs), want)
+
+
+@pytest.mark.parametrize("cartan", ["A1", "A2"])
+def test_upsilon_matches_per_pair_reference(cartan, C_A1, C_A2):
+    C = {"A1": C_A1, "A2": C_A2}[cartan]
+    E = sg.endomorphism_algebra(C).algebra
+    projs = go.projectives_for(C)
+    for M in go.standard_modules(C).values():
+        K, U = ga.upsilon_module(E, projs, M)
+        K0, U0 = _upsilon_module_ref(E, projs, M)
+        _same_algebra(K, K0)
+        assert U.degrees == U0.degrees
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(U.action, U0.action, strict=True))
+
+
+def _tops_and_cover_echelon(A, M, idempotent_vectors):
+    """Cover generators chosen against an incremental echelon form seeded
+    with the radical rows: the reference for _tops_and_cover."""
+    p = A.p
+    zero_idx = [a for a in range(A.dim) if A.degrees[a] == 0]
+    span = la._Echelon(M.dim, p)
+    for v in ga._radical_rows(A, M):
+        span.insert(v)
+    gens = []
+    for j, evec in enumerate(idempotent_vectors):
+        for x in range(M.dim):
+            v = M.act_vec(np.eye(1, M.dim, x, dtype=np.int64)[0], evec)
+            if not np.any(span.reduce(v)[0]):
+                continue
+            gens.append((v, j, M.degrees[x]))
+            for a in zero_idx:
+                span.insert((M.action[a] @ v) % p)
+            span.insert(v)
+    return gens
+
+
+def test_tops_and_cover_matches_echelon(C_A2):
+    # the slices q_j K, the simples and the Upsilon of the A2 standards
+    E = sg.endomorphism_algebra(C_A2).algebra
+    projs = go.projectives_for(C_A2)
+    K = ga.ext_algebra_of_projectives(E, projs)
+    idems = ga._simple_idempotents(K, *ga._degree_zero_subalgebra(K))
+    cases = [ga.idempotent_slice(K, e)[0] for e in idems]
+    cases += [ga.quotient_module(P, ga._radical_rows(K, P))[0]
+              for P in cases]
+    cases += [ga.upsilon_module(E, projs, M)[1]
+              for M in go.standard_modules(C_A2).values()]
+    for M in cases:
+        got = ga._tops_and_cover(K, M, idems)
+        want = _tops_and_cover_echelon(K, M, idems)
+        assert [(v.tolist(), j, k) for v, j, k in got] == \
+            [(v.tolist(), j, k) for v, j, k in want]
+
+
+# ---------------------------------------------------------------------------
+# certificates that python -O must not strip
+
+
+_NON_ASSOCIATIVE = """
+from flagalg import galgebra as ga
+if __debug__:
+    raise SystemExit("expected python -O")
+# e0 = 1, e1 e1 = e2, e1 e2 = e3: (e1 e1) e1 = 0 but e1 (e1 e1) = e3
+mult = {(0, j): {j: 1} for j in range(4)}
+mult.update({(j, 0): {j: 1} for j in range(4)})
+mult.update({(1, 1): {2: 1}, (1, 2): {3: 1}})
+try:
+    ga.GradedAlgebra(5, [0, 1, 2, 3], mult, {0: 1}).check(spot=2000)
+except ga.StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+def _run_optimized(code):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_algebra_check_rejects_non_associative_under_python_O():
+    assert _run_optimized(_NON_ASSOCIATIVE) == \
+        "StructuralError: associativity fails"
+
+
+def test_check_certificates_raise_structural_errors():
+    A = dual_numbers()
+    broken = ga.GradedAlgebra(A.p, A.degrees, A.mult, {0: 2})
+    with pytest.raises(ga.StructuralError, match="unit fails"):
+        broken.check()
+    reg = ga.regular_module(A)
+    with pytest.raises(ga.StructuralError,
+                       match="unit does not act as identity"):
+        ga.RightModule(broken, reg.degrees, reg.action).check()
+    with pytest.raises(ga.StructuralError,
+                       match="action does not respect degrees"):
+        ga.RightModule(A, [0, 0], reg.action).check()
+
+
+def test_component_idempotents_certificates(monkeypatch):
+    # F_2 x F_2 x F_2: its components of 1 are the coordinate idempotents,
+    # unless the regular module is split along lines that are not ideals
+    n = 3
+    A0 = ga.GradedAlgebra(2, [0] * n, {(i, i): {i: 1} for i in range(n)},
+                          {i: 1 for i in range(n)})
+    assert sorted(e.tolist() for e in ga._component_idempotents(A0)) == \
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+    def split_along(*lines):
+        monkeypatch.setattr(ga, "decompose_module_with_rows", lambda M: [
+            (None, np.array([line], dtype=np.int64)) for line in lines])
+
+    # components (1,1,0), (0,1,1), (0,1,0): idempotent, but not orthogonal
+    split_along([1, 1, 0], [0, 1, 1], [0, 1, 0])
+    with pytest.raises(ga.StructuralError,
+                       match="components of 1 are not orthogonal"):
+        ga._component_idempotents(A0)
+    # over F_5, 1 = (1, 2) - (0, 1) and (1, 2)^2 = (1, 4)
+    A5 = ga.GradedAlgebra(5, [0, 0], {(0, 0): {0: 1}, (1, 1): {1: 1}},
+                          {0: 1, 1: 1})
+    split_along([1, 2], [0, 1])
+    with pytest.raises(ga.StructuralError,
+                       match="component of 1 is not idempotent"):
+        ga._component_idempotents(A5)

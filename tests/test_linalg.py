@@ -14,22 +14,6 @@ def test_rref_nullspace_roundtrip():
     assert not np.any((a @ ns.T) % 5)
 
 
-def test_solve_and_inverse():
-    a = la.mod_mat([[1, 2], [3, 4]], 7)
-    x = la.mod_solve(a, [5, 6], 7)
-    assert np.array_equal((a @ x) % 7, np.array([5, 6]))
-
-
-def test_nullspace_chunked_matches():
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 5, size=(300, 12))
-    a = np.concatenate([a] * 20, axis=0)  # heavy duplication
-    direct = la.mod_nullspace(a, 5)
-    chunked = la.mod_nullspace_chunked(a, 5, chunk=128)
-    assert direct.shape == chunked.shape
-    assert not np.any((a @ chunked.T) % 5)
-
-
 def test_minpoly_jordan():
     b = la.mod_mat([[2, 1], [0, 2]], 5)
     assert la.mod_minpoly(b, 5) == [4, 1, 1]  # (X - 2)^2
@@ -164,6 +148,44 @@ def test_mod_rref_matches_loop(p):
             if shape[1]:
                 assert np.array_equal(la.mod_nullspace(a, p),
                                       _mod_nullspace_loop(a, p))
+
+
+def _mod_minpoly_echelon(a, p):
+    """Per start vector, Krylov vectors inserted one at a time into an
+    incremental echelon form until one depends on the earlier ones: the
+    reference for mod_minpoly."""
+    a = np.mod(np.array(a, dtype=np.int64), p)
+    n = a.shape[0]
+    g = [1]
+    for start in range(n):
+        ech = la._Echelon(n, p)
+        w = np.eye(1, n, start, dtype=np.int64)[0]
+        while (dep := ech.insert(w)) is None:
+            w = (a @ w) % p
+        g = la.poly_lcm(g, [(-int(c)) % p for c in dep] + [1], p)
+        if len(g) == n + 1:
+            break
+    return g
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_minpoly_matches_echelon(p):
+    rng = np.random.default_rng(p)
+    cases = [np.zeros((1, 1)), np.eye(4) * 3, np.diag([1, 1, 2, 0, 0])]
+    for n in (1, 2, 5, 9):
+        cases.append(rng.integers(0, p, size=(n, n)))
+        # nilpotent, and rank one
+        cases.append(np.triu(rng.integers(0, p, size=(n, n)), 1))
+        cases.append(np.outer(rng.integers(0, p, size=n),
+                              rng.integers(0, p, size=n)))
+    for a in cases:
+        assert la.mod_minpoly(a, p) == _mod_minpoly_echelon(a, p)
+
+
+def test_is_prime():
+    assert [n for n in range(-2, 40) if la.is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert la.is_prime(4294967311) and not la.is_prime(65537 * 65539)
 
 
 def test_mod_rref_rejects_modulus_beyond_int64():

@@ -8,6 +8,7 @@ import pytest
 
 from flagalg import _linalg as la
 from flagalg import soergel as sg
+from flagalg.galgebra import StructuralError
 
 FIX = json.load(open(os.path.join(os.path.dirname(__file__),
                                   "fixtures", "frozen.json")))
@@ -34,6 +35,13 @@ def test_standing_assumption_rejected():
         sg.coinvariant_algebra("A2", 3)
     with pytest.raises(ValueError, match="Coxeter"):
         sg.coinvariant_algebra("G2", 5)
+
+
+@pytest.mark.parametrize("t,ell", [("A1", 9), ("A2", 9), ("A2", 25),
+                                   ("B2", 15), ("G2", 49)])
+def test_non_prime_ell_rejected(t, ell):
+    with pytest.raises(ValueError, match=f"ell = {ell} is not prime"):
+        sg.coinvariant_algebra(t, ell)
 
 
 def test_demazure_properties(C_A2):
@@ -350,7 +358,7 @@ def test_graded_hom_basis_matches_loop(cartan, ell, max_length):
 
 
 @pytest.mark.parametrize("cartan,ell,wall", [
-    ("A2", 5, None), ("A2", 5, 0), ("A2", 5, 1),
+    ("A1", 5, None), ("A1", 5, 0), ("A2", 5, None), ("A2", 5, 0), ("A2", 5, 1),
     pytest.param("B2", 7, None, marks=pytest.mark.slow),
     pytest.param("B2", 7, 0, marks=pytest.mark.slow),
     pytest.param("B2", 7, 1, marks=pytest.mark.slow)])
@@ -369,6 +377,69 @@ def test_end_assembly_matches_loop(cartan, ell, wall):
         [(k, list(v.items())) for k, v in mult.items()]
     assert list(alg.unit.items()) == list(unit.items())
     assert list(alg.idempotents.items()) == list(idems.items())
+
+
+def _mod_solve(a, b, p):
+    """One solution x of a @ x = b mod p, or None."""
+    a = np.mod(np.array(a, dtype=np.int64), p)
+    b = np.mod(np.array(b, dtype=np.int64), p).reshape(-1, 1)
+    r, pivots = la.mod_rref(np.concatenate([a, b], axis=1), p)
+    ncols = a.shape[1]
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = r[i, ncols]
+    return x
+
+
+def _wall_embedding_solve(full, data, ell):
+    """E -> E^s one basis element of E at a time, each solved for in its
+    (target, source, degree) piece of E^s: the reference for the embedding
+    of wall_algebra."""
+    block_of = {}
+    for idx, key in enumerate(data.basis_blocks):
+        block_of.setdefault(key, []).append(idx)
+    emb = np.zeros((data.algebra.dim, full.algebra.dim), dtype=np.int64)
+    for j, key in enumerate(full.basis_blocks):
+        idxs = block_of.get(key, [])
+        cols = np.array([data.basis_mats[i].reshape(-1) for i in idxs],
+                        dtype=np.int64).T
+        sol = _mod_solve(cols, full.basis_mats[j].reshape(-1), ell)
+        assert sol is not None, "embedding failed: C-map not C^s-map?"
+        for i, c in zip(idxs, sol):
+            emb[i, j] = c % ell
+    return emb
+
+
+@pytest.mark.parametrize("cartan", ["A1", "A2", "B2"])
+def test_wall_embedding_matches_solve(cartan, C_A1, C_A2, C_B2):
+    C = {"A1": C_A1, "A2": C_A2, "B2": C_B2}[cartan]
+    full = sg.endomorphism_algebra(C)
+    for s in range(C.rank):
+        data, emb = sg.wall_algebra(C, s)
+        want = _wall_embedding_solve(full, data, C.ell)
+        assert emb.dtype == want.dtype and np.array_equal(emb, want)
+
+
+def test_wall_embedding_certificates():
+    def duplicate(full):
+        # two equal basis maps of E: their images coincide
+        i, j = full.block_indices("s", "s")[:2]
+        full.basis_mats[j] = full.basis_mats[i]
+
+    def swap(full):
+        # the idempotents e_() and e_s traded: e_s no longer maps to e_s
+        idems = full.algebra.idempotents
+        idems[""], idems["s"] = idems["s"], idems[""]
+
+    for tamper, message in ((duplicate, "embedding not injective"),
+                            (swap, "embedding moves an idempotent")):
+        # a fresh C, whose cached E is then altered in place
+        C = sg.coinvariant_algebra("A1", 5)
+        tamper(sg.endomorphism_algebra(C))
+        with pytest.raises(StructuralError, match=message):
+            sg.wall_algebra(C, 0)
 
 
 _TRUNCATED_ASSEMBLY = """
