@@ -10,12 +10,20 @@ Two arithmetic worlds live here:
 
 Nothing in this module knows about Weyl groups or graded algebras; it is
 only pivoting, kernels, minimal polynomials, an l-local echelon form and
-the Jacobson radical of a small F_p-algebra.
+the Jacobson radical of a small F_p-algebra given by its structure
+tensor.  StructuralError, the failure of a certificate, is defined here so
+that every layer can raise it.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+
+class StructuralError(RuntimeError):
+    """A certificate the model relies on failed; this falsifies the setup
+    rather than being a user error."""
+
 
 # ---------------------------------------------------------------------------
 # prime field F_p
@@ -43,7 +51,7 @@ def mod_mat(rows, p):
 
 def mod_matmul(a, b, p):
     # entries < p, so dot products stay below 2**63 for all our sizes
-    if a.shape[1] > 0 and int(a.shape[1]) * (p - 1) * (p - 1) >= 2**62:
+    if a.shape[-1] > 0 and int(a.shape[-1]) * (p - 1) * (p - 1) >= 2**62:
         raise OverflowError("modulus too large for int64 matmul")
     out = a @ b
     out %= p
@@ -379,29 +387,51 @@ def coprime_power_split(f, p):
 # Jacobson radical of a finite dimensional F_p-algebra
 
 
-def algebra_radical(mult, p):
-    """Radical of the unital algebra with basis e_0..e_{n-1} and products
-    mult[i][j] = coefficient vector of e_i e_j.  Returns rows spanning rad
-    as a subspace of F_p^n.
+def structure_tensor(mult, n, p):
+    """T[a, b, k], the coefficient of e_k in e_a e_b reduced mod p, from
+    sparse structure constants {(a, b): {k: c}} on n basis vectors."""
+    T = np.zeros((n, n, n), dtype=np.int64)
+    entries = [(a, b, k, c % p) for (a, b), prod in mult.items()
+               for k, c in prod.items()]
+    a, b, k, c = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    T[a, b, k] = c
+    return T
+
+
+def tensor_products(T, X, Y, p):
+    """Every product x y of a row x of X with a row y of Y, in the algebra
+    with structure tensor T, as a (len X, len Y, n) array, in two
+    contractions."""
+    n = len(T)
+    left = mod_matmul(X, T.reshape(n, n * n), p)
+    return mod_matmul(Y, left.reshape(-1, n, n), p)
+
+
+def algebra_radical(T, p):
+    """Radical of the unital algebra with basis e_0..e_{n-1} and structure
+    tensor T, T[i][j] the coefficient vector of e_i e_j.  Returns rows
+    spanning rad as a subspace of F_p^n.
 
     The core is the trace-of-p-power-lifts chain, which is valid in small
     characteristic; the result is checked to be a nilpotent two-sided
     ideal, and the computation is iterated on the quotient until the
     quotient is semisimple.
     """
-    n = len(mult)
+    T = np.mod(np.asarray(T, dtype=np.int64), p)
+    n = len(T)
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     total = np.zeros((0, n), dtype=np.int64)
     for _ in range(n + 1):
-        qmult, lift = _algebra_quotient(mult, total, p)
-        j = _radical_chain(qmult, p)
+        qT, comp = _algebra_quotient(T, total, p)
+        j = _radical_chain(qT, p)
         if j.shape[0] == 0:
-            _check_nilpotent_ideal(mult, total, p)
+            _check_nilpotent_ideal(T, total, p)
             return total
-        back = np.mod(j @ lift, p) if j.size else j
+        back = np.zeros((len(j), n), dtype=np.int64)
+        back[:, comp] = j
         total = _row_space(np.concatenate([total, back]), p)
-    raise AssertionError("radical computation did not stabilize")
+    raise StructuralError("radical computation did not stabilize")
 
 
 def _row_space(rows, p):
@@ -411,86 +441,43 @@ def _row_space(rows, p):
     return r[: len(piv)]
 
 
-def _algebra_quotient(mult, ideal_rows, p):
-    """Structure constants of A / span(ideal_rows) on a complement basis,
-    plus the matrix lifting quotient basis vectors back to A."""
-    n = len(mult)
+def _algebra_quotient(T, ideal_rows, p):
+    """Structure tensor of A / span(ideal_rows) on the complement basis of
+    the non-pivot columns `comp`; returns (tensor, comp)."""
     r, piv = mod_rref(ideal_rows, p) if ideal_rows.size else (ideal_rows, [])
-    red_rows = r[: len(piv)]
-    comp = [c for c in range(n) if c not in piv]
-    lift = np.zeros((len(comp), n), dtype=np.int64)
-    for k, c in enumerate(comp):
-        lift[k, c] = 1
-
-    def project(v):
-        return np.mod(v - mod_matmul(v[None, piv], red_rows, p)[0], p)[comp]
-
-    qmult = [[project(_mult_vec(mult, lift[i], lift[j], p))
-              for j in range(len(comp))] for i in range(len(comp))]
-    return qmult, lift
+    comp = np.setdiff1d(np.arange(len(T)), piv)
+    # products of complement basis vectors, minus their part in the ideal
+    prods = T[np.ix_(comp, comp)]
+    prods = (prods - mod_matmul(prods[..., piv], r[: len(piv)], p)) % p
+    return prods[..., comp], comp
 
 
-def _radical_chain(mult, p):
-    n = len(mult)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    left = [np.array([[int(mult[i][j][k]) % p for j in range(n)]
-                      for k in range(n)], dtype=np.int64) for i in range(n)]
-
-    def rep(vec):
-        m = np.zeros((n, n), dtype=object)
-        for i, c in enumerate(vec):
-            c = int(c) % p
-            if c:
-                m = m + c * left[i].astype(object)
-        return m
-
+def _radical_chain(T, p):
+    n = len(T)
+    # left[i] @ x = e_i x, exact: traces are taken modulo powers of p
+    left = T.transpose(0, 2, 1).astype(object)
     space = np.eye(n, dtype=np.int64)
-    j = 0
     pj = 1
-    while True:
+    while len(space):
         mod = pj * p
-        k = space.shape[0]
-        if k == 0:
-            break
-        rows = []
-        for xb in range(k):
-            row = []
-            for yb in range(k):
-                prod = _mult_vec(mult, space[xb], space[yb], p)
-                m = rep(prod) % mod
-                t = int(np.trace(_int_matpow(m, pj, mod))) % mod
-                assert t % pj == 0, "radical chain: unexpected trace"
-                row.append((t // pj) % p)
-            rows.append(row)
-        ker = mod_nullspace(np.array(rows, dtype=np.int64).T, p)
-        space = np.mod(ker @ space, p) if ker.size else \
-            np.zeros((0, n), dtype=np.int64)
+        reps = np.tensordot(tensor_products(T, space, space, p).astype(
+            object), left, axes=1) % mod
+        t = np.trace(_int_matpow(reps, pj, mod), axis1=-2, axis2=-1) % mod
+        if np.any(t % pj):
+            raise StructuralError("radical chain: unexpected trace")
+        # t[x, y] belongs to the product of rows x and y of space: keep the
+        # combinations c with sum_x c[x] t[x, y] = 0 for every y
+        ker = mod_nullspace((t // pj % p).astype(np.int64).T, p)
+        space = mod_matmul(ker, space, p)
         if pj >= n:
             break
-        j += 1
         pj *= p
     return space
 
 
-def _mult_vec(mult, a, b, p):
-    n = len(mult)
-    out = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        ai = int(a[i]) % p
-        if ai == 0:
-            continue
-        for j in range(n):
-            bj = int(b[j]) % p
-            if bj == 0:
-                continue
-            out = (out + ai * bj * np.array(mult[i][j], dtype=np.int64)) % p
-    return out
-
-
 def _int_matpow(m, e, mod):
-    n = m.shape[0]
-    out = np.eye(n, dtype=object)
+    """m ** e modulo mod for a stack of square object matrices."""
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=object), m.shape)
     base = m % mod
     while e:
         if e & 1:
@@ -500,26 +487,21 @@ def _int_matpow(m, e, mod):
     return out
 
 
-def _check_nilpotent_ideal(mult, rad, p):
-    n = len(mult)
+def _check_nilpotent_ideal(T, rad, p):
+    n = len(T)
     if rad.shape[0] == 0:
         return
-    for k in range(rad.shape[0]):
-        for i in range(n):
-            ei = np.zeros(n, dtype=np.int64)
-            ei[i] = 1
-            for prod in (_mult_vec(mult, ei, rad[k], p),
-                         _mult_vec(mult, rad[k], ei, p)):
-                aug = np.concatenate([rad, prod.reshape(1, -1)])
-                assert mod_rank(aug, p) == rad.shape[0], \
-                    "computed radical is not an ideal"
+    eye = np.eye(n, dtype=np.int64)
+    sides = np.concatenate([tensor_products(T, eye, rad, p).reshape(-1, n),
+                            tensor_products(T, rad, eye, p).reshape(-1, n)])
+    if mod_rank(np.concatenate([rad, sides]), p) != rad.shape[0]:
+        raise StructuralError("computed radical is not an ideal")
     cur = rad
     for _ in range(n + 1):
         if cur.shape[0] == 0:
             return
-        nxt = [_mult_vec(mult, a, b, p) for a in cur for b in rad]
-        cur = _row_space(np.array(nxt, dtype=np.int64), p)
-    raise AssertionError("computed radical is not nilpotent")
+        cur = _row_space(tensor_products(T, cur, rad, p).reshape(-1, n), p)
+    raise StructuralError("computed radical is not nilpotent")
 
 
 # ---------------------------------------------------------------------------

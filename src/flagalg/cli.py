@@ -33,7 +33,6 @@ class Config:
     ell: int = None
     q: int = None
     precision: int = 32
-    family_policy: str = "shortlex-of-inverse"
     cache_dir: str = None
     fmt: str = "json"
 

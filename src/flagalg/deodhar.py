@@ -26,6 +26,7 @@ positions to the standard and opposite coordinate flags.
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+from ._linalg import is_prime
 from .coxeter import LETTERS as _LETTERS
 from .coxeter import bruhat_leq, build_group, coset_reps
 
@@ -253,7 +254,7 @@ def projective_weight_certificate(W, u, ell, q):
     at u: each v > u contributes multiplicity-space weights in
     [1, l(v) - l(u)]; endomorphism weights live in [-l(w0), l(w0)]; and
     the splitting hypothesis asks ord(q mod ell) > 2 l(w0)."""
-    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
+    if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     if q % ell == 0:
         raise ValueError("q must be invertible mod ell")

@@ -71,13 +71,8 @@ class BigradedDgAlgebra:
         built from `mult` on first use and cached on the instance."""
         T = getattr(self, "_tensor", None)
         if T is None:
-            n, p = self.dim, self.p
-            T = np.zeros((n, n, n), dtype=np.int64)
-            entries = [(a, b, k, c % p) for (a, b), prod in self.mult.items()
-                       for k, c in prod.items()]
-            a, b, k, c = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-            T[a, b, k] = c
-            self._tensor = T
+            T = self._tensor = la.structure_tensor(self.mult, self.dim,
+                                                   self.p)
         return T
 
     def mul_vec(self, a, b):
@@ -137,11 +132,8 @@ def _by_bidegree(R):
 
 
 def _products(R, X):
-    """Every product x_a x_b of rows of X in R, as an (m, m, dim) array,
-    in two contractions with the structure tensor."""
-    n, p = R.dim, R.p
-    left = la.mod_matmul(X, R.structure_tensor().reshape(n, n * n), p)
-    return la.mod_matmul(X, left.reshape(-1, n, n), p)
+    """Every product x_a x_b of rows of X in R, as an (m, m, dim) array."""
+    return la.tensor_products(R.structure_tensor(), X, X, R.p)
 
 
 def _lift(R, idxs, local):

@@ -5,23 +5,29 @@ shifts, graded projective lifts, and Koszulity checking via minimal
 graded resolutions.
 
 A GradedAlgebra stores a basis with integer degrees and sparse structure
-constants; a RightModule stores one action matrix per algebra basis
-element (columns are coordinates, so coords(x * a) = action[a] @ coords(x)).
-Module maps of degree d send degree e to degree e + d; hom_all solves
-for them through a projective presentation of the source: a hom is fixed
-by its values on module generators, subject to the relations.
+constants; a RightModule stores its action as one int64 array of shape
+(dim A, dim M, dim M) (columns are coordinates, so coords(x * e_a) =
+action[a] @ coords(x)), and RightModule.matrix sums it over the nonzero
+coefficients of an algebra element.  Module maps of degree d send degree
+e to degree e + d; hom_all solves for them through a projective
+presentation of the source: a hom is fixed by its values on module
+generators, subject to the relations.
 
 The submodule R A that rows R generate is spanned by the products r e_a
 over the basis of A, and that span is already A-stable, since
 (r e_a) e_b = r (e_a e_b) and 1 = sum u_a e_a.  So span_under_action
 finds it in one round of products; module generators and translation to
 the wall both use it, and no generating set of the algebra is needed.
+Presentations and minimal resolutions take their generators from
+module_generators (greedy by degree against that span) and their covers
+from one helper; with the simple idempotents of a nonnegatively graded
+algebra with semisimple degree-zero part, the generators are minimal.
 
 Every slice e A of an algebra by an idempotent e (the projectives, and
 the blocks of E and E^s that graded category O is built from) comes from
-idempotent_slice, which works from the sparse structure constants and
-never forms the regular module; direct_sum and restrict_module assemble
-and restrict such slices.
+idempotent_slice, which works from the sparse structure constants; the
+regular module is the slice by the unit.  direct_sum and restrict_module
+assemble and restrict such slices.
 
 Indecomposability is certified through degree-zero endomorphism rings:
 the splitting search combines Fitting decompositions with the coprime
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
+from ._linalg import StructuralError
 
 __all__ = [
     "GradedAlgebra", "RightModule", "UngradedModule", "GradedComplex",
@@ -47,11 +54,6 @@ __all__ = [
     "koszulity_check", "koszul_module_check", "ext_algebra_of_projectives",
     "upsilon_module", "simple_dims",
 ]
-
-
-class StructuralError(RuntimeError):
-    """A certificate the model relies on failed; this falsifies the setup
-    rather than being a user error."""
 
 
 def dims_to_laurent(dims):
@@ -153,12 +155,12 @@ class GradedAlgebra:
 
 @dataclass
 class RightModule:
-    """Graded right module: degrees per basis index, one action matrix per
-    algebra basis element."""
+    """Graded right module: degrees per basis index, and the action as one
+    int64 array of shape (algebra.dim, dim, dim)."""
 
     algebra: GradedAlgebra
     degrees: list
-    action: list  # action[a] @ coords(x) = coords(x * e_a)
+    action: np.ndarray  # action[a] @ coords(x) = coords(x * e_a)
 
     @property
     def dim(self):
@@ -170,51 +172,41 @@ class RightModule:
             out[d] = out.get(d, 0) + 1
         return dict(sorted(out.items()))
 
-    def act_vec(self, x, avec):
-        """x * (sum avec[a] e_a)"""
+    def matrix(self, avec):
+        """The matrix of x -> x (sum avec[a] e_a), summed in place over the
+        nonzero avec[a] only."""
         p = self.algebra.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for a in np.nonzero(avec)[0]:
-            out = (out + int(avec[a]) * (self.action[a] @ x)) % p
+        avec = np.mod(avec, p)
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for a in np.flatnonzero(avec):
+            out += avec[a] * self.action[a]
+        out %= p
         return out
 
+    def act_vec(self, x, avec):
+        """x * (sum avec[a] e_a)"""
+        return self.matrix(avec) @ x % self.algebra.p
+
     def check(self):
-        p = self.algebra.p
-        u = self.algebra.unit_vector()
-        ident = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for a in np.nonzero(u)[0]:
-            ident = (ident + int(u[a]) * self.action[a]) % p
-        if not np.array_equal(ident, np.eye(self.dim, dtype=np.int64)):
+        if not np.array_equal(self.matrix(self.algebra.unit_vector()),
+                              np.eye(self.dim, dtype=np.int64)):
             raise StructuralError("unit does not act as identity")
-        for a in range(self.algebra.dim):
-            da = self.algebra.degrees[a]
-            m = self.action[a]
-            for j in range(self.dim):
-                for i in np.nonzero(m[:, j])[0]:
-                    if self.degrees[int(i)] != self.degrees[j] + da:
-                        raise StructuralError(
-                            "action does not respect degrees")
+        a, i, j = np.nonzero(self.action)
+        deg = np.array(self.degrees, dtype=np.int64)
+        if np.any(deg[i] != deg[j] + np.array(self.algebra.degrees)[a]):
+            raise StructuralError("action does not respect degrees")
 
 
 def regular_module(alg):
     """The algebra as a graded right module over itself."""
-    action = []
-    for a in range(alg.dim):
-        m = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-        for j in range(alg.dim):
-            prod = alg.mult.get((j, a))
-            if prod:
-                for k, c in prod.items():
-                    m[k, j] = c % alg.p
-        action.append(m)
-    return RightModule(alg, list(alg.degrees), action)
+    return idempotent_slice(alg, alg.unit_vector())[0]
 
 
 def shift_module(M, k):
     """M<k>: the component in degree i is the old component in degree
     i - k, so every basis degree goes up by k."""
     return RightModule(M.algebra, [d + k for d in M.degrees],
-                       [m.copy() for m in M.action])
+                       M.action.copy())
 
 
 def submodule(M, rows):
@@ -231,19 +223,13 @@ def submodule(M, rows):
         if len(ds) != 1:
             raise StructuralError("submodule basis is not homogeneous")
         degrees.append(ds.pop())
-    # batch coordinate extraction: for echelon rows the coordinates of an
-    # ambient vector are just its pivot entries, provided it lies in the
-    # span; verify membership wholesale afterwards
-    pivarr = np.array(piv, dtype=np.int64)
-    action = []
-    bt = basis.T
-    for a in range(M.algebra.dim):
-        img = (M.action[a] @ bt) % p          # dim x k
-        sub = img[pivarr, :] % p if k else \
-            np.zeros((0, 0), dtype=np.int64)
-        if not np.array_equal((bt @ sub) % p, img):
-            raise StructuralError("rows are not closed under the action")
-        action.append(sub)
+    # for echelon rows the coordinates of an ambient vector are just its
+    # pivot entries, provided it lies in the span; verify membership
+    # wholesale afterwards
+    img = la.mod_matmul(M.action, basis.T, p)       # A.dim x dim x k
+    action = img[:, piv, :]
+    if not np.array_equal(la.mod_matmul(basis.T, action, p), img):
+        raise StructuralError("rows are not closed under the action")
     return RightModule(M.algebra, degrees, action), basis
 
 
@@ -265,8 +251,7 @@ def quotient_module(M, rows):
     deg = np.array(M.degrees, dtype=np.int64)
     if np.any((proj[:, piv] != 0) & (deg[keep][:, None] != deg[piv])):
         raise StructuralError("quotient reduction is not graded")
-    action = [la.mod_matmul(proj, M.action[a][:, keep], p)
-              for a in range(M.algebra.dim)]
+    action = la.mod_matmul(proj, M.action[:, :, keep], p)
     return RightModule(M.algebra, deg[keep].tolist(), action), proj
 
 
@@ -320,13 +305,13 @@ def idempotent_slice(A, e):
     outside = ~rows.any(axis=0)
     free = ~outside
     free[piv] = False
-    action = []
-    for img in _right_products(A, rows):
+    action = np.empty((A.dim, len(piv), len(piv)), dtype=np.int64)
+    for b, img in enumerate(_right_products(A, rows)):
         coords = img[:, piv]
         if np.any(img[:, outside]) or not np.array_equal(
                 img[:, free], la.mod_matmul(coords, rows[:, free], p)):
             raise StructuralError("e A is not closed under the action")
-        action.append(coords.T)
+        action[b] = coords.T
     return RightModule(A, deg[piv].tolist(), action), rows, piv
 
 
@@ -334,27 +319,21 @@ def direct_sum(modules, shifts):
     """The block-diagonal direct sum of modules over one algebra, the i-th
     summand shifted up by shifts[i]."""
     degrees = [d + k for M, k in zip(modules, shifts) for d in M.degrees]
-    ends = np.cumsum([M.dim for M in modules]).tolist()
-    action = []
-    for a in range(modules[0].algebra.dim):
-        m = np.zeros((len(degrees), len(degrees)), dtype=np.int64)
-        for M, end in zip(modules, ends):
-            m[end - M.dim: end, end - M.dim: end] = M.action[a]
-        action.append(m)
+    action = np.zeros((modules[0].algebra.dim, len(degrees), len(degrees)),
+                      dtype=np.int64)
+    start = 0
+    for M in modules:
+        action[:, start: start + M.dim, start: start + M.dim] = M.action
+        start += M.dim
     return RightModule(modules[0].algebra, degrees, action)
 
 
 def restrict_module(N, B, emb):
     """N restricted along an algebra map B -> N.algebra given by the matrix
     emb (column b is the image of e_b): e_b acts as its image."""
-    p = B.p
-    action = []
-    for a in range(B.dim):
-        avec = emb[:, a] % p
-        m = np.zeros((N.dim, N.dim), dtype=np.int64)
-        for k in np.nonzero(avec)[0]:
-            m = (m + int(avec[k]) * N.action[int(k)]) % p
-        action.append(m)
+    action = np.empty((B.dim, N.dim, N.dim), dtype=np.int64)
+    for b in range(B.dim):
+        action[b] = N.matrix(emb[:, b])
     return RightModule(B, list(N.degrees), action)
 
 
@@ -379,9 +358,9 @@ def span_under_action(M, rows, base=None):
         return red, piv
     step = max(1, _SPAN_BUDGET // rows.size)
     for a0 in range(0, M.algebra.dim, step):
-        stack = np.concatenate(
-            [red] + [la.mod_matmul(rows, M.action[a].T, p)
-                     for a in range(a0, min(a0 + step, M.algebra.dim))])
+        prods = la.mod_matmul(
+            rows, M.action[a0: a0 + step].transpose(0, 2, 1), p)
+        stack = np.concatenate([red, prods.reshape(-1, M.dim)])
         r, piv = la.mod_rref(stack[stack.any(axis=1)], p)
         red = r[: len(piv)]
     return red, piv
@@ -393,25 +372,39 @@ def _outside(v, red, piv, p):
     return np.any((v - la.mod_matmul(v[None, piv], red, p)[0]) % p)
 
 
-def module_generators(M):
-    """Minimal-ish generating set of M over its algebra: pairs (vector,
-    idempotent slot), found greedily by increasing degree.  Each generator
-    g satisfies g = g e_h for its slot h."""
+def module_generators(M, idems):
+    """Generating set of M over its algebra, for orthogonal idempotent
+    vectors `idems` summing to 1: pairs (vector g, slot h) with g = g e_h
+    for e_h = idems[h], found greedily by increasing degree against the
+    submodule the earlier ones generate.
+
+    When the algebra is nonnegatively graded with semisimple degree-zero
+    part and idems are its simple idempotents, every generator adds one
+    simple to the top M / M A_+, so the set is minimal."""
     p = M.algebra.p
-    idems = _idempotent_vectors(M.algebra)
+    corners = [M.matrix(e) for e in idems]      # column k is e_k e_h
     order = sorted(range(M.dim), key=lambda i: (M.degrees[i], i))
     span = (np.zeros((0, M.dim), dtype=np.int64), [])
     gens = []
     for k in order:
-        v = np.eye(1, M.dim, k, dtype=np.int64)[0]
-        if not _outside(v, *span, p):
+        if not _outside(np.eye(1, M.dim, k, dtype=np.int64)[0], *span, p):
             continue
-        for h, evec in enumerate(idems):
-            g = M.act_vec(v, evec)
+        for h, corner in enumerate(corners):
+            g = corner[:, k].copy()
             if np.any(g) and _outside(g, *span, p):
                 gens.append((g, h))
                 span = span_under_action(M, g, span)
-    return gens, idems
+    return gens
+
+
+def _cover(M, gens, rows):
+    """The matrix of the cover of M by one slice e_h A per generator (g, h)
+    of gens, e_h A with the basis rows[h]: its columns run over (generator
+    g, row beta of rows[h]), with value g beta."""
+    p = M.algebra.p
+    cols = [la.mod_matmul(rows[h], M.action @ g % p, p) for g, h in gens]
+    return np.concatenate(cols).T if cols else \
+        np.zeros((M.dim, 0), dtype=np.int64)
 
 
 def module_presentation(M):
@@ -425,7 +418,8 @@ def module_presentation(M):
         return cached
     alg = M.algebra
     p = alg.p
-    gens, idems = module_generators(M)
+    idems = _idempotent_vectors(alg)
+    gens = module_generators(M, idems)
     # rows of e_h A, kept on the algebra; the first request certifies them
     slice_rows = alg.__dict__.setdefault("_slice_rows", {})
     proj_rows = {}
@@ -434,9 +428,7 @@ def module_presentation(M):
         if key not in slice_rows:
             slice_rows[key] = idempotent_slice(alg, idems[h])[1]
         proj_rows[h] = slice_rows[key]
-    pi_cols = [M.act_vec(g, beta) for g, h in gens for beta in proj_rows[h]]
-    pi = np.array(pi_cols, dtype=np.int64).T % p if pi_cols else \
-        np.zeros((M.dim, 0), dtype=np.int64)
+    pi = _cover(M, gens, proj_rows)
     if gens and la.mod_rank(pi, p) != M.dim:
         raise StructuralError("generators do not generate")
     rel = la.mod_nullspace(pi, p)
@@ -466,7 +458,7 @@ def hom_all(M, N):
     # spanned by the columns of e_h's action matrix
     nbases = {}
     for h in proj_rows:
-        img = N.act_vec(np.eye(N.dim, dtype=np.int64), idems[h]).T
+        img = N.matrix(idems[h]).T
         r, piv = la.mod_rref(img[img.any(axis=1)], p)
         nbases[h] = r[: len(piv)]
 
@@ -474,8 +466,7 @@ def hom_all(M, N):
     # the basis w of N e_h and the cover rows beta (rows of B) of e_h A
     wbeta = {}
     for h, W in nbases.items():
-        aw = np.stack([la.mod_matmul(W, N.action[a].T, p)
-                       for a in range(alg.dim)])
+        aw = la.mod_matmul(W, N.action.transpose(0, 2, 1), p)
         wbeta[h] = la.mod_matmul(proj_rows[h], aw.reshape(alg.dim, -1),
                                  p).reshape(len(proj_rows[h]), *W.shape)
     # the unknowns and the presentation columns of each generator
@@ -597,7 +588,8 @@ def decompose_module_with_rows(M):
                 total += sub.dim
                 for inner, inner_rows in decompose_module_with_rows(sub):
                     out.append((inner, (inner_rows @ basis) % p))
-            assert total == M.dim, "Fitting pieces do not fill the module"
+            if total != M.dim:
+                raise StructuralError("Fitting pieces do not fill the module")
             return out
     return [(M, np.eye(M.dim, dtype=np.int64))]
 
@@ -685,12 +677,14 @@ def simple_dims(projectives):
     dims = [projectives[x].dim for x in keys]
     sol = la.frac_solve([[h[i][j] for j in range(n)] for i in range(n)],
                         dims)
-    assert sol is not None
+    if sol is None:
+        raise StructuralError("no simple dimensions fit the projectives")
     out = {}
     for k, v in zip(keys, sol):
-        assert v.denominator == 1 and v > 0, \
-            "simple dimensions are not positive integers; " \
-            "split-endomorphism assumption violated"
+        if v.denominator != 1 or v <= 0:
+            raise StructuralError(
+                "simple dimensions are not positive integers; "
+                "split-endomorphism assumption violated")
         out[k] = int(v)
     return out
 
@@ -707,7 +701,7 @@ class UngradedModule:
 
 def v_forget(M):
     """Forget the grading; the underlying space and action are unchanged."""
-    return UngradedModule(M.dim, [m.copy() for m in M.action])
+    return UngradedModule(M.dim, M.action.copy())
 
 
 @dataclass
@@ -801,10 +795,10 @@ def _degree_zero_subalgebra(A):
     mult = {}
     for (i, j), prod in A.mult.items():
         if i in back and j in back:
-            entry = {back[k]: c for k, c in prod.items() if c % A.p}
-            bad = [k for k in prod if k not in back and prod[k] % A.p]
-            assert not bad, "degree-zero part is not closed"
-            mult[(back[i], back[j])] = entry
+            if any(k not in back and c % A.p for k, c in prod.items()):
+                raise StructuralError("degree-zero part is not closed")
+            mult[(back[i], back[j])] = {back[k]: c for k, c in prod.items()
+                                        if c % A.p}
     unit = {back[k]: c for k, c in A.unit.items()}
     sub = GradedAlgebra(A.p, [0] * len(idx), mult, unit)
     return sub, idx
@@ -846,65 +840,33 @@ def _simple_idempotents(A, A0, zero_idx):
 def _radical_rows(A, M):
     """The nonzero vectors x e_a spanning M A_+, over the basis vectors x of
     M and the positive-degree basis elements a, in (a, x) order."""
-    rows = [np.zeros((0, M.dim), dtype=np.int64)]
-    for a in range(A.dim):
-        if A.degrees[a] > 0:
-            r = M.action[a].T % A.p
-            rows.append(r[r.any(axis=1)])
-    return np.concatenate(rows)
-
-
-def _tops_and_cover(A, M, idempotent_vectors):
-    """Minimal cover generators of M: witnesses grouped per (idempotent j,
-    degree k), chosen greedily against the radical span.  Idempotent
-    vectors live in A-coordinates; requires A_0 semisimple so that the
-    radical is the positive part."""
-    p = A.p
-    # choose generators: per degree, per idempotent, greedily against the
-    # span under right multiplication by degree-zero elements, seeded with
-    # the radical so that tops drive the choice
-    gens = []
-    zero_idx = [a for a in range(A.dim) if A.degrees[a] == 0]
-    red, piv = la.mod_rref(_radical_rows(A, M), p)
-    red = red[: len(piv)]
-    for j, evec in enumerate(idempotent_vectors):
-        for x in range(M.dim):
-            v = M.act_vec(np.eye(1, M.dim, x, dtype=np.int64)[0], evec)
-            if not _outside(v, red, piv, p):
-                continue
-            gens.append((v, j, M.degrees[x]))
-            stack = np.concatenate(
-                [red] + [(M.action[a] @ v)[None] % p for a in zero_idx]
-                + [v[None]])
-            red, piv = la.mod_rref(stack, p)
-            red = red[: len(piv)]
-    return gens
+    act = M.action[np.array(A.degrees) > 0]
+    rows = act.transpose(0, 2, 1).reshape(len(act) * M.dim, M.dim) % A.p
+    return rows[rows.any(axis=1)]
 
 
 def minimal_resolution(A, M, idempotent_vectors, slices, steps):
     """Minimal graded projective resolution data for M, up to `steps`
-    homological degrees; `slices` holds idempotent_slice(A, e) for each of
-    the idempotent vectors.  Returns a list, per homological degree i, of
-    the multiset of (idempotent index, generator degree) of P^i."""
-    p = A.p
+    homological degrees, for A nonnegatively graded with semisimple A_0 and
+    its simple idempotent vectors; `slices` holds idempotent_slice(A, e)
+    for each of them.  Returns a list, per homological degree i, of the
+    multiset of (idempotent index, generator degree) of P^i."""
+    slice_rows = [rows for _, rows, _ in slices]
     out = []
     cur = M
     for _ in range(steps + 1):
         if cur.dim == 0:
             out.append([])
             break
-        gens = _tops_and_cover(A, cur, idempotent_vectors)
-        out.append(sorted((j, k) for _, j, k in gens))
-        # the cover: the sum of the q_j A<k>, row b of q_j A going to v b
-        cols = [cur.act_vec(v, b) for v, j, _ in gens for b in slices[j][1]]
-        cover_mat = np.array(cols, dtype=np.int64).T % p \
-            if cols else np.zeros((cur.dim, 0), dtype=np.int64)
-        ker = la.mod_nullspace(cover_mat, p)
+        gens = module_generators(cur, idempotent_vectors)
+        degs = [cur.degrees[np.flatnonzero(g)[0]] for g, _ in gens]
+        out.append(sorted((j, k) for (_, j), k in zip(gens, degs)))
+        ker = la.mod_nullspace(_cover(cur, gens, slice_rows), A.p)
         if ker.shape[0] == 0:
             break
-        # the kernel, as a submodule of the cover's source
-        cover = direct_sum([slices[j][0] for _, j, _ in gens],
-                           [k for _, _, k in gens])
+        # the kernel, as a submodule of the cover's source, the sum of the
+        # q_j A<k>
+        cover = direct_sum([slices[j][0] for _, j in gens], degs)
         cur, _ = submodule(cover, ker)
     return out
 
@@ -925,9 +887,8 @@ def koszulity_check(A, cap=None):
         return KoszulReport(False, False, cap, False,
                             "not Koszul-gradable as given")
     A0, zero_idx = _degree_zero_subalgebra(A)
-    rad0 = la.algebra_radical(
-        [[_mult_row(A0, i, j) for j in range(A0.dim)]
-         for i in range(A0.dim)], A0.p)
+    rad0 = la.algebra_radical(la.structure_tensor(A0.mult, A0.dim, A0.p),
+                              A0.p)
     if rad0.shape[0]:
         return KoszulReport(True, False, cap, False,
                             "not Koszul-gradable as given")
@@ -956,26 +917,16 @@ def koszulity_check(A, cap=None):
                         ext_table=ext_table, dual_graded_dims=dual)
 
 
-def _mult_row(A, i, j):
-    prod = A.mult.get((i, j), {})
-    row = [0] * A.dim
-    for k, c in prod.items():
-        row[k] = c % A.p
-    return row
-
-
 def koszul_module_check(A, M, cap=None):
     """Is M a Koszul module over A (Ext^i(M, simples) concentrated in
     internal degree -i up to the cap)?  Requires koszulity_check to have
-    passed for A; the module's generators are first normalized to sit in
-    degree 0."""
+    passed for A; M is first shifted so that its lowest degree, which is
+    that of its lowest generators, is 0."""
     if cap is None:
         cap = 2 * max(max(A.degrees), 1)
     big_idems = _simple_idempotents(A, *_degree_zero_subalgebra(A))
-    gens = _tops_and_cover(A, M, big_idems)
-    if gens:
-        base = min(k for _, _, k in gens)
-        M = shift_module(M, -base)
+    if M.dim:
+        M = shift_module(M, -min(M.degrees))
     slices = [idempotent_slice(A, e) for e in big_idems]
     res = minimal_resolution(A, M, big_idems, slices, cap)
     return all(all(k == i for _, k in layer)
@@ -1123,4 +1074,4 @@ def upsilon_module(E, projectives, M):
     action = np.zeros((K.dim, len(mbasis), len(mbasis)), dtype=np.int64)
     for i, j, k, c in _block_products(mblocks, kblocks, mblocks, E.p):
         action[j, k, i] = c
-    return K, RightModule(K, [d for _, _, d in mbasis], list(action))
+    return K, RightModule(K, [d for _, _, d in mbasis], action)

@@ -106,12 +106,8 @@ def translate_to_wall(td, M):
 def standard_modules(C):
     """All graded standard modules, built along the canonical reduced word
     of each element; memoized on C.  Returns {element: RightModule}."""
-    if not hasattr(C, "_standards"):
-        C._standards = {}
-        C._standard_units = {}
-    key = "all"
-    if key in C._standards:
-        return C._standards[key]
+    if hasattr(C, "_standards"):
+        return C._standards
     W = C.group
     e_data = endomorphism_algebra(C)
     E = e_data.algebra
@@ -127,7 +123,7 @@ def standard_modules(C):
         if s not in tds:
             tds[s] = translation_data(C, s)
         out[x] = _standard_step(tds[s], out[prev])
-    C._standards[key] = out
+    C._standards = out
     return out
 
 
@@ -208,16 +204,18 @@ def projectives_for(C):
 def graded_multiplicities(C, M):
     """Graded composition multiplicities {(y, k): [M : L_y<k>]}, computed
     as dim Hom(P_y<k>, M); checked against dim M via the simple
-    dimensions."""
+    dimensions, which are memoized on C."""
     projs = projectives_for(C)
     mult = {}
     for y, P in projs.items():
         for k, v in hom_dims(P, M).items():
             mult[(y, k)] = v
-    dims = simple_dims(projs)
-    total = sum(v * dims[y] for (y, k), v in mult.items())
-    assert total == M.dim, \
-        f"multiplicity count {total} does not match dim M = {M.dim}"
+    if not hasattr(C, "_simple_dims"):
+        C._simple_dims = simple_dims(projs)
+    total = sum(v * C._simple_dims[y] for (y, k), v in mult.items())
+    if total != M.dim:
+        raise StructuralError(
+            f"multiplicity count {total} does not match dim M = {M.dim}")
     return mult
 
 

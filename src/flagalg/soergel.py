@@ -225,6 +225,7 @@ class CoinvariantAlgebra:
         self._inv_basis = {}
         self._family = None
         self._bs_cache = {}
+        self._end_cache = {}
 
     # -- elements ------------------------------------------------------
 
@@ -554,8 +555,6 @@ def endomorphism_algebra(C, words=None):
     if words is None:
         words = _family_words(C)
     key = ("full", tuple(words))
-    if not hasattr(C, "_end_cache"):
-        C._end_cache = {}
     if key in C._end_cache:
         return C._end_cache[key]
     modules = {w: bott_samelson(C, w) for w in words}
@@ -577,8 +576,6 @@ def wall_algebra(C, s, words=None):
     if words is None:
         words = _family_words(C)
     key = ("wall", s, tuple(words))
-    if not hasattr(C, "_end_cache"):
-        C._end_cache = {}
     if key in C._end_cache:
         return C._end_cache[key]
     modules = {w: bott_samelson(C, w) for w in words}

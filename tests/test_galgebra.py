@@ -84,7 +84,7 @@ def _direct_sum(M, N):
         m[: M.dim, : M.dim] = M.action[a]
         m[M.dim:, M.dim:] = N.action[a]
         action.append(m)
-    return ga.RightModule(M.algebra, degs, action)
+    return ga.RightModule(M.algebra, degs, np.array(action))
 
 
 def test_decompose_basis_permutation_invariance(C_A1):
@@ -101,8 +101,7 @@ def test_decompose_basis_permutation_invariance(C_A1):
         pm[j, i] = 1
     inv = pm.T
     shuffled = ga.RightModule(
-        E, [reg.degrees[j] for j in perm],
-        [(inv @ m @ pm) % E.p for m in reg.action])
+        E, [reg.degrees[j] for j in perm], (inv @ reg.action @ pm) % E.p)
     shuffled.check()
     pieces2 = ga.decompose_module(shuffled)
     dims2 = sorted(tuple(sorted(p.dims_by_degree().items()))
@@ -417,10 +416,30 @@ def test_module_generators_match_closure(C_A1, C_A2):
         A = M.algebra
         if id(A) not in alg_gens:
             alg_gens[id(A)] = _closure_algebra_generators(A)
-        got, _ = ga.module_generators(M)
+        got = ga.module_generators(M, ga._idempotent_vectors(A))
         want = _module_generators_closure(M, alg_gens[id(A)])
         assert [(g.tolist(), h) for g, h in got] == \
             [(g.tolist(), h) for g, h in want]
+
+
+def test_module_builders_return_one_action_array(C_A1):
+    A = dual_numbers()
+    reg = ga.regular_module(A)
+    E = sg.endomorphism_algebra(C_A1).algebra
+    Es, emb = sg.wall_algebra(C_A1, 0)
+    projs = go.projectives_for(C_A1)
+    std = go.standard_modules(C_A1)[C_A1.group.identity]
+    mods = [reg, ga.idempotent_slice(A, A.unit_vector())[0],
+            ga.submodule(reg, [[0, 1]])[0],
+            ga.quotient_module(reg, [[0, 1]])[0],
+            ga.direct_sum([reg, reg], [0, 1]), ga.shift_module(reg, 2),
+            ga.restrict_module(ga.idempotent_slice(
+                Es.algebra, Es.algebra.basis_vec(0))[0], E, emb),
+            ga.upsilon_module(E, projs, std)[1]]
+    for M in mods:
+        assert isinstance(M.action, np.ndarray)
+        assert M.action.dtype == np.int64
+        assert M.action.shape == (M.algebra.dim, M.dim, M.dim)
 
 
 def test_span_under_action_is_the_generated_submodule():
@@ -475,8 +494,8 @@ def test_presentations_slice_each_idempotent_once(monkeypatch):
         calls.append(e.tobytes())
         return real(B, e)
 
-    monkeypatch.setattr(ga, "idempotent_slice", counted)
     reg = ga.regular_module(A)
+    monkeypatch.setattr(ga, "idempotent_slice", counted)
     first = ga.module_presentation(reg)
     second = ga.module_presentation(ga.shift_module(reg, 1))
     assert len(calls) == 1
@@ -608,7 +627,8 @@ def test_upsilon_matches_per_pair_reference(cartan, C_A1, C_A2):
 
 def _tops_and_cover_echelon(A, M, idempotent_vectors):
     """Cover generators chosen against an incremental echelon form seeded
-    with the radical rows: the reference for _tops_and_cover."""
+    with the radical rows, as (vector, slot, degree): the reference for the
+    minimal generators of minimal_resolution."""
     p = A.p
     zero_idx = [a for a in range(A.dim) if A.degrees[a] == 0]
     span = la._Echelon(M.dim, p)
@@ -638,11 +658,13 @@ def test_tops_and_cover_matches_echelon(C_A2):
               for P in cases]
     cases += [ga.upsilon_module(E, projs, M)[1]
               for M in go.standard_modules(C_A2).values()]
+    rows = [ga.idempotent_slice(K, e)[1] for e in idems]
     for M in cases:
-        got = ga._tops_and_cover(K, M, idems)
+        got = ga.module_generators(M, idems)
         want = _tops_and_cover_echelon(K, M, idems)
-        assert [(v.tolist(), j, k) for v, j, k in got] == \
-            [(v.tolist(), j, k) for v, j, k in want]
+        assert sorted((h, M.degrees[np.flatnonzero(g)[0]]) for g, h in got) \
+            == sorted((j, k) for _, j, k in want)
+        assert la.mod_rank(ga._cover(M, got, rows), K.p) == M.dim
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +699,26 @@ def _run_optimized(code):
 def test_algebra_check_rejects_non_associative_under_python_O():
     assert _run_optimized(_NON_ASSOCIATIVE) == \
         "StructuralError: associativity fails"
+
+
+_OPEN_DEGREE_ZERO = """
+from flagalg import galgebra as ga
+if __debug__:
+    raise SystemExit("expected python -O")
+# e0 = 1 and e1 in degree 0, but e1 e1 = e2 in degree 1
+mult = {(0, j): {j: 1} for j in range(3)}
+mult.update({(j, 0): {j: 1} for j in range(3)})
+mult[(1, 1)] = {2: 1}
+try:
+    ga.koszulity_check(ga.GradedAlgebra(5, [0, 0, 1], mult, {0: 1}))
+except ga.StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+def test_koszulity_rejects_open_degree_zero_part_under_python_O():
+    assert _run_optimized(_OPEN_DEGREE_ZERO) == \
+        "StructuralError: degree-zero part is not closed"
 
 
 def test_check_certificates_raise_structural_errors():

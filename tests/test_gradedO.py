@@ -265,3 +265,19 @@ def test_translate_to_wall_span_matches_frontier_spin(cartan, s, C_A1, C_A2,
         r, want_piv = la.mod_rref(_spin_rows_frontier(M, rows), C.ell)
         assert piv == want_piv
         assert np.array_equal(got, r[: len(want_piv)])
+
+
+def test_simple_dims_once_per_algebra(monkeypatch):
+    C = sg.coinvariant_algebra("A1", 5)
+    calls = []
+    real = go.simple_dims
+    monkeypatch.setattr(go, "simple_dims",
+                        lambda projs: calls.append(1) or real(projs))
+    std = go.standard_modules(C)
+    for M in std.values():
+        go.graded_multiplicities(C, M)
+    assert len(calls) == 1
+    # simple dimensions that do not fit fail the count loudly
+    C._simple_dims = {y: 2 * d for y, d in C._simple_dims.items()}
+    with pytest.raises(ga.StructuralError, match="multiplicity count"):
+        go.graded_multiplicities(C, std[C.group.identity])

@@ -64,6 +64,22 @@ def test_radical_small_algebras():
     assert rad4.shape[0] == 1
 
 
+def test_radical_certificates_raise_structural_errors():
+    # in M_2(F_5) (basis E11, E12, E21, E22), E21 E11 = E21 leaves the span
+    # of E11; in F_5 x F_5 the span of (1, 0) is an ideal, but idempotent
+    idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    m2 = np.zeros((4, 4, 4), dtype=np.int64)
+    for a, (i, j) in enumerate(idx):
+        for b, (k, m) in enumerate(idx):
+            if j == k:
+                m2[a, b, idx.index((i, m))] = 1
+    with pytest.raises(la.StructuralError, match="not an ideal"):
+        la._check_nilpotent_ideal(m2, np.array([[1, 0, 0, 0]]), 5)
+    split = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    with pytest.raises(la.StructuralError, match="not nilpotent"):
+        la._check_nilpotent_ideal(split, np.array([[1, 0]]), 5)
+
+
 def test_lloc_saturation():
     rows = [[Fraction(1), Fraction(0), Fraction(1, 5)],
             [Fraction(0), Fraction(1), Fraction(1, 5)]]
