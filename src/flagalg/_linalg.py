@@ -201,7 +201,8 @@ def mod_minpoly(a, p):
         g = poly_lcm(g, mp, p)
         if len(g) == n + 1:
             break
-    assert not np.any(poly_eval_matrix(g, a, p)), "minimal polynomial failed"
+    if np.any(poly_eval_matrix(g, a, p)):
+        raise StructuralError("minimal polynomial failed")
     return g
 
 
@@ -272,7 +273,8 @@ def poly_lcm(f, g, p):
         return [0]
     d = poly_gcd(f, g, p)
     q, r = poly_divmod(poly_mul(f, g, p), d, p)
-    assert r == [0]
+    if r != [0]:
+        raise StructuralError("gcd does not divide the product")
     return poly_monic(q, p)
 
 

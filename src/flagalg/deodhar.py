@@ -20,13 +20,21 @@ negatives of weights.
 
 An independent oracle `flag_count` enumerates complete flags over small
 finite fields (type A only) and counts those in prescribed relative
-positions to the standard and opposite coordinate flags.
+positions to the standard and opposite coordinate flags.  Each flag is
+listed once by its row-echelon representative, all of them in one
+(N, n, n) array per field, and both relative positions come from one
+batched elimination each, with the field arithmetic done by lookup tables
+so that F_2, F_3 and F_4 share one code path.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from itertools import product as iproduct
+from math import prod
 
-from ._linalg import is_prime
+import numpy as np
+
+from ._linalg import StructuralError, is_prime
 from .coxeter import LETTERS as _LETTERS
 from .coxeter import bruhat_leq, build_group, coset_reps
 
@@ -291,122 +299,70 @@ def multiplicative_order(q, ell):
 # ---------------------------------------------------------------------------
 # the flag-enumeration oracle (type A, small fields)
 
-# GF(4) = F_2[x]/(x^2+x+1), elements 0,1,2=x,3=x+1
+# GF(4) = F_2[x]/(x^2+x+1), elements 0,1,2=x,3=x+1; addition is XOR
 _GF4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
-_GF4_ADD = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
 
-class _SmallField:
-    def __init__(self, q):
-        if q not in (2, 3, 4):
-            raise ValueError("flag oracle supports field sizes 2, 3, 4 only")
-        self.q = q
-
-    def add(self, a, b):
-        return _GF4_ADD[a][b] if self.q == 4 else (a + b) % self.q
-
-    def mul(self, a, b):
-        return _GF4_MUL[a][b] if self.q == 4 else (a * b) % self.q
-
-    def neg(self, a):
-        if self.q == 4:
-            return a
-        return (-a) % self.q
-
-    def inv(self, a):
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise ZeroDivisionError
+def _field_tables(q):
+    """(sub, mul, inv) lookup tables of the field with q elements, whose
+    elements are 0..q-1: sub[a, b] = a - b, mul[a, b] = a b, inv[a] = 1/a
+    (inv[0] = 0 is never used)."""
+    a = np.arange(q)
+    if q == 4:
+        add, mul = a[:, None] ^ a, np.array(_GF4_MUL)
+    else:
+        add, mul = (a[:, None] + a) % q, (a[:, None] * a) % q
+    neg = np.argmax(add == 0, axis=1)
+    return add[:, neg], mul, np.argmax(mul == 1, axis=1)
 
 
-def _row_reduce(field, rows):
-    """Row echelon over the small field; returns reduced rows (basis)."""
-    rows = [list(r) for r in rows]
-    out = []
-    pivots = []
-    for r in rows:
-        for prow, pc in zip(out, pivots):
-            if r[pc] != 0:
-                f = r[pc]
-                r = [field.add(x, field.neg(field.mul(f, y)))
-                     for x, y in zip(r, prow)]
-        nz = next((i for i, x in enumerate(r) if x != 0), None)
-        if nz is None:
-            continue
-        inv = field.inv(r[nz])
-        r = [field.mul(inv, x) for x in r]
-        out.append(r)
-        pivots.append(nz)
-    return out, pivots
+def _echelon_flags(n, q):
+    """Every complete flag in F_q^n exactly once, as the (N, n, n) array of
+    its echelon representatives: the first i rows span V_i, and row i has
+    a 1 at its pivot column c_i, zeros before c_i and at the pivots of the
+    rows above, and free entries elsewhere.  Each permutation c gives
+    q^(#free) flags."""
+    blocks = []
+    for c in permutations(range(n)):
+        free = [(i, j) for i in range(n) for j in range(c[i] + 1, n)
+                if j not in c[:i]]
+        fill = np.array(list(iproduct(range(q), repeat=len(free))))
+        block = np.zeros((len(fill), n, n), dtype=np.intp)
+        block[:, range(n), c] = 1
+        if free:
+            rows, cols = zip(*free)
+            block[:, rows, cols] = fill
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def _subspace_dim_sum(field, rows_a, rows_b):
-    return len(_row_reduce(field, list(rows_a) + list(rows_b))[0])
+def _positions(flags, tables):
+    """Relative position of each flag to the standard flag F_j = <e_1..e_j>,
+    as the (N, n) array of one-line permutations w (0-based values) with
+    dim(V_i ∩ F_j) = #{k <= i : w(k) < j}.
 
-
-def _all_flags(field, n):
-    """All complete flags in field^n.  Each flag is a tuple whose i-th entry
-    is the canonical (row reduced) basis of V_{i+1}; subspaces are deduped
-    at every level so each flag appears exactly once."""
-    vectors = [v for v in iproduct(range(field.q), repeat=n)
-               if any(v)]
-
-    def normalize(v):
-        lead = next(x for x in v if x != 0)
-        inv = field.inv(lead)
-        return tuple(field.mul(inv, x) for x in v)
-
-    lines = sorted({normalize(v) for v in vectors})
-
-    def canonical(rows):
-        red, _ = _row_reduce(field, rows)
-        return tuple(sorted(tuple(r) for r in red))
-
-    def extend(chain):
-        if len(chain) == n - 1:
-            yield tuple(chain)
-            return
-        current = list(chain[-1]) if chain else []
-        bigger = {}
-        for line in lines:
-            if len(_row_reduce(field, current + [line])[0]) == len(current) + 1:
-                bigger.setdefault(canonical(current + [line]), None)
-        for sub in bigger:
-            yield from extend(chain + [sub])
-
-    if n == 1:
-        return [()]
-    return list(extend([]))
-
-
-def _relative_position(field, flag, ref, n):
-    """Permutation w (one-line, 1-based values) with
-    dim(V_i /\\ F_j) = #{k <= i : w(k) <= j}.
-
-    `flag` is a chain of canonical bases (V_1, ..., V_{n-1}); `ref` is a
-    chain of reference subspace bases of the same shape."""
-    full = [tuple(int(a == b) for b in range(n)) for a in range(n)]
-
-    def rows_of(chain, i):
-        if i == 0:
-            return []
-        return list(chain[i - 1]) if i <= n - 1 else list(full)
-
-    dims = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        rows_v = rows_of(flag, i)
-        for j in range(1, n + 1):
-            rows_f = rows_of(ref, j)
-            # dim(V_i) + dim(F_j) - dim(V_i + F_j)
-            dims[i][j] = i + j - _subspace_dim_sum(field, rows_v, rows_f)
-    w = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if dims[i][j] - dims[i - 1][j] > dims[i][j - 1] - dims[i - 1][j - 1]:
-                w.append(j)
-                break
-    return tuple(w)
+    dim(V_i ∩ F_j) = i - rank(V_i on the columns >= j).  Eliminating the rows
+    in order, each against the rows above, on their rightmost nonzero
+    entries leaves reduced rows whose rightmost entries p_k are distinct;
+    those with p_k >= j stay independent on the columns >= j and the others
+    vanish there, so that rank is #{k <= i : p_k >= j} for every j at once,
+    and w = p."""
+    sub, mul, inv = tables
+    N, n, _ = flags.shape
+    every = np.arange(N)
+    pivots = np.zeros((N, n, n), dtype=np.intp)  # row c ends at column c
+    w = np.empty((N, n), dtype=np.intp)
+    for i in range(n):
+        r = flags[:, i, :]
+        for c in range(n - 1, -1, -1):
+            r = sub[r, mul[r[:, c, None], pivots[:, c, :]]]
+        nonzero = r != 0
+        if not nonzero.any(axis=1).all():
+            raise StructuralError("flag rows are linearly dependent")
+        p = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+        pivots[every, p] = mul[inv[r[every, p]][:, None], r]
+        w[:, i] = p
+    return w
 
 
 def _perm_to_element(W, w_oneline):
@@ -433,11 +389,7 @@ def flag_count(rank, q_prime, u, v):
 
     `u` and `v` are elements of the type-A group of the given rank
     (rank <= 3, q_prime in {2, 3, 4})."""
-    if rank > 3:
-        raise ValueError("flag oracle is limited to rank <= 3")
-    _SmallField(q_prime)  # validates the field size
-    table = flag_position_table(rank, q_prime)
-    return table.get((u.word, v.word), 0)
+    return flag_position_table(rank, q_prime).get((u.word, v.word), 0)
 
 
 _TABLE_MEMO = {}
@@ -445,26 +397,46 @@ _TABLE_MEMO = {}
 
 def flag_position_table(rank, q_prime):
     """Counts of flags bucketed by (position to opposite flag, position to
-    standard flag), keyed by canonical words."""
+    standard flag), keyed by canonical words.
+
+    Certified: the number of flags is prod_{k=1..n} (q^k - 1)/(q - 1), and
+    the flags in position v to the standard flag number q^l(v), the size of
+    the Bruhat cell of v; either failing raises StructuralError."""
+    if rank not in (1, 2, 3):
+        raise ValueError("flag oracle is limited to ranks 1, 2, 3")
+    if q_prime not in (2, 3, 4):
+        raise ValueError("flag oracle supports field sizes 2, 3, 4 only")
     key = (rank, q_prime)
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
     W = build_group(f"A{rank}")
-    field = _SmallField(q_prime)
     n = rank + 1
-    std_rows = [tuple(int(a == b) for b in range(n)) for a in range(n - 1)]
-    opp_rows = [tuple(int(a == n - 1 - b) for b in range(n))
-                for a in range(n - 1)]
-    std = [tuple(std_rows[: j + 1]) for j in range(n - 1)]
-    opp = [tuple(opp_rows[: j + 1]) for j in range(n - 1)]
+    flags = _echelon_flags(n, q_prime)
+    expected = prod((q_prime ** k - 1) // (q_prime - 1)
+                    for k in range(1, n + 1))
+    if len(flags) != expected:
+        raise StructuralError(
+            f"{len(flags)} flags enumerated, expected {expected}")
+    tables = _field_tables(q_prime)
+    # a permutation is coded by its one-line digits in base n
+    digits = n ** np.arange(n)
+    std = _positions(flags, tables) @ digits
+    # the opposite flag <e_n..e_{n-j+1}> is the standard one after
+    # reversing the columns; position w to it is the cell of w0 w
+    opp = _positions(flags[:, :, ::-1], tables) @ digits
     w0 = W.longest_element
-    counts = {}
-    for flag in _all_flags(field, n):
-        pos_v = _perm_to_element(W, _relative_position(field, flag, std, n))
-        pos_u_tw = _perm_to_element(W, _relative_position(field, flag, opp, n))
-        # position w to the opposite flag means the w0-twisted cell index
-        pos_u = W.mult(w0, pos_u_tw)
-        k = (pos_u.word, pos_v.word)
-        counts[k] = counts.get(k, 0) + 1
-    _TABLE_MEMO[key] = counts
-    return counts
+    element = {int(np.dot(perm, digits)): _perm_to_element(
+        W, [x + 1 for x in perm]) for perm in permutations(range(n))}
+    cells = np.bincount(std, minlength=n ** n)
+    for code, v in element.items():
+        if cells[code] != q_prime ** v.length:
+            raise StructuralError(
+                f"{cells[code]} flags in the Bruhat cell of "
+                f"{v.serialize()}, expected q^{v.length}")
+    codes, counts = np.unique(opp * n ** n + std, return_counts=True)
+    table = {}
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        u = W.mult(w0, element[code // n ** n])
+        table[(u.word, element[code % n ** n].word)] = count
+    _TABLE_MEMO[key] = table
+    return table

@@ -237,8 +237,8 @@ def _assemble_verdict(M, summands):
 def _check_phi_stable(phi, basis, ell):
     for row in basis:
         img = la.frac_matmul([list(row)], _transpose(phi))[0]
-        assert la.lloc_membership(img, basis, ell), \
-            "eigenlattice is not phi-stable"
+        if not la.lloc_membership(img, basis, ell):
+            raise la.StructuralError("eigenlattice is not phi-stable")
 
 
 def _poly_eval(coeffs, x):
@@ -277,7 +277,8 @@ def _poly_div_exact(f, g):
         for i, b in enumerate(g):
             f[d + i] -= c * b
         f.pop()
-    assert all(c == 0 for c in f), "inexact polynomial division"
+    if any(c != 0 for c in f):
+        raise la.StructuralError("inexact polynomial division")
     return q
 
 
@@ -399,7 +400,9 @@ def stable_sub_quotient_split(M, sublattice_rows):
                 progress = True
                 if len(full) == n:
                     break
-    assert len(full) == n, "failed to complete the sublattice to a basis"
+    if len(full) != n:
+        raise la.StructuralError(
+            "failed to complete the sublattice to a basis")
     change = _transpose(full)
     conj = la.frac_matmul(_frac_inverse(change), la.frac_matmul(phi, change))
     quot_phi = [[conj[i][j] for j in range(k, n)] for i in range(k, n)]
@@ -418,7 +421,8 @@ def _frac_inverse(m):
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(m)]
     red, piv = la.frac_rref(aug)
-    assert piv[:n] == list(range(n)), "matrix not invertible"
+    if piv[:n] != list(range(n)):
+        raise la.StructuralError("matrix not invertible")
     return [row[n:] for row in red]
 
 
@@ -498,7 +502,8 @@ def free_cover(pres, I):
             vec = [row[0] for row in
                    la.frac_matmul(phi_f, [[v] for v in vec])]
     surj = _transpose(cols)
-    assert _surjective_mod_ell(pres, surj), "cover fails to surject mod l"
+    if not _surjective_mod_ell(pres, surj):
+        raise la.StructuralError("cover fails to surject mod l")
     return FreeCover(cover, tuple(tuple(row) for row in surj), I, False)
 
 

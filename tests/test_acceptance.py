@@ -32,7 +32,7 @@ def _report(name, detail=""):
 def test_criterion_01_rpolynomial_vs_flag_oracle():
     t0 = time.time()
     checked = 0
-    for rank in (1, 2):
+    for rank in (1, 2, 3):
         W = cx.build_group(f"A{rank}")
         for q in (2, 3):
             table = dd.flag_position_table(rank, q)
@@ -41,16 +41,6 @@ def test_criterion_01_rpolynomial_vs_flag_oracle():
                     assert dd.r_polynomial(W, u, v)(q) == \
                         table.get((u.word, v.word), 0)
                     checked += 1
-    W3 = cx.build_group("A3")
-    for q in (2, 3):
-        table = dd.flag_position_table(3, q)
-        for u in W3.elements:
-            for v in W3.elements:
-                if v.length > 4:
-                    continue
-                assert dd.r_polynomial(W3, u, v)(q) == \
-                    table.get((u.word, v.word), 0)
-                checked += 1
     elapsed = time.time() - t0
     assert elapsed < 30, f"oracle comparison took {elapsed:.1f}s"
     _report("1 (point counts match the flag oracle)",

@@ -1,7 +1,11 @@
+from itertools import product as iproduct
+
+import numpy as np
 import pytest
 
 from flagalg import coxeter as cx
 from flagalg import deodhar as dd
+from flagalg._linalg import StructuralError
 
 
 def W(t):
@@ -55,7 +59,7 @@ def test_flag_oracle_basics():
 
 
 @pytest.mark.parametrize("rank,q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
-                                    (3, 2), (3, 3)])
+                                    (2, 4), (3, 2), (3, 3), (3, 4)])
 def test_oracle_agreement_small(rank, q):
     w = W(f"A{rank}")
     table = dd.flag_position_table(rank, q)
@@ -63,6 +67,184 @@ def test_oracle_agreement_small(rank, q):
         for v in w.elements:
             assert dd.r_polynomial(w, u, v)(q) == \
                 table.get((u.word, v.word), 0)
+
+
+# ---------------------------------------------------------------------------
+# reference flag enumeration: subspaces deduplicated level by level, and
+# relative positions from dim(V_i + F_j), one row reduction at a time
+
+
+def _gf4_mul(a, b):
+    """Product in GF(4) = F_2[x]/(x^2+x+1), elements 0, 1, 2=x, 3=x+1."""
+    prod = (a if b & 1 else 0) ^ ((a << 1) if b & 2 else 0)
+    return prod ^ 0b111 if prod & 0b100 else prod
+
+
+class _SmallField:
+    def __init__(self, q):
+        if q not in (2, 3, 4):
+            raise ValueError("flag oracle supports field sizes 2, 3, 4 only")
+        self.q = q
+
+    def add(self, a, b):
+        return a ^ b if self.q == 4 else (a + b) % self.q
+
+    def mul(self, a, b):
+        return _gf4_mul(a, b) if self.q == 4 else (a * b) % self.q
+
+    def neg(self, a):
+        if self.q == 4:
+            return a
+        return (-a) % self.q
+
+    def inv(self, a):
+        for b in range(1, self.q):
+            if self.mul(a, b) == 1:
+                return b
+        raise ZeroDivisionError
+
+
+def _row_reduce(field, rows):
+    """Row echelon over the small field; returns reduced rows (basis)."""
+    rows = [list(r) for r in rows]
+    out = []
+    pivots = []
+    for r in rows:
+        for prow, pc in zip(out, pivots):
+            if r[pc] != 0:
+                f = r[pc]
+                r = [field.add(x, field.neg(field.mul(f, y)))
+                     for x, y in zip(r, prow)]
+        nz = next((i for i, x in enumerate(r) if x != 0), None)
+        if nz is None:
+            continue
+        inv = field.inv(r[nz])
+        r = [field.mul(inv, x) for x in r]
+        out.append(r)
+        pivots.append(nz)
+    return out, pivots
+
+
+def _subspace_dim_sum(field, rows_a, rows_b):
+    return len(_row_reduce(field, list(rows_a) + list(rows_b))[0])
+
+
+def _all_flags(field, n):
+    """All complete flags in field^n.  Each flag is a tuple whose i-th entry
+    is the canonical (row reduced) basis of V_{i+1}; subspaces are deduped
+    at every level so each flag appears exactly once."""
+    vectors = [v for v in iproduct(range(field.q), repeat=n)
+               if any(v)]
+
+    def normalize(v):
+        lead = next(x for x in v if x != 0)
+        inv = field.inv(lead)
+        return tuple(field.mul(inv, x) for x in v)
+
+    lines = sorted({normalize(v) for v in vectors})
+
+    def canonical(rows):
+        red, _ = _row_reduce(field, rows)
+        return tuple(sorted(tuple(r) for r in red))
+
+    def extend(chain):
+        if len(chain) == n - 1:
+            yield tuple(chain)
+            return
+        current = list(chain[-1]) if chain else []
+        bigger = {}
+        for line in lines:
+            if len(_row_reduce(field, current + [line])[0]) == len(current) + 1:
+                bigger.setdefault(canonical(current + [line]), None)
+        for sub in bigger:
+            yield from extend(chain + [sub])
+
+    if n == 1:
+        return [()]
+    return list(extend([]))
+
+
+def _relative_position(field, flag, ref, n):
+    """Permutation w (one-line, 1-based values) with
+    dim(V_i /\\ F_j) = #{k <= i : w(k) <= j}.
+
+    `flag` is a chain of canonical bases (V_1, ..., V_{n-1}); `ref` is a
+    chain of reference subspace bases of the same shape."""
+    full = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+
+    def rows_of(chain, i):
+        if i == 0:
+            return []
+        return list(chain[i - 1]) if i <= n - 1 else list(full)
+
+    dims = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        rows_v = rows_of(flag, i)
+        for j in range(1, n + 1):
+            rows_f = rows_of(ref, j)
+            # dim(V_i) + dim(F_j) - dim(V_i + F_j)
+            dims[i][j] = i + j - _subspace_dim_sum(field, rows_v, rows_f)
+    w = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if dims[i][j] - dims[i - 1][j] > dims[i][j - 1] - dims[i - 1][j - 1]:
+                w.append(j)
+                break
+    return tuple(w)
+
+
+def _reference_table(rank, q):
+    W = cx.build_group(f"A{rank}")
+    field = _SmallField(q)
+    n = rank + 1
+    std_rows = [tuple(int(a == b) for b in range(n)) for a in range(n - 1)]
+    opp_rows = [tuple(int(a == n - 1 - b) for b in range(n))
+                for a in range(n - 1)]
+    std = [tuple(std_rows[: j + 1]) for j in range(n - 1)]
+    opp = [tuple(opp_rows[: j + 1]) for j in range(n - 1)]
+    w0 = W.longest_element
+    counts = {}
+    for flag in _all_flags(field, n):
+        pos_v = dd._perm_to_element(W, _relative_position(field, flag, std, n))
+        pos_u_tw = dd._perm_to_element(
+            W, _relative_position(field, flag, opp, n))
+        # position w to the opposite flag means the w0-twisted cell index
+        pos_u = W.mult(w0, pos_u_tw)
+        k = (pos_u.word, pos_v.word)
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("rank,q", [
+    (r, q) if (r, q) != (3, 4) else pytest.param(r, q, marks=pytest.mark.slow)
+    for r in (1, 2, 3) for q in (2, 3, 4)])
+def test_flag_table_matches_reference_enumeration(rank, q):
+    assert dd.flag_position_table(rank, q) == _reference_table(rank, q)
+
+
+def _mutated(change):
+    enumerate_flags = dd._echelon_flags
+    return lambda n, q: change(enumerate_flags(n, q))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda f: f[1:], "flags enumerated"),                       # dropped
+    (lambda f: np.concatenate([f, f[-1:]]), "flags enumerated"),  # duplicated
+    (lambda f: np.concatenate([f[-1:], f[1:]]), "Bruhat cell"),   # replaced
+    (lambda f: np.concatenate([0 * f[:1], f[1:]]), "dependent"),  # singular
+])
+def test_flag_table_rejects_mutated_enumeration(monkeypatch, change,
+                                                message):
+    monkeypatch.setattr(dd, "_TABLE_MEMO", {})
+    monkeypatch.setattr(dd, "_echelon_flags", _mutated(change))
+    with pytest.raises(StructuralError, match=message):
+        dd.flag_position_table(2, 3)
+
+
+@pytest.mark.parametrize("rank,q", [(0, 2), (4, 2), (1, 5), (2, 1), (3, 9)])
+def test_flag_position_table_rejects_bad_input(rank, q):
+    with pytest.raises(ValueError):
+        dd.flag_position_table(rank, q)
 
 
 def test_envelope_formulas():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,3 +263,41 @@ def test_free_cover_random_torsion():
         pres = pm.Presentation.build(2, rel, [[1, 0], [0, q]], ell, q)
         fc = pm.free_cover(pres, pm.WeightSupport.of(0, 1))
         assert pm.has_weights_from(fc.cover, pm.WeightSupport.of(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# certificates that python -O must not strip
+
+
+def test_certificates_raise_structural_errors():
+    with pytest.raises(la.StructuralError, match="inexact polynomial"):
+        pm._poly_div_exact([1, 0, 1], [1, 1])
+    with pytest.raises(la.StructuralError, match="matrix not invertible"):
+        pm._frac_inverse([[Fraction(1), Fraction(2)],
+                          [Fraction(2), Fraction(4)]])
+    with pytest.raises(la.StructuralError, match="phi-stable"):
+        pm._check_phi_stable([[0, 1], [1, 0]], [[1, 0]], 5)
+
+
+_INEXACT_DIVISION = """
+from flagalg import _linalg as la
+from flagalg import phimod as pm
+if __debug__:
+    raise SystemExit("expected python -O")
+try:
+    pm._poly_div_exact([1, 0, 1], [1, 1])   # x^2 + 1 = (x + 1)(x - 1) + 2
+except la.StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+def test_inexact_division_raises_under_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _INEXACT_DIVISION],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "StructuralError: inexact polynomial division"
