@@ -9,10 +9,11 @@ Two arithmetic worlds live here:
   denominator is prime to l), done with Fraction entries.
 
 Nothing in this module knows about Weyl groups or graded algebras; it is
-only pivoting, kernels, minimal polynomials, an l-local echelon form and
-the Jacobson radical of a small F_p-algebra given by its structure
-tensor.  StructuralError, the failure of a certificate, is defined here so
-that every layer can raise it.
+only pivoting, kernels, minimal polynomials, an l-local echelon form,
+the one stored form of structure constants, and the Jacobson radical of
+a small F_p-algebra given by its structure tensor.  StructuralError, the
+failure of a certificate, is defined here so that every layer can raise
+it.
 """
 
 from fractions import Fraction
@@ -389,14 +390,27 @@ def coprime_power_split(f, p):
 # Jacobson radical of a finite dimensional F_p-algebra
 
 
-def structure_tensor(mult, n, p):
-    """T[a, b, k], the coefficient of e_k in e_a e_b reduced mod p, from
-    sparse structure constants {(a, b): {k: c}} on n basis vectors."""
+def canonical_mult(mult, dim, p):
+    """Structure constants in their one stored form: an int64 (m, 4) array
+    of rows (i, j, k, c), e_i e_j having coefficient c at e_k, 0 < c < p,
+    lexsorted by (i, j, k).  The rows may come in any order, with any c;
+    a repeated (i, j, k) or an index outside [0, dim) raises ValueError."""
+    m = np.asarray(mult, dtype=np.int64).reshape(-1, 4)
+    if np.any((m[:, :3] < 0) | (m[:, :3] >= dim)):
+        raise ValueError("structure constant index out of range")
+    m = m[np.lexsort(m[:, 2::-1].T)]
+    if np.any(np.all(m[1:, :3] == m[:-1, :3], axis=1)):
+        raise ValueError("repeated structure constant (i, j, k)")
+    m[:, 3] %= p
+    return m[m[:, 3] != 0]
+
+
+def structure_tensor(mult, n):
+    """T[i, j, k] = c for the rows (i, j, k, c) of canonical structure
+    constants on n basis vectors."""
     T = np.zeros((n, n, n), dtype=np.int64)
-    entries = [(a, b, k, c % p) for (a, b), prod in mult.items()
-               for k, c in prod.items()]
-    a, b, k, c = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-    T[a, b, k] = c
+    i, j, k, c = mult.T
+    T[i, j, k] = c
     return T
 
 

@@ -52,17 +52,9 @@ def _emit(cfg, payload, text_lines):
             print(line)
 
 
-def _group(cfg):
-    return coxeter.build_group(cfg.cartan_type)
-
-
-def _element(W, word):
-    return W.element(word)
-
-
 def cmd_rpoly(cfg, u, v):
-    W = _group(cfg)
-    r = deodhar.r_polynomial(W, _element(W, u), _element(W, v))
+    W = coxeter.build_group(cfg.cartan_type)
+    r = deodhar.r_polynomial(W, W.element(u), W.element(v))
     payload = {
         "command": "rpoly", "type": cfg.cartan_type, "u": u, "v": v,
         "polynomial": str(r),
@@ -77,8 +69,8 @@ def _profile_payload(prof):
 
 
 def cmd_envelope(cfg, u, v):
-    W = _group(cfg)
-    prof = deodhar.weight_envelope(W, _element(W, u), _element(W, v))
+    W = coxeter.build_group(cfg.cartan_type)
+    prof = deodhar.weight_envelope(W, W.element(u), W.element(v))
     payload = {
         "command": "envelope", "type": cfg.cartan_type, "u": u, "v": v,
         "label": prof.label, "intervals": _profile_payload(prof),
@@ -89,13 +81,12 @@ def cmd_envelope(cfg, u, v):
 
 
 def cmd_ext(cfg, u, v, s=None):
-    W = _group(cfg)
+    W = coxeter.build_group(cfg.cartan_type)
     if s is None:
-        prof = deodhar.ext_profile_standard(W, _element(W, u),
-                                            _element(W, v))
+        prof = deodhar.ext_profile_standard(W, W.element(u), W.element(v))
     else:
-        prof = deodhar.ext_profile_parabolic(W, _element(W, u),
-                                             _element(W, v), _element(W, s))
+        prof = deodhar.ext_profile_parabolic(W, W.element(u),
+                                             W.element(v), W.element(s))
     payload = {
         "command": "ext", "type": cfg.cartan_type, "u": u, "v": v,
         "s": s, "label": prof.label, "intervals": _profile_payload(prof),
@@ -106,7 +97,7 @@ def cmd_ext(cfg, u, v, s=None):
 
 
 def cmd_qcond(cfg):
-    W = _group(cfg)
+    W = coxeter.build_group(cfg.cartan_type)
     if cfg.ell is None or cfg.q is None:
         raise ValueError("qcond needs --ell and --q")
     if cfg.q % cfg.ell == 0:
@@ -120,7 +111,8 @@ def cmd_qcond(cfg):
         "twice_longest_length": 2 * W.longest_element.length,
         "holds": holds,
     }
-    assert W.num_roots == 2 * W.longest_element.length
+    if W.num_roots != 2 * W.longest_element.length:
+        raise galgebra.StructuralError("|R| != 2 l(w0)")
     _emit(cfg, payload, [
         f"ord_{cfg.ell}({cfg.q}) = {order}, |R| = {W.num_roots} "
         f"(= 2 l(w0)): hypothesis {'holds' if holds else 'fails'}"])
@@ -141,9 +133,6 @@ def _family_hash(C):
 
 def _endalg_payload(cfg, data):
     alg = data.algebra
-    mult_triples = sorted(
-        [i, j, k, int(c)]
-        for (i, j), prod in alg.mult.items() for k, c in prod.items())
     payload = {
         "schema_version": SCHEMA_VERSION,
         "type": cfg.cartan_type, "ell": cfg.ell,
@@ -153,7 +142,7 @@ def _endalg_payload(cfg, data):
         "dims_by_degree": {str(k): v
                            for k, v in alg.dims_by_degree().items()},
         "idempotents": {w or "e": alg.idempotents[w] for w in data.words},
-        "structure_constants": mult_triples,
+        "structure_constants": alg.mult.tolist(),
     }
     return payload
 
@@ -428,8 +417,8 @@ def main(argv=None):
         if args.cmd == "formality-demo":
             return cmd_formality_demo(cfg, args.seed)
         raise ValueError(f"unknown command {args.cmd}")
-    except (ValueError, OverflowError, AssertionError,
-            galgebra.StructuralError, FileNotFoundError) as exc:
+    except (ValueError, OverflowError, galgebra.StructuralError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

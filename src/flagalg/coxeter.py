@@ -17,6 +17,8 @@ True
 
 from dataclasses import dataclass, field
 
+from ._linalg import StructuralError
+
 __all__ = [
     "CARTAN", "COXETER_NUMBER", "NUM_ROOTS", "LETTERS",
     "WeylGroup", "Element", "build_group", "bruhat_leq", "coset_reps",
@@ -110,9 +112,10 @@ class WeylGroup:
         self.coxeter_number = COXETER_NUMBER[cartan_type]
         self.longest_element = max(self.elements, key=lambda e: e.length)
 
-        assert self.longest_element.length == self.num_roots // 2
-        assert sum(1 for e in self.elements
-                   if e.length == self.longest_element.length) == 1
+        top = [e for e in self.elements
+               if e.length == self.longest_element.length]
+        if len(top) != 1 or 2 * top[0].length != self.num_roots:
+            raise StructuralError("no unique longest element of length |R|/2")
 
         # reflections (conjugates of simple reflections), for cover relations
         simples = [self.element(c) for c in self.simple_labels]
@@ -155,9 +158,6 @@ class WeylGroup:
 
     def length(self, a):
         return a.length
-
-    def is_reflection(self, a):
-        return a.index in self._reflections
 
     def right_descents(self, w):
         return [s for s in self.simple_reflections

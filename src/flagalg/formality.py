@@ -13,11 +13,12 @@ cohomology are quasi-isomorphisms; this module computes all three objects
 and certifies the two maps.
 
 Products go through the dense structure tensor T[a, b, k] (the
-coefficient of e_k in e_a e_b), cached per instance.  `check` raises
-StructuralError unless: D D = 0; D and T are nonzero only where the
-bidegrees fit; u T and T u (u the unit vector) are the identity; D u = 0;
-and, one slice a at a time, D T[a, b, :] = sum_c D[c, a] T[c, b, :] +
-(-1)^i sum_c D[c, b] T[a, c, :] for all b.  Associativity is not checked.
+coefficient of e_k in e_a e_b), built from the rows of `mult` and cached
+per instance.  `check` raises StructuralError unless: D D = 0; D and T
+are nonzero only where the bidegrees fit; u T and T u (u the unit vector)
+are the identity; D u = 0; and, one slice a at a time, D T[a, b, :] =
+sum_c D[c, a] T[c, b, :] + (-1)^i sum_c D[c, b] T[a, c, :] for all b.
+Associativity is not checked.
 
 Seeded random instances are built so the hypothesis holds by
 construction: a square-zero diagonal algebra extended by acyclic
@@ -25,7 +26,9 @@ off-diagonal pairs with zero products.  The quasi-isomorphism checks are
 then genuine tests of the shear, not of instance luck.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,24 +44,27 @@ __all__ = [
 
 @dataclass
 class BigradedDgAlgebra:
-    """Finite bigraded dg-algebra: basis bidegrees, sparse structure
-    constants, unit vector, differential matrix of bidegree (1, 0)."""
+    """Finite bigraded dg-algebra: basis bidegrees, structure constants,
+    unit vector, differential matrix of bidegree (1, 0).  `mult` is stored
+    as one int64 (m, 4) array: the row (i, j, k, c) says that e_i e_j has
+    coefficient c at e_k, 0 < c < p, rows lexsorted by (i, j, k); rows
+    given in any order are put in that form (_linalg.canonical_mult)."""
 
     p: int
     bidegrees: list
-    mult: dict
+    mult: np.ndarray
     unit: dict
     diff: np.ndarray
+
+    def __post_init__(self):
+        self.mult = la.canonical_mult(self.mult, self.dim, self.p)
 
     @property
     def dim(self):
         return len(self.bidegrees)
 
     def dims_by_bidegree(self):
-        out = {}
-        for bd in self.bidegrees:
-            out[bd] = out.get(bd, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self.bidegrees).items()))
 
     def unit_vector(self):
         v = np.zeros(self.dim, dtype=np.int64)
@@ -66,19 +72,15 @@ class BigradedDgAlgebra:
             v[k] = c % self.p
         return v
 
-    def structure_tensor(self):
-        """T[a, b, k], the coefficient of e_k in e_a e_b reduced mod p;
-        built from `mult` on first use and cached on the instance."""
-        T = getattr(self, "_tensor", None)
-        if T is None:
-            T = self._tensor = la.structure_tensor(self.mult, self.dim,
-                                                   self.p)
-        return T
+    @cached_property
+    def tensor(self):
+        """T[a, b, k], the coefficient of e_k in e_a e_b, from `mult`."""
+        return la.structure_tensor(self.mult, self.dim)
 
     def mul_vec(self, a, b):
         n, p = self.dim, self.p
         left = la.mod_matmul(np.mod(a, p)[None],
-                             self.structure_tensor().reshape(n, n * n), p)
+                             self.tensor.reshape(n, n * n), p)
         return la.mod_matmul(np.mod(b, p)[None], left.reshape(n, n), p)[0]
 
     def check(self):
@@ -89,7 +91,7 @@ class BigradedDgAlgebra:
             return
         n, p = self.dim, self.p
         D = np.mod(self.diff, p)
-        T = self.structure_tensor()
+        T = self.tensor
         bd = _bidegree_array(self)
         if np.any(la.mod_matmul(D, D, p)):
             raise StructuralError("d^2 != 0")
@@ -133,7 +135,7 @@ def _by_bidegree(R):
 
 def _products(R, X):
     """Every product x_a x_b of rows of X in R, as an (m, m, dim) array."""
-    return la.tensor_products(R.structure_tensor(), X, X, R.p)
+    return la.tensor_products(R.tensor, X, X, R.p)
 
 
 def _lift(R, idxs, local):
@@ -147,11 +149,11 @@ def _entry(vec):
     return {int(k): int(vec[k]) for k in np.flatnonzero(vec)}
 
 
-def _sparse_mult(coords, m):
-    """Structure constants {(a, b): {k: c}} from the coordinate rows of
-    the products x_a x_b, in (a, b) order; zero products are left out."""
-    return {divmod(int(t), m): _entry(coords[t])
-            for t in np.flatnonzero(coords.any(axis=1))}
+def _product_rows(coords, m):
+    """Structure constants (a, b, k, c) from the coordinate rows of the
+    products x_a x_b, in (a, b) order."""
+    t, k = np.nonzero(coords)
+    return np.column_stack([t // m, t % m, k, coords[t, k]])
 
 
 @dataclass
@@ -219,7 +221,7 @@ def cohomology(R):
     h = len(rep_bd)
     cls = classify(np.concatenate([_products(R, reps_arr).reshape(-1, R.dim),
                                    R.unit_vector()[None]]))
-    H = BigradedDgAlgebra(p, rep_bd, _sparse_mult(cls[:-1], h),
+    H = BigradedDgAlgebra(p, rep_bd, _product_rows(cls[:-1], h),
                           _entry(cls[-1]), np.zeros((h, h), dtype=np.int64))
     out = CohomologyData(H, reps_arr, classify)
     R._cohomology = out
@@ -270,7 +272,7 @@ def shear_subalgebra(R):
         raise StructuralError("shear subalgebra is not closed")
     # inc has independent columns, so they are the first n pivots
     coords = red[:n, n:]
-    sub = BigradedDgAlgebra(p, row_bd, _sparse_mult(coords[:, :n * n].T, n),
+    sub = BigradedDgAlgebra(p, row_bd, _product_rows(coords[:, :n * n].T, n),
                             _entry(coords[:, n * n]),
                             coords[:, n * n + 1:].copy())
     sub.check()
@@ -409,11 +411,9 @@ def random_diagonal_instance(seed, max_dim=40, p=5):
         a = base + 2 * k
         scal = int(rng.integers(1, p))
         diff[a + 1, a] = scal
-    mult = {}
-    for k in range(dim):
-        mult[(0, k)] = {k: 1}
-        mult[(k, 0)] = {k: 1}
-    mult[(0, 0)] = {0: 1}
+    # e_0 is the unit, and every other product is zero
+    mult = [(0, k, k, 1) for k in range(dim)] + \
+        [(k, 0, k, 1) for k in range(1, dim)]
     alg = BigradedDgAlgebra(p, bidegrees, mult, {0: 1}, diff)
     alg.check()
     return alg
@@ -427,9 +427,8 @@ def random_nondiagonal_instance(seed, p=5):
     dim = len(bidegrees)
     diff = np.zeros((dim, dim), dtype=np.int64)
     diff[: dim - 1, : dim - 1] = alg.diff
-    mult = {k: dict(v) for k, v in alg.mult.items()}
-    mult[(0, dim - 1)] = {dim - 1: 1}
-    mult[(dim - 1, 0)] = {dim - 1: 1}
+    mult = np.concatenate(
+        [alg.mult, [(0, dim - 1, dim - 1, 1), (dim - 1, 0, dim - 1, 1)]])
     out = BigradedDgAlgebra(alg.p, bidegrees, mult, {0: 1}, diff)
     out.check()
     return out

@@ -4,14 +4,19 @@ right modules: Hom solving, Krull-Schmidt decomposition with graded
 shifts, graded projective lifts, and Koszulity checking via minimal
 graded resolutions.
 
-A GradedAlgebra stores a basis with integer degrees and sparse structure
-constants; a RightModule stores its action as one int64 array of shape
-(dim A, dim M, dim M) (columns are coordinates, so coords(x * e_a) =
-action[a] @ coords(x)), and RightModule.matrix sums it over the nonzero
-coefficients of an algebra element.  Module maps of degree d send degree
-e to degree e + d; hom_all solves for them through a projective
-presentation of the source: a hom is fixed by its values on module
-generators, subject to the relations.
+A GradedAlgebra stores a basis with integer degrees and its structure
+constants as one int64 array of shape (m, 4): the row (i, j, k, c) says
+that e_i e_j has coefficient c at e_k, 0 < c < p, the rows lexsorted by
+(i, j, k), none repeated; the constructor puts rows given in any order
+in that form.
+
+A RightModule stores its action as one int64 array of shape (dim A,
+dim M, dim M) (columns are coordinates, so coords(x * e_a) = action[a] @
+coords(x)), and RightModule.matrix sums it over the nonzero coefficients
+of an algebra element.  Module maps of degree d send degree e to degree
+e + d; hom_all solves for them through a projective presentation of the
+source: a hom is fixed by its values on module generators, subject to
+the relations.
 
 The submodule R A that rows R generate is spanned by the products r e_a
 over the basis of A, and that span is already A-stable, since
@@ -36,6 +41,7 @@ every tested endomorphism is nilpotent or invertible.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,25 +78,26 @@ def dims_to_laurent(dims):
 
 @dataclass
 class GradedAlgebra:
-    """Finite dimensional graded algebra: basis degrees, sparse structure
-    constants mult[(i, j)] = {k: coeff} for e_i e_j, and the unit vector."""
+    """Finite dimensional graded algebra: basis degrees, structure
+    constants and the unit vector.  `mult` is taken as rows (i, j, k, c)
+    in any order and stored canonically (_linalg.canonical_mult)."""
 
     p: int
     degrees: list
-    mult: dict
+    mult: np.ndarray
     unit: dict
     labels: list = None          # optional printable label per basis index
     idempotents: dict = None     # optional label -> basis index
+
+    def __post_init__(self):
+        self.mult = la.canonical_mult(self.mult, self.dim, self.p)
 
     @property
     def dim(self):
         return len(self.degrees)
 
     def dims_by_degree(self):
-        out = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self.degrees).items()))
 
     def unit_vector(self):
         v = np.zeros(self.dim, dtype=np.int64)
@@ -99,17 +106,12 @@ class GradedAlgebra:
         return v
 
     def mul_vec(self, a, b):
+        """a b, summed over the rows (i, j, k, c) of mult at once."""
+        p = self.p
+        i, j, k, c = self.mult.T
         out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(a)[0]:
-            ai = int(a[i])
-            for j in np.nonzero(b)[0]:
-                prod = self.mult.get((int(i), int(j)))
-                if not prod:
-                    continue
-                bj = int(b[j])
-                for k, c in prod.items():
-                    out[k] = (out[k] + ai * bj * c) % self.p
-        return out
+        np.add.at(out, k, np.mod(a, p)[i] * np.mod(b, p)[j] % p * c % p)
+        return out % p
 
     def basis_vec(self, i):
         v = np.zeros(self.dim, dtype=np.int64)
@@ -119,9 +121,8 @@ class GradedAlgebra:
     def opposite(self):
         return GradedAlgebra(
             p=self.p, degrees=list(self.degrees),
-            mult={(j, i): dict(v) for (i, j), v in self.mult.items()},
-            unit=dict(self.unit), labels=self.labels,
-            idempotents=self.idempotents)
+            mult=self.mult[:, [1, 0, 2, 3]], unit=dict(self.unit),
+            labels=self.labels, idempotents=self.idempotents)
 
     def check(self, spot=200):
         """Unit and associativity spot checks on basis triples."""
@@ -132,11 +133,8 @@ class GradedAlgebra:
                 raise StructuralError("unit fails (left)")
             if not np.array_equal(self.mul_vec(b, u), b):
                 raise StructuralError("unit fails (right)")
-        n = self.dim
         rng = np.random.default_rng(0)
-        triples = [(int(a), int(b), int(c))
-                   for a, b, c in rng.integers(0, n, size=(spot, 3))]
-        for a, b, c in triples:
+        for a, b, c in rng.integers(0, self.dim, size=(spot, 3)):
             ab_c = self.mul_vec(self.mul_vec(self.basis_vec(a),
                                              self.basis_vec(b)),
                                 self.basis_vec(c))
@@ -167,10 +165,7 @@ class RightModule:
         return len(self.degrees)
 
     def dims_by_degree(self):
-        out = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self.degrees).items()))
 
     def matrix(self, avec):
         """The matrix of x -> x (sum avec[a] e_a), summed in place over the
@@ -270,18 +265,16 @@ def _idempotent_vectors(alg):
 
 def _right_products(A, X):
     """X e_b for every basis index b of A in turn, one (rows of X) x dim
-    matrix at a time, accumulated from the sparse structure constants."""
+    matrix at a time, accumulated from the rows (m, b, k, c) of the
+    structure constants with m in the support of X, grouped by b."""
     p = A.p
-    cols = {int(m) for m in np.flatnonzero(X.any(axis=0))}
-    terms = [[] for _ in range(A.dim)]     # b -> [(m, k, c)] with m in cols
-    for (m, b), prod in A.mult.items():
-        if m in cols:
-            terms[b].extend((m, k, c) for k, c in prod.items())
+    live = A.mult[X.any(axis=0)[A.mult[:, 0]]]
+    live = live[np.argsort(live[:, 1], kind="stable")]
+    ends = np.searchsorted(live[:, 1], np.arange(A.dim + 1))
     for b in range(A.dim):
+        m, _, k, c = live[ends[b]: ends[b + 1]].T
         out = np.zeros((A.dim, X.shape[0]), dtype=np.int64)
-        if terms[b]:
-            m, k, c = np.array(terms[b], dtype=np.int64).T
-            np.add.at(out, k, (X[:, m] * (c % p)).T % p)
+        np.add.at(out, k, (X[:, m] * c).T % p)
         yield out.T % p
 
 
@@ -718,10 +711,11 @@ class GradedComplex:
         for i, d in self.differentials.items():
             src = self.components[i]
             tgt = self.components.get(i + 1, [])
-            assert d.shape == (len(tgt), len(src))
-            if (i + 1) in self.differentials:
-                dd = (self.differentials[i + 1] @ d) % self.p
-                assert not np.any(dd), "d^2 != 0"
+            if d.shape != (len(tgt), len(src)):
+                raise ValueError("differential has the wrong shape")
+            if (i + 1) in self.differentials and \
+                    np.any(self.differentials[i + 1] @ d % self.p):
+                raise StructuralError("d^2 != 0")
 
     def shift_internal(self, k):
         """<k>: all internal degrees go up by k."""
@@ -768,7 +762,8 @@ def v_bar_shear(cx):
             for tidx in range(len(tgt)):
                 if dmat[tidx, sidx] % cx.p:
                     n2, trow = pos[(i + 1, tidx)]
-                    assert n2 == n + 1, "differential is not graded"
+                    if n2 != n + 1:
+                        raise StructuralError("differential is not graded")
                     diffs[n][trow, scol] = dmat[tidx, sidx] % cx.p
     return DgModule(dict(sorted(comps.items())), diffs, cx.p)
 
@@ -790,18 +785,16 @@ class KoszulReport:
 
 
 def _degree_zero_subalgebra(A):
-    idx = [i for i in range(A.dim) if A.degrees[i] == 0]
-    back = {b: k for k, b in enumerate(idx)}
-    mult = {}
-    for (i, j), prod in A.mult.items():
-        if i in back and j in back:
-            if any(k not in back and c % A.p for k, c in prod.items()):
-                raise StructuralError("degree-zero part is not closed")
-            mult[(back[i], back[j])] = {back[k]: c for k, c in prod.items()
-                                        if c % A.p}
-    unit = {back[k]: c for k, c in A.unit.items()}
-    sub = GradedAlgebra(A.p, [0] * len(idx), mult, unit)
-    return sub, idx
+    """The degree-zero part of A as an algebra, and its indices in A."""
+    idx = np.flatnonzero(np.array(A.degrees) == 0)
+    back = np.full(A.dim, -1)
+    back[idx] = np.arange(len(idx))
+    rows = np.column_stack([back[A.mult[:, :3]], A.mult[:, 3]])
+    rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
+    if np.any(rows[:, 2] < 0) or np.any(back[list(A.unit)] < 0):
+        raise StructuralError("degree-zero part is not closed")
+    unit = {int(back[k]): c for k, c in A.unit.items()}
+    return GradedAlgebra(A.p, [0] * len(idx), rows, unit), idx
 
 
 def _component_idempotents(A0):
@@ -887,8 +880,7 @@ def koszulity_check(A, cap=None):
         return KoszulReport(False, False, cap, False,
                             "not Koszul-gradable as given")
     A0, zero_idx = _degree_zero_subalgebra(A)
-    rad0 = la.algebra_radical(la.structure_tensor(A0.mult, A0.dim, A0.p),
-                              A0.p)
+    rad0 = la.algebra_radical(la.structure_tensor(A0.mult, A0.dim), A0.p)
     if rad0.shape[0]:
         return KoszulReport(True, False, cap, False,
                             "not Koszul-gradable as given")
@@ -966,14 +958,15 @@ def _block_products(left, right, target, p):
 
     Each argument maps a block key (a, b) to (start, stack): the block's
     maps as one (n, rows, cols) array, the first of them basis index
-    `start`.  Yields arrays (i, j, k, c) one chunk of products at a time:
-    the composite of left map i with right map j has the nonzero
-    coefficient c at target basis index k, the k ascending per pair."""
+    `start`.  Returns the products as unsorted rows (i, j, k, c), one
+    (m, 4) array: the composite of left map i with right map j has the
+    nonzero coefficient c at target basis index k."""
     pairs = {}
     for (a, b), lblock in left.items():
         for (b2, c), rblock in right.items():
             if b2 == b and len(lblock[1]) and len(rblock[1]):
                 pairs.setdefault((a, c), []).append((lblock, rblock))
+    chunks = [np.zeros((0, 4), dtype=np.int64)]
     for key, todo in pairs.items():
         t0, tstack = target[key]
         coords = _coordinates(tstack, p)
@@ -991,22 +984,11 @@ def _block_products(left, right, target, p):
                 live = np.flatnonzero(prod.any(axis=1))
                 cs = coords(prod[live])
                 rows, ks = np.nonzero(cs)
-                vals = cs[rows, ks]
-                rows = live[rows]
-                yield l0 + lo + rows // nb, r0 + rows % nb, t0 + ks, vals
-
-
-def _composition_mult(blocks, dim, p):
-    """Structure constants, keys sorted, of the algebra with the `dim`
-    maps of `blocks` (as for _block_products) as basis and composition as
-    product: e_i e_j is map i after map j."""
-    mult = {}
-    ids = list(range(dim))      # the keys of mult share these ints
-    for ii, jj, kk, vals in _block_products(blocks, blocks, blocks, p):
-        for i, j, k, c in zip(ii.tolist(), jj.tolist(), kk.tolist(),
-                              vals.tolist()):
-            mult.setdefault((ids[i], ids[j]), {})[ids[k]] = c
-    return {key: mult[key] for key in sorted(mult)}
+                pair = live[rows]
+                chunks.append(np.column_stack(
+                    [l0 + lo + pair // nb, r0 + pair % nb, t0 + ks,
+                     cs[rows, ks]]))
+    return np.concatenate(chunks)
 
 
 def ext_algebra_of_projectives(E, projectives):
@@ -1015,7 +997,20 @@ def ext_algebra_of_projectives(E, projectives):
     the maps raising the internal grading by n, and multiplication is
     composition.  Non-negativity of this grading is what the projective
     normalization is for."""
-    return _ext_algebra(E, projectives)[0]
+    return _cached_ext_algebra(E, projectives)[1]
+
+
+def _cached_ext_algebra(E, projectives):
+    """(modules, *_ext_algebra(E, projectives)), built once per E and
+    projectives: kept on E under the keys and ids of the modules, which
+    the entry holds, so that no other module can take their ids."""
+    keys = sorted(projectives, key=str)
+    cache = E.__dict__.setdefault("_ext_cache", {})
+    ident = tuple((str(k), id(projectives[k])) for k in keys)
+    if ident not in cache:
+        cache[ident] = ([projectives[k] for k in keys],
+                        *_ext_algebra(E, projectives))
+    return cache[ident]
 
 
 def _hom_blocks(sources, targets):
@@ -1046,7 +1041,7 @@ def _ext_algebra(E, projectives):
     degrees = [n for _, _, n in basis]
     if min(degrees) < 0:
         raise StructuralError("projective regrading has negative part")
-    mult = _composition_mult(blocks, len(basis), p)
+    mult = _block_products(blocks, blocks, blocks, p)
     # 1 is the identity of each block (i, i), in that block's coordinates
     unit = {}
     for i, P in enumerate(mods):
@@ -1066,12 +1061,11 @@ def upsilon_module(E, projectives, M):
 
     Returns (K, module) with K = ext_algebra_of_projectives(E,
     projectives) and the module a RightModule over K."""
-    mods = [projectives[k] for k in sorted(projectives, key=str)]
-    K, kblocks = _ext_algebra(E, projectives)
+    mods, K, kblocks = _cached_ext_algebra(E, projectives)
     # basis of the module: per source block si, homs P_si -> M by degree
     mbasis, mblocks = _hom_blocks(mods, [M])
     # kappa: P_si -> P_ti acts on psi: P_ti -> M to give psi o kappa
     action = np.zeros((K.dim, len(mbasis), len(mbasis)), dtype=np.int64)
-    for i, j, k, c in _block_products(mblocks, kblocks, mblocks, E.p):
-        action[j, k, i] = c
+    i, j, k, c = _block_products(mblocks, kblocks, mblocks, E.p).T
+    action[j, k, i] = c
     return K, RightModule(K, [d for _, _, d in mbasis], action)

@@ -23,6 +23,7 @@ subalgebra, and the inclusion of the first into the second is the
 identity on matrices.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
-from .galgebra import GradedAlgebra, StructuralError, _composition_mult, \
+from .galgebra import GradedAlgebra, StructuralError, _block_products, \
     _coordinates, idempotent_slice, restrict_module
 
 __all__ = [
@@ -165,12 +166,12 @@ class CoinvariantAlgebra:
 
         self.top = top
         dims = [len(self.basis[d]) for d in range(top + 2)]
-        assert dims[top + 1] == 0, "coinvariant algebra too large"
-        counts = {}
-        for w in self.group.elements:
-            counts[w.length] = counts.get(w.length, 0) + 1
-        assert all(dims[d] == counts.get(d, 0) for d in range(top + 1)), \
-            "Hilbert series does not match the Poincare polynomial"
+        if dims[top + 1]:
+            raise StructuralError("coinvariant algebra too large")
+        counts = Counter(w.length for w in self.group.elements)
+        if any(dims[d] != counts.get(d, 0) for d in range(top + 1)):
+            raise StructuralError(
+                "Hilbert series does not match the Poincare polynomial")
         self.dims = dims[: top + 1]
 
         # generator multiplication C_d -> C_{d+1}
@@ -277,8 +278,8 @@ class CoinvariantAlgebra:
                                               dtype=np.int64)) % self.ell
                 out[d] = la.mod_nullspace(m, self.ell)
             total = sum(v.shape[0] for v in out.values())
-            assert total == len(self.group.elements) // 2, \
-                "dim C^s != |W| / 2"
+            if total != len(self.group.elements) // 2:
+                raise StructuralError("dim C^s != |W| / 2")
             self._inv_basis[i] = out
         return self._inv_basis[i]
 
@@ -303,7 +304,9 @@ def _divide_by_variable(poly, i, ell):
     for exps, c in poly.items():
         if c % ell == 0:
             continue
-        assert exps[i] > 0, "polynomial is not divisible by the variable"
+        if exps[i] == 0:
+            raise StructuralError(
+                "polynomial is not divisible by the variable")
         down = tuple(e - int(k == i) for k, e in enumerate(exps))
         out[down] = c % ell
     return out
@@ -350,10 +353,7 @@ class BSModule:
         return len(self.degrees)
 
     def dims_by_degree(self):
-        out = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self.degrees).items()))
 
 
 def bott_samelson(C, word):
@@ -417,7 +417,8 @@ def bott_samelson(C, word):
         for j in range(i + 1, C.rank):
             ab = la.mod_matmul(mod.gen_action[i], mod.gen_action[j], C.ell)
             ba = la.mod_matmul(mod.gen_action[j], mod.gen_action[i], C.ell)
-            assert np.array_equal(ab, ba), "generator actions do not commute"
+            if not np.array_equal(ab, ba):
+                raise StructuralError("generator actions do not commute")
     C._bs_cache[key] = mod
     return mod
 
@@ -526,7 +527,7 @@ def _assemble_end_algebra(C, words, modules, wall=None):
         basis_mats[r.start:r.stop], dtype=np.int64).reshape(
             len(r), modules[ft].dim, modules[fs].dim))
         for (ft, fs), r in span.items()}
-    mult = _composition_mult(blocks, len(basis_blocks), ell)
+    mult = _block_products(blocks, blocks, blocks, ell)
 
     unit = {}
     for f in words:
@@ -560,8 +561,8 @@ def endomorphism_algebra(C, words=None):
     modules = {w: bott_samelson(C, w) for w in words}
     data = _assemble_end_algebra(C, words, modules, wall=None)
     # evenness: the geometric shadow
-    assert all(d % 2 == 0 for d in data.algebra.degrees), \
-        "endomorphism algebra has odd-degree part"
+    if any(d % 2 for d in data.algebra.degrees):
+        raise StructuralError("endomorphism algebra has odd-degree part")
     C._end_cache[key] = data
     return data
 

@@ -239,11 +239,11 @@ def test_criterion_09_hypothesis_checker():
 
 
 def test_criterion_10_koszulity_harness():
-    one_gen = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
-    fast = ga.GradedAlgebra(5, [0, 1], dict(one_gen), {0: 1})
+    one_gen = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+    fast = ga.GradedAlgebra(5, [0, 1], one_gen, {0: 1})
     rep = ga.koszulity_check(fast, cap=10)
     assert rep.linear_to_cap and rep.verdict == "Koszul to cap"
-    slow = ga.GradedAlgebra(5, [0, 2], dict(one_gen), {0: 1})
+    slow = ga.GradedAlgebra(5, [0, 2], one_gen, {0: 1})
     rep2 = ga.koszulity_check(slow, cap=10)
     assert not rep2.linear_to_cap
     C1 = sg.coinvariant_algebra("A1", 5)

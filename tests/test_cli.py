@@ -1,9 +1,13 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from flagalg import cli
+
+FROZEN_SHA256 = json.load(open(os.path.join(
+    os.path.dirname(__file__), "fixtures", "frozen.json")))["cli_sha256"]
 
 
 def run(capsys, *args):
@@ -159,3 +163,15 @@ def test_soergel_precondition(capsys):
         code, out, err = run(capsys, cmd, "--type", t, "--ell", "9")
         assert code == 1 and out == ""
         assert err.strip() == "error: ell = 9 is not prime"
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_SHA256))
+def test_cli_json_is_byte_identical(command, tmp_path, capsys):
+    # the sha256 of the JSON on stdout, frozen; endalg also reads its
+    # cache entry back and must print the same bytes
+    args = command.split() + ["--cache-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SHA256[command]
+    if args[0] == "endalg":
+        assert run(capsys, *args)[1] == out

@@ -11,7 +11,7 @@ from flagalg.galgebra import StructuralError
 
 
 def unit_line(p=5):
-    return fm.BigradedDgAlgebra(p, [(0, 0)], {(0, 0): {0: 1}}, {0: 1},
+    return fm.BigradedDgAlgebra(p, [(0, 0)], [(0, 0, 0, 1)], {0: 1},
                                 np.zeros((1, 1), dtype=np.int64))
 
 
@@ -19,8 +19,8 @@ def acyclic_pair(p=5, at=(0, 1)):
     i, j = at
     diff = np.zeros((3, 3), dtype=np.int64)
     diff[2, 1] = 1
-    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-            (0, 2): {2: 1}, (2, 0): {2: 1}}
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+            (0, 2, 2, 1), (2, 0, 2, 1)]
     return fm.BigradedDgAlgebra(p, [(0, 0), (i, j), (i + 1, j)], mult,
                                 {0: 1}, diff)
 
@@ -65,7 +65,8 @@ def test_diagonal_check_failure():
 def test_shear_on_zero_differential_diagonal():
     # d = 0, everything on the diagonal: the shear is everything
     p = 5
-    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
+    # e_1 e_1 = 0
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
     R = fm.BigradedDgAlgebra(p, [(0, 0), (1, 1)], mult, {0: 1},
                              np.zeros((2, 2), dtype=np.int64))
     sub, inc, proj, hd = fm.shear_subalgebra(R)
@@ -79,8 +80,8 @@ def test_shear_example_unit_plus_killed_pair():
     p = 5
     diff = np.zeros((3, 3), dtype=np.int64)
     diff[2, 1] = 1
-    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-            (0, 2): {2: 1}, (2, 0): {2: 1}}
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+            (0, 2, 2, 1), (2, 0, 2, 1)]
     R = fm.BigradedDgAlgebra(p, [(0, 0), (0, 0), (1, 0)], mult, {0: 1},
                              diff)
     sub, inc, proj, hd = fm.shear_subalgebra(R)
@@ -151,14 +152,21 @@ def test_omega_shear_random_shift_law():
 # the loop versions of mul_vec and check, kept as references
 
 
-def _mul_vec_loop(A, a, b):
+def _by_pair(A):
+    """{(i, j): [(k, c)]}, from the rows (i, j, k, c) of A.mult."""
+    out = {}
+    for i, j, k, c in A.mult.tolist():
+        out.setdefault((i, j), []).append((k, c))
+    return out
+
+
+def _mul_vec_loop(A, a, b, by_pair=None):
+    by_pair = _by_pair(A) if by_pair is None else by_pair
     out = np.zeros(A.dim, dtype=np.int64)
     for i in np.nonzero(a)[0]:
         for j in np.nonzero(b)[0]:
-            prod = A.mult.get((int(i), int(j)))
-            if prod:
-                for k, c in prod.items():
-                    out[k] = (out[k] + int(a[i]) * int(b[j]) * c) % A.p
+            for k, c in by_pair.get((int(i), int(j)), ()):
+                out[k] = (out[k] + int(a[i]) * int(b[j]) * c) % A.p
     return out
 
 
@@ -171,19 +179,21 @@ def _check_loop(A):
         for i in np.nonzero(A.diff[:, j])[0]:
             assert A.bidegrees[int(i)] == (i0 + 1, j0), \
                 "differential is not of bidegree (1, 0)"
-    for (a, b), prod in A.mult.items():
+    for a, b, k, c in A.mult.tolist():
         ia, ja = A.bidegrees[a]
         ib, jb = A.bidegrees[b]
-        for k, c in prod.items():
-            if c % p:
-                assert A.bidegrees[k] == (ia + ib, ja + jb), \
-                    "product is not bidegree-additive"
+        if c % p:
+            assert A.bidegrees[k] == (ia + ib, ja + jb), \
+                "product is not bidegree-additive"
+    by_pair = _by_pair(A)
     u = A.unit_vector()
     for k in range(A.dim):
         e = np.zeros(A.dim, dtype=np.int64)
         e[k] = 1
-        assert np.array_equal(_mul_vec_loop(A, u, e), e), "unit fails"
-        assert np.array_equal(_mul_vec_loop(A, e, u), e), "unit fails"
+        assert np.array_equal(_mul_vec_loop(A, u, e, by_pair), e), \
+            "unit fails"
+        assert np.array_equal(_mul_vec_loop(A, e, u, by_pair), e), \
+            "unit fails"
     assert not np.any((A.diff @ u) % p), "d(1) != 0"
     for a in range(A.dim):
         for b in range(A.dim):
@@ -191,16 +201,17 @@ def _check_loop(A):
             eb = np.zeros(A.dim, dtype=np.int64)
             ea[a] = 1
             eb[b] = 1
-            lhs = (A.diff @ _mul_vec_loop(A, ea, eb)) % p
+            lhs = (A.diff @ _mul_vec_loop(A, ea, eb, by_pair)) % p
             sign = 1 if A.bidegrees[a][0] % 2 == 0 else p - 1
-            rhs = (_mul_vec_loop(A, (A.diff @ ea) % p, eb)
-                   + sign * _mul_vec_loop(A, ea, (A.diff @ eb) % p)) % p
+            rhs = (_mul_vec_loop(A, (A.diff @ ea) % p, eb, by_pair)
+                   + sign * _mul_vec_loop(A, ea, (A.diff @ eb) % p,
+                                          by_pair)) % p
             assert np.array_equal(lhs, rhs), "Leibniz rule fails"
 
 
 def _fresh(A):
     """A copy of A with nothing cached, so check runs again."""
-    return fm.BigradedDgAlgebra(A.p, list(A.bidegrees), dict(A.mult),
+    return fm.BigradedDgAlgebra(A.p, list(A.bidegrees), A.mult.copy(),
                                 dict(A.unit), A.diff.copy())
 
 
@@ -213,25 +224,25 @@ def test_check_matches_loop_on_seeds():
             _fresh(A).check()
 
 
-def _with_unit(bidegrees, diff_entries=(), products=None, p=5):
+def _with_unit(bidegrees, diff_entries=(), products=(), p=5):
     """Basis element 0 is the unit at (0, 0); diff_entries are (row, col)
-    positions of d set to 1; products are added to the unit's."""
+    positions of d set to 1; the rows (i, j, k, c) of products replace
+    the unit's products e_i e_j."""
     n = len(bidegrees)
     diff = np.zeros((n, n), dtype=np.int64)
     for r, c in diff_entries:
         diff[r, c] = 1
-    mult = {}
-    for k in range(n):
-        mult[(0, k)] = {k: 1}
-        mult[(k, 0)] = {k: 1}
-    mult.update(products or {})
+    products = list(products)
+    replaced = {(i, j) for i, j, _, _ in products}
+    mult = [(i, j, k, 1) for k in range(n) for i, j in {(0, k), (k, 0)}
+            if (i, j) not in replaced] + products
     return fm.BigradedDgAlgebra(p, list(bidegrees), mult, {0: 1}, diff)
 
 
 def _broken_leibniz():
     # d x = y, d w = v and x x = w: d(x x) = v but (dx) x + x (dx) = 0
     return _with_unit([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
-                      [(2, 1), (4, 3)], {(1, 1): {3: 1}})
+                      [(2, 1), (4, 3)], [(1, 1, 3, 1)])
 
 
 MUTANTS = [
@@ -240,11 +251,11 @@ MUTANTS = [
     ("differential is not of bidegree (1, 0)",
      lambda: _with_unit([(0, 0), (0, 1), (1, 2)], [(2, 1)])),
     ("product is not bidegree-additive",
-     lambda: _with_unit([(0, 0), (1, 1), (2, 1)], (), {(1, 1): {2: 1}})),
+     lambda: _with_unit([(0, 0), (1, 1), (2, 1)], (), [(1, 1, 2, 1)])),
     ("unit fails",                                     # left unit
-     lambda: _with_unit([(0, 0), (1, 1)], (), {(0, 1): {1: 2}})),
+     lambda: _with_unit([(0, 0), (1, 1)], (), [(0, 1, 1, 2)])),
     ("unit fails",                                     # right unit
-     lambda: _with_unit([(0, 0), (1, 1)], (), {(1, 0): {1: 2}})),
+     lambda: _with_unit([(0, 0), (1, 1)], (), [(1, 0, 1, 2)])),
     ("d(1) != 0",
      lambda: _with_unit([(0, 0), (1, 0)], [(1, 0)])),
     ("Leibniz rule fails", _broken_leibniz),
@@ -263,11 +274,13 @@ def test_mul_vec_matches_loop():
     rng = np.random.default_rng(7)
     algebras = [fm.random_diagonal_instance(seed) for seed in range(5)]
     for _ in range(5):
-        # arbitrary structure constants, with coefficients outside [0, p)
+        # arbitrary structure constants, in no order and with
+        # coefficients outside [0, p)
         n = int(rng.integers(1, 8))
-        mult = {(a, b): {int(k): int(rng.integers(-9, 9))
-                         for k in rng.integers(0, n, size=3)}
-                for a in range(n) for b in range(n) if rng.random() < 0.6}
+        mult = [(a, b, int(k), int(rng.integers(-9, 9)))
+                for a in range(n) for b in range(n) if rng.random() < 0.6
+                for k in np.unique(rng.integers(0, n, size=3))]
+        rng.shuffle(mult)
         algebras.append(fm.BigradedDgAlgebra(
             7, [(0, 0)] * n, mult, {}, np.zeros((n, n), dtype=np.int64)))
     for A in algebras:
@@ -285,9 +298,8 @@ if __debug__:
 n = 5
 diff = np.zeros((n, n), dtype=np.int64)
 diff[2, 1] = diff[4, 3] = 1
-mult = {(0, k): {k: 1} for k in range(n)}
-mult.update({(k, 0): {k: 1} for k in range(n)})
-mult[(1, 1)] = {3: 1}
+mult = [(0, k, k, 1) for k in range(n)] + \
+    [(k, 0, k, 1) for k in range(1, n)] + [(1, 1, 3, 1)]
 R = fm.BigradedDgAlgebra(5, [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
                          mult, {0: 1}, diff)
 try:
@@ -322,7 +334,7 @@ def test_classify_rejects_non_cycles():
 def test_shear_not_closed_raises_structural_error():
     # x x = w leaves ker d at (2, 2); only a skipped check lets R through
     R = _with_unit([(0, 0), (1, 1), (2, 2), (3, 2)], [(3, 2)],
-                   {(1, 1): {2: 1}})
+                   [(1, 1, 2, 1)])
     with pytest.raises(StructuralError, match="Leibniz rule fails"):
         _fresh(R).check()
     R._checked = True

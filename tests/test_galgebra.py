@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flagalg import _linalg as la
+from flagalg import formality as fm
 from flagalg import galgebra as ga
 from flagalg import gradedO as go
 from flagalg import soergel as sg
@@ -18,9 +19,7 @@ FIX = json.load(open(os.path.join(os.path.dirname(__file__),
 def dual_numbers(p=5, deg=1):
     """F[x]/(x^2) with x in the given degree."""
     return ga.GradedAlgebra(
-        p, [0, deg],
-        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}},
-        {0: 1})
+        p, [0, deg], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], {0: 1})
 
 
 def test_regular_module_and_check():
@@ -131,9 +130,9 @@ def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2):
     # idempotents of K(A1), and E11 + E21 in M_2(F_5), whose slice rows
     # E11 + E21, E12 + E22 are not basis vectors
     pairs = [(i, j) for i in range(2) for j in range(2)]
-    m2 = ga.GradedAlgebra(5, [0] * 4, {
-        (2 * i + j, 2 * k + m): {2 * i + m: 1} if j == k else {}
-        for i, j in pairs for k, m in pairs}, {0: 1, 3: 1})
+    m2 = ga.GradedAlgebra(5, [0] * 4, [
+        (2 * i + j, 2 * k + m, 2 * i + m, 1)
+        for i, j in pairs for k, m in pairs if j == k], {0: 1, 3: 1})
     cases = [(m2, np.array([1, 0, 1, 0]))]
     for A in (sg.endomorphism_algebra(C_A1).algebra,
               sg.endomorphism_algebra(C_A2).algebra,
@@ -186,7 +185,7 @@ def test_koszulity_dual_numbers():
 
 
 def test_koszulity_ground_field():
-    A = ga.GradedAlgebra(5, [0], {(0, 0): {0: 1}}, {0: 1})
+    A = ga.GradedAlgebra(5, [0], [(0, 0, 0, 1)], {0: 1})
     rep = ga.koszulity_check(A, cap=5)
     assert rep.linear_to_cap
     assert rep.dual_graded_dims == {(0, 0): 1}
@@ -195,14 +194,12 @@ def test_koszulity_ground_field():
 def test_koszulity_gate_verdicts():
     # negative grading: not Koszul-gradable
     A = ga.GradedAlgebra(5, [0, -1],
-                         {(0, 0): {0: 1}, (0, 1): {1: 1},
-                          (1, 0): {1: 1}, (1, 1): {}}, {0: 1})
+                         [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], {0: 1})
     rep = ga.koszulity_check(A, cap=4)
     assert rep.verdict == "not Koszul-gradable as given"
     # nonsemisimple degree zero: F[x]/(x^2) concentrated in degree 0
     B = ga.GradedAlgebra(5, [0, 0],
-                         {(0, 0): {0: 1}, (0, 1): {1: 1},
-                          (1, 0): {1: 1}, (1, 1): {}}, {0: 1})
+                         [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], {0: 1})
     rep2 = ga.koszulity_check(B, cap=4)
     assert rep2.is_nonneg_graded and not rep2.is_semisimple_deg0
     assert rep2.verdict == "not Koszul-gradable as given"
@@ -458,8 +455,8 @@ import numpy as np
 from flagalg import galgebra as ga
 if __debug__:
     raise SystemExit("expected python -O")
-A = ga.GradedAlgebra(5, [0, 1], {{(0, 0): {{0: 1}}, (0, 1): {{1: 1}},
-                                 (1, 0): {{1: 1}}, (1, 1): {{}}}}, {{0: 1}})
+A = ga.GradedAlgebra(5, [0, 1], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                     {{0: 1}})
 try:
     ga.submodule(ga.regular_module(A), np.array({rows!r}))
 except ga.StructuralError as exc:
@@ -548,7 +545,7 @@ def _ext_algebra_ref(E, projectives):
                 basis += [(si, ti, d, phi) for phi in mats]
     coords = _span_coordinates_ref(
         (((si, ti, n), phi) for si, ti, n, phi in basis), p)
-    mult = {}
+    mult = []
     for i, (si, ti, n1, phi) in enumerate(basis):
         for j, (sj, tj, n2, psi) in enumerate(basis):
             if tj != si:
@@ -556,8 +553,7 @@ def _ext_algebra_ref(E, projectives):
             comp = (phi @ psi) % p
             if np.any(comp):
                 entry = coords((sj, ti, n1 + n2), comp)
-                if entry:
-                    mult[(i, j)] = entry
+                mult += [(i, j, k, c) for k, c in entry.items()]
     # the identities are literal basis vectors in every block here (the
     # solve for 1 that used to back this up never ran)
     unit = {idx: 1 for idx, (si, ti, n, phi) in enumerate(basis)
@@ -593,9 +589,7 @@ def _upsilon_module_ref(E, projectives, M):
 
 
 def _same_algebra(A, B):
-    # same values in the same key order at both levels of mult
-    assert [(k, list(v.items())) for k, v in A.mult.items()] == \
-        [(k, list(v.items())) for k, v in B.mult.items()]
+    assert np.array_equal(A.mult, B.mult)
     assert list(A.unit.items()) == list(B.unit.items())
     assert A.degrees == B.degrees and A.labels == B.labels
     assert A.p == B.p
@@ -676,9 +670,8 @@ from flagalg import galgebra as ga
 if __debug__:
     raise SystemExit("expected python -O")
 # e0 = 1, e1 e1 = e2, e1 e2 = e3: (e1 e1) e1 = 0 but e1 (e1 e1) = e3
-mult = {(0, j): {j: 1} for j in range(4)}
-mult.update({(j, 0): {j: 1} for j in range(4)})
-mult.update({(1, 1): {2: 1}, (1, 2): {3: 1}})
+mult = [(0, j, j, 1) for j in range(4)] + [(j, 0, j, 1) for j in range(1, 4)]
+mult += [(1, 1, 2, 1), (1, 2, 3, 1)]
 try:
     ga.GradedAlgebra(5, [0, 1, 2, 3], mult, {0: 1}).check(spot=2000)
 except ga.StructuralError as exc:
@@ -706,9 +699,8 @@ from flagalg import galgebra as ga
 if __debug__:
     raise SystemExit("expected python -O")
 # e0 = 1 and e1 in degree 0, but e1 e1 = e2 in degree 1
-mult = {(0, j): {j: 1} for j in range(3)}
-mult.update({(j, 0): {j: 1} for j in range(3)})
-mult[(1, 1)] = {2: 1}
+mult = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in range(1, 3)]
+mult += [(1, 1, 2, 1)]
 try:
     ga.koszulity_check(ga.GradedAlgebra(5, [0, 0, 1], mult, {0: 1}))
 except ga.StructuralError as exc:
@@ -719,6 +711,93 @@ except ga.StructuralError as exc:
 def test_koszulity_rejects_open_degree_zero_part_under_python_O():
     assert _run_optimized(_OPEN_DEGREE_ZERO) == \
         "StructuralError: degree-zero part is not closed"
+
+
+_CERTIFICATE_UNDER_O = """
+import numpy as np
+from flagalg import galgebra as ga
+from flagalg import soergel as sg
+if __debug__:
+    raise SystemExit("expected python -O")
+one = np.ones((1, 1), dtype=np.int64)
+try:
+    CALL
+except ga.StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+@pytest.mark.parametrize("call, message", [
+    # d1 d0 = 1 on F_5 -> F_5 -> F_5
+    ("ga.GradedComplex({0: [0], 1: [0], 2: [0]}, {0: one, 1: one}, 5)"
+     ".check()", "d^2 != 0"),
+    # the Demazure quotient of x_1 by x_0
+    ("sg._divide_by_variable({(0, 1): 1}, 0, 5)",
+     "polynomial is not divisible by the variable")])
+def test_certificates_raise_under_python_O(call, message):
+    assert _run_optimized(_CERTIFICATE_UNDER_O.replace("CALL", call)) == \
+        f"StructuralError: {message}"
+
+
+def test_complex_certificates():
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="wrong shape"):
+        ga.GradedComplex({0: [0]}, {0: one}, 5).check()
+    # a degree-0 differential that moves internal degree 0 to 1
+    with pytest.raises(ga.StructuralError, match="not graded"):
+        ga.v_bar_shear(ga.GradedComplex({0: [0], 1: [1]}, {0: one}, 5))
+
+
+def test_structure_constants_canonical_form():
+    rows = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 2, 3),
+            (0, 2, 2, 1), (2, 0, 2, 1)]
+    A = ga.GradedAlgebra(5, [0, 1, 2], rows, {0: 1})
+    assert A.mult.dtype == np.int64
+    assert A.mult.tolist() == sorted(map(list, rows))
+    # the same constants shuffled, with coefficients outside [0, p) and a
+    # zero one
+    messy = [(1, 1, 2, -2), (2, 0, 2, 6), (1, 1, 0, 10), (0, 1, 1, 1),
+             (0, 0, 0, 11), (1, 0, 1, -4), (0, 2, 2, 1)]
+    zero = np.zeros((3, 3), dtype=np.int64)
+    for build in (lambda m: ga.GradedAlgebra(5, [0, 1, 2], m, {0: 1}),
+                  lambda m: fm.BigradedDgAlgebra(
+                      5, [(0, 0), (1, 1), (2, 2)], m, {0: 1}, zero)):
+        assert np.array_equal(build(messy).mult, A.mult)
+        assert build(np.zeros((0, 4), dtype=np.int64)).mult.shape == (0, 4)
+        for bad, message in ((rows + [(1, 1, 2, 1)], "repeated"),
+                             (rows + [(1, 1, 3, 1)], "out of range"),
+                             (rows + [(-1, 1, 2, 1)], "out of range")):
+            with pytest.raises(ValueError, match=message):
+                build(bad)
+
+
+def test_opposite_swaps_the_factors(C_A2):
+    for A in (dual_numbers(), sg.endomorphism_algebra(C_A2).algebra):
+        op = A.opposite()
+        assert op.mult.tolist() == sorted(
+            [j, i, k, c] for i, j, k, c in A.mult.tolist())
+        assert np.array_equal(op.opposite().mult, A.mult)
+
+
+def test_upsilon_builds_K_once_per_projectives(monkeypatch):
+    # a fresh A2 setup at ell = 7, so that no other test has built K
+    C = sg.coinvariant_algebra("A2", 7)
+    E = sg.endomorphism_algebra(C).algebra
+    projs = go.projectives_for(C)
+    stds = go.standard_modules(C)
+    calls = []
+    build = ga._ext_algebra
+    monkeypatch.setattr(ga, "_ext_algebra",
+                        lambda E, P: calls.append(P) or build(E, P))
+    Ks = [ga.upsilon_module(E, projs, M)[0] for M in stds.values()]
+    assert len(stds) == 6 and len(calls) == 1
+    assert all(K is Ks[0] for K in Ks)
+    assert ga.ext_algebra_of_projectives(E, projs) is Ks[0]
+    # the same modules as new objects make another projectives dict
+    other = {x: ga.shift_module(P, 0) for x, P in projs.items()}
+    K2, _ = ga.upsilon_module(E, other, stds[C.group.identity])
+    assert len(calls) == 2 and K2 is not Ks[0]
+    _same_algebra(K2, Ks[0])
 
 
 def test_check_certificates_raise_structural_errors():
@@ -739,7 +818,7 @@ def test_component_idempotents_certificates(monkeypatch):
     # F_2 x F_2 x F_2: its components of 1 are the coordinate idempotents,
     # unless the regular module is split along lines that are not ideals
     n = 3
-    A0 = ga.GradedAlgebra(2, [0] * n, {(i, i): {i: 1} for i in range(n)},
+    A0 = ga.GradedAlgebra(2, [0] * n, [(i, i, i, 1) for i in range(n)],
                           {i: 1 for i in range(n)})
     assert sorted(e.tolist() for e in ga._component_idempotents(A0)) == \
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
@@ -754,7 +833,7 @@ def test_component_idempotents_certificates(monkeypatch):
                        match="components of 1 are not orthogonal"):
         ga._component_idempotents(A0)
     # over F_5, 1 = (1, 2) - (0, 1) and (1, 2)^2 = (1, 4)
-    A5 = ga.GradedAlgebra(5, [0, 0], {(0, 0): {0: 1}, (1, 1): {1: 1}},
+    A5 = ga.GradedAlgebra(5, [0, 0], [(0, 0, 0, 1), (1, 1, 1, 1)],
                           {0: 1, 1: 1})
     split_along([1, 2], [0, 1])
     with pytest.raises(ga.StructuralError,

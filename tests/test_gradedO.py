@@ -173,6 +173,9 @@ def _wall_block_modules_loop(C, s, side):
         E = E.opposite()
     Es = wall_data.algebra
     p = E.p
+    products = {}           # (a, b) -> [(k, c)] from the rows of Es.mult
+    for a, b, k, c in Es.mult.tolist():
+        products.setdefault((a, b), []).append((k, c))
     out = []
     for f in wall_data.words:
         idx = [k for k, (t, src, _) in enumerate(wall_data.basis_blocks)
@@ -186,7 +189,7 @@ def _wall_block_modules_loop(C, s, side):
                 prod = np.zeros(Es.dim, dtype=np.int64)
                 for k in np.nonzero(avec)[0]:
                     key = (b, int(k)) if side == "right" else (int(k), b)
-                    for kk, c in Es.mult.get(key, {}).items():
+                    for kk, c in products.get(key, []):
                         prod[kk] = (prod[kk] + int(avec[k]) * c) % p
                 for kk in np.nonzero(prod)[0]:
                     assert int(kk) in back, "block not stable"

@@ -131,8 +131,8 @@ def test_end_algebra_a1(C_A1):
     data.algebra.check()
     # e_() E e_() is one dimensional
     e0 = data.algebra.idempotents[""]
-    prod_space = [k for (i, j), prod in data.algebra.mult.items()
-                  if i == e0 and j == e0 for k in prod]
+    prod_space = [k for i, j, k, _ in data.algebra.mult.tolist()
+                  if i == e0 and j == e0]
     assert len(set(prod_space)) == 1
 
 
@@ -322,7 +322,7 @@ def _assemble_end_algebra_loop(C, words, modules, wall=None):
         for idx in idxs:
             assert e.insert(basis_mats[idx].reshape(-1)) is None
         ech[key] = (e, idxs)
-    mult = {}
+    mult = []
     for i, (ti, si, di) in enumerate(basis_blocks):
         for j, (tj, sj, dj) in enumerate(basis_blocks):
             if si != tj:
@@ -333,8 +333,8 @@ def _assemble_end_algebra_loop(C, words, modules, wall=None):
             e, idxs = ech[(ti, sj, di + dj)]
             red, combo = e.reduce(comp.reshape(-1))
             assert not np.any(red)
-            mult[(i, j)] = {idxs[k]: int((-combo[k]) % ell)
-                            for k in range(len(combo)) if combo[k] % ell}
+            mult += [(i, j, idxs[k], int((-combo[k]) % ell))
+                     for k in range(len(combo)) if combo[k] % ell]
     idems = {f: block_basis[(f, f, 0)][0] for f in words}
     unit = {idx: 1 for idx in idems.values()}
     return basis_blocks, basis_mats, mult, unit, idems
@@ -372,9 +372,8 @@ def test_end_assembly_matches_loop(cartan, ell, wall):
     alg = data.algebra
     assert data.basis_blocks == blocks
     assert all(np.array_equal(a, b) for a, b in zip(data.basis_mats, mats))
-    # same values, same key order at both levels
-    assert [(k, list(v.items())) for k, v in alg.mult.items()] == \
-        [(k, list(v.items())) for k, v in mult.items()]
+    # the loop emits its rows in the canonical (i, j, k) order
+    assert np.array_equal(alg.mult, np.array(mult, dtype=np.int64))
     assert list(alg.unit.items()) == list(unit.items())
     assert list(alg.idempotents.items()) == list(idems.items())
 

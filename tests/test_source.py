@@ -1,0 +1,19 @@
+"""Guards over the source of src/flagalg itself."""
+
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "flagalg")
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so every certificate in the
+    # library raises instead
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert glob.glob(os.path.join(SRC, "*.py")) and not found, found

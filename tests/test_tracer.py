@@ -19,8 +19,8 @@ def test_perfbench_tracer_wraps_and_restores():
     tr = tracer.Tracer().install()
     try:
         assert ga.hom_dims is not before[0]
-        A = ga.GradedAlgebra(5, [0, 1], {(0, 0): {0: 1}, (0, 1): {1: 1},
-                                         (1, 0): {1: 1}}, {0: 1})
+        A = ga.GradedAlgebra(5, [0, 1], [(0, 0, 0, 1), (0, 1, 1, 1),
+                                         (1, 0, 1, 1)], {0: 1})
         reg = ga.regular_module(A)
         assert ga.hom_dims(reg, reg) == {0: 1, 1: 1}
         metrics = tr.metrics()
