@@ -22,7 +22,7 @@ from ._linalg import StructuralError
 __all__ = [
     "CARTAN", "COXETER_NUMBER", "NUM_ROOTS", "LETTERS",
     "WeylGroup", "Element", "build_group", "bruhat_leq", "coset_reps",
-    "reduced_expressions", "multiply", "distinguished_family",
+    "reduced_expressions", "distinguished_family",
 ]
 
 LETTERS = "stu"
@@ -192,11 +192,6 @@ def build_group(cartan_type):
     if cartan_type not in _GROUPS:
         _GROUPS[cartan_type] = WeylGroup(cartan_type)
     return _GROUPS[cartan_type]
-
-
-def multiply(W, w, s):
-    """Product w s in W."""
-    return W.mult(w, s)
 
 
 def bruhat_leq(W, u, v):

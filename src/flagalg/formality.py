@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class BigradedDgAlgebra:
     """Finite bigraded dg-algebra: basis bidegrees, structure constants,
     unit vector, differential matrix of bidegree (1, 0).  `mult` is stored
@@ -156,7 +156,7 @@ def _product_rows(coords, m):
     return np.column_stack([t // m, t % m, k, coords[t, k]])
 
 
-@dataclass
+@dataclass(eq=False)
 class CohomologyData:
     """Cohomology of a bigraded dg-algebra: the quotient algebra (d = 0),
     the cycle representatives, and the class map, which sends a batch of
@@ -308,7 +308,7 @@ def verify_quasi_iso(src, tgt, mat):
 # bigraded module data and the index shear
 
 
-@dataclass
+@dataclass(eq=False)
 class BigradedComponents:
     """Bounded bigraded dg-module data: dims per bidegree and differential
     blocks of bidegree (1, 0)."""

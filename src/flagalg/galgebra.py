@@ -76,7 +76,7 @@ def dims_to_laurent(dims):
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass
+@dataclass(eq=False)
 class GradedAlgebra:
     """Finite dimensional graded algebra: basis degrees, structure
     constants and the unit vector.  `mult` is taken as rows (i, j, k, c)
@@ -151,7 +151,7 @@ class GradedAlgebra:
         return list(range(self.dim))
 
 
-@dataclass
+@dataclass(eq=False)
 class RightModule:
     """Graded right module: degrees per basis index, and the action as one
     int64 array of shape (algebra.dim, dim, dim)."""
@@ -330,8 +330,9 @@ def restrict_module(N, B, emb):
     return RightModule(B, list(N.degrees), action)
 
 
-# product entries folded into the running RREF at once by span_under_action
-_SPAN_BUDGET = 2 ** 16
+# product entries formed at once: per fold into the running RREF in
+# span_under_action, per chunk of composites in _block_products
+_PRODUCT_BUDGET = 2 ** 16
 
 
 def span_under_action(M, rows, base=None):
@@ -349,7 +350,7 @@ def span_under_action(M, rows, base=None):
     rows = rows[rows.any(axis=1)]
     if not rows.size:
         return red, piv
-    step = max(1, _SPAN_BUDGET // rows.size)
+    step = max(1, _PRODUCT_BUDGET // rows.size)
     for a0 in range(0, M.algebra.dim, step):
         prods = la.mod_matmul(
             rows, M.action[a0: a0 + step].transpose(0, 2, 1), p)
@@ -686,7 +687,7 @@ def simple_dims(projectives):
 # scaffolding functors
 
 
-@dataclass
+@dataclass(eq=False)
 class UngradedModule:
     dim: int
     action: list
@@ -697,7 +698,7 @@ def v_forget(M):
     return UngradedModule(M.dim, M.action.copy())
 
 
-@dataclass
+@dataclass(eq=False)
 class GradedComplex:
     """Bounded complex of graded spaces: components[i] = degrees list,
     differentials[i]: matrix from component i to component i+1 (graded,
@@ -724,7 +725,7 @@ class GradedComplex:
             {i: m.copy() for i, m in self.differentials.items()}, self.p)
 
 
-@dataclass
+@dataclass(eq=False)
 class DgModule:
     """Dg-space graded by total degree; differential of degree +1."""
 
@@ -945,10 +946,6 @@ def _coordinates(basis, p, outside="composite outside computed hom space"):
             raise StructuralError(outside)
         return out
     return coords
-
-
-# product entries per chunk of composites in _block_products
-_PRODUCT_BUDGET = 2 ** 16
 
 
 def _block_products(left, right, target, p):

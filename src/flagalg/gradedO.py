@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class TranslationData:
     """Everything needed to translate between E and E^s modules: the two
     algebras and the unital degree-0 embedding E -> E^s."""

@@ -3,18 +3,27 @@ The coinvariant algebra of a Weyl group over a prime field, with the
 doubled grading, its parabolic invariant subalgebras, Bott-Samelson
 modules, and the graded endomorphism algebras built from them.
 
-The coinvariant algebra C is the polynomial algebra on the root lattice
-modulo the ideal generated by positive-degree invariants, computed degree
-by degree with exact linear algebra over F_l.  The standing assumption
-l > (Coxeter number) keeps this the right size: dim C = |W| and the
-Hilbert series is the doubled Poincare polynomial of W.  Generators sit
-in degree 2.
+The coinvariant algebra C is the polynomial algebra S on the root
+lattice modulo the ideal I generated by positive-degree invariants.  It
+is computed degree by degree with exact linear algebra over F_l, on the
+monomial basis of each S_d: multiplication by a variable is a 0/1 matrix
+S_d -> S_{d+1}, the simple reflections on S_d follow from those on
+S_{d-1} through s_i(a_j m) = s_i(a_j) s_i(m), and the invariants S^W_d
+are the common kernel of the s_i - 1.  As S_d = sum_i a_i S_{d-1},
+I_d = S^W_d + sum_i a_i I_{d-1}; its row echelon form gives the basis of
+C_d (the monomials off its pivots), the reduction S_d -> C_d and the
+lift C_d -> S_d, and every table of C (generator multiplication, the
+reflections, the Demazure operators) is reduction . operator . lift.
+The standing assumption l > (Coxeter number) keeps this the right size,
+and it is certified: the Hilbert series is the Poincare polynomial of W
+(so dim C = |W|), dim C^s = |W| / 2 for each simple s, and each
+(1 - s_i) f is divisible by a_i.  Generators sit in degree 2.
 
 For a word f = (s, t, ..., r) the module D_f is C tensored over the
 s-invariants with C tensored over the t-invariants with ... with the
 trivial module; the splitting C = C^s + delta_s C^s (with the Demazure
 operator of s sending delta_s to 1) makes each induction step an explicit
-doubling of bases.
+doubling of bases, certified by the generator actions commuting.
 
 E = End_C(D), for D the sum of the D_f over the distinguished family of
 words, is assembled by solving for module maps degree by degree; the wall
@@ -25,7 +34,7 @@ identity on matrices.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 
 import numpy as np
 
@@ -37,33 +46,38 @@ from .galgebra import GradedAlgebra, StructuralError, _block_products, \
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
-    "coinvariant_algebra", "demazure_matrix", "demazure_apply",
-    "invariant_basis", "bott_samelson", "graded_hom",
+    "coinvariant_algebra", "bott_samelson", "graded_hom",
     "endomorphism_algebra", "wall_algebra", "wall_row_block_modules",
     "regular_slices", "hom_dims_to_regular", "bimodule_shift_check",
 ]
 
 
 def _monomials(rank, degree):
-    """Exponent tuples of total degree `degree`, in a fixed (lex) order."""
-    if degree == 0:
-        return [(0,) * rank]
-    out = set()
-    for combo in combinations_with_replacement(range(rank), degree):
-        e = [0] * rank
-        for i in combo:
-            e[i] += 1
-        out.add(tuple(e))
-    return sorted(out)
+    """Exponent tuples of total degree `degree`, in lex order."""
+    return [e for e in product(range(degree + 1), repeat=rank)
+            if sum(e) == degree]
+
+
+def _divide_by_variable(p, up):
+    """The columns of p, polynomials on the monomials of S_d, divided by
+    the variable a, where up[k] is the position of a m in S_d for the
+    k-th monomial m of S_{d-1}: an index gather, certified exact."""
+    rest = np.ones(len(p), dtype=bool)
+    rest[up] = False
+    if p[rest].any():
+        raise StructuralError("polynomial is not divisible by the variable")
+    return p[up]
 
 
 class CoinvariantAlgebra:
     """Coinvariant algebra of the given Cartan type over F_ell.
 
     Grading is doubled: a polynomial of degree d is graded in degree 2d.
-    Internally, per polynomial degree d we keep a monomial basis of C_d,
-    the reduction of arbitrary monomials to it, multiplication matrices
-    for the generators, the reflection action, and Demazure operators.
+    Per polynomial degree d, `basis[d]` lists the monomials that form a
+    basis of C_d, and elements are coordinate vectors on it;
+    `gen_mult[i][d]`, `refl[i][d]` and `demazure[i][d]` are the matrices
+    of a_i: C_d -> C_{d+1}, s_i: C_d -> C_d and the Demazure operator
+    C_d -> C_{d-1}.
     """
 
     def __init__(self, cartan_type, ell):
@@ -81,90 +95,53 @@ class CoinvariantAlgebra:
         self.cartan_type = cartan_type
         self.ell = ell
         self.group = build_group(cartan_type)
-        self.rank = self.group.rank
+        self.rank = rank = self.group.rank
         cartan = CARTAN[cartan_type]
-        top = self.group.longest_element.length
+        self.top = top = self.group.longest_element.length
 
-        # reflection action on polynomials: s_i(a_j) = a_j - cartan[i][j] a_i
-        def refl_poly(i, poly):
-            out = {}
-            for exps, c in poly.items():
-                term = {(0,) * self.rank: c}
-                for j, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    lin = {}
-                    unit = tuple(int(k == j) for k in range(self.rank))
-                    lin[unit] = 1
-                    shift = tuple(int(k == i) for k in range(self.rank))
-                    lin[shift] = lin.get(shift, 0) - cartan[i][j]
-                    for _ in range(e):
-                        term = _poly_mult(term, lin, ell)
-                for k, v in term.items():
-                    out[k] = (out.get(k, 0) + v) % ell
-            return {k: v for k, v in out.items() if v}
+        # S_d on its monomials, d <= top + 1: up[d][i][k] is the position
+        # in S_{d+1} of a_i times the k-th monomial of S_d, and x[d][i] is
+        # multiplication by a_i, S_d -> S_{d+1}
+        mons = [_monomials(rank, d) for d in range(top + 2)]
+        self._position = {m: k for ms in mons for k, m in enumerate(ms)}
+        up = [[[self._position[tuple(e + (k == i) for k, e in enumerate(m))]
+                for m in mons[d]] for i in range(rank)]
+              for d in range(top + 1)]
+        x = [[np.eye(len(mons[d + 1]), dtype=np.int64)[:, u] for u in up[d]]
+             for d in range(top + 1)]
 
-        self._refl_poly = refl_poly
-
-        # invariants of the polynomial ring, degree by degree
-        inv_by_degree = {}
+        # s_i on S_d, from s_i(a_j m) = (a_j - cartan[i][j] a_i) s_i(m)
+        sigma = [[np.ones((1, 1), dtype=np.int64)] * rank]
         for d in range(1, top + 2):
-            mons = _monomials(self.rank, d)
-            pos = {m: k for k, m in enumerate(mons)}
-            rows = []
-            for i in range(self.rank):
-                for m in mons:
-                    img = refl_poly(i, {m: 1})
-                    row = np.zeros(len(mons), dtype=np.int64)
-                    for k, v in img.items():
-                        row[pos[k]] = v % ell
-                    row[pos[m]] = (row[pos[m]] - 1) % ell
-                    rows.append(row)
-            mat = np.array(rows, dtype=np.int64).reshape(-1, len(mons))
-            # invariants = common kernel of (s_i - 1); stack per generator
-            stacked = np.concatenate(
-                [mat[i * len(mons):(i + 1) * len(mons)].T
-                 for i in range(self.rank)], axis=0)
-            inv = la.mod_nullspace(stacked, ell)
-            inv_by_degree[d] = [dict((m, int(v[k])) for m, k in pos.items()
-                                     if v[k]) for v in inv]
+            sigma.append([])
+            for i in range(rank):
+                s = np.zeros((len(mons[d]),) * 2, dtype=np.int64)
+                for j in range(rank):
+                    s[:, up[d - 1][j]] = (x[d - 1][j] - cartan[i][j]
+                                          * x[d - 1][i]) @ sigma[d - 1][i]
+                sigma[d].append(s % ell)
 
-        # ideal spans and quotient bases, degree by degree
-        self.basis = {0: [(0,) * self.rank]}
-        self._reduce = {0: {(0,) * self.rank: np.array([1], dtype=np.int64)}}
-        for d in range(1, top + 2):
-            mons = _monomials(self.rank, d)
-            pos = {m: k for k, m in enumerate(mons)}
-            rows = []
-            for e in range(1, d + 1):
-                for f in inv_by_degree.get(e, []):
-                    for m in _monomials(self.rank, d - e):
-                        row = np.zeros(len(mons), dtype=np.int64)
-                        for k, v in f.items():
-                            prod = tuple(a + b for a, b in zip(k, m))
-                            row[pos[prod]] = (row[pos[prod]] + v) % ell
-                        if np.any(row):
-                            rows.append(row)
-            if rows:
-                red, piv = la.mod_rref(np.array(rows, dtype=np.int64), ell)
-            else:
-                red, piv = np.zeros((0, len(mons)), dtype=np.int64), []
-            keep = [m for k, m in enumerate(mons) if k not in piv]
-            self.basis[d] = keep
-            table = {}
-            keep_pos = {m: k for k, m in enumerate(keep)}
-            for k, m in enumerate(mons):
-                vec = np.zeros(len(keep), dtype=np.int64)
-                if k in piv:
-                    i = piv.index(k)
-                    for m2, k2 in keep_pos.items():
-                        vec[k2] = (-int(red[i, pos[m2]])) % ell
-                else:
-                    vec[keep_pos[m]] = 1
-                table[m] = vec
-            self._reduce[d] = table
+        # I_d = S^W_d + sum_i a_i I_{d-1}, with S^W_d the common kernel of
+        # the s_i - 1; the pivots of its echelon form are the monomials
+        # that reduce, the others the basis of C_d
+        self.basis, self._reduction, lift = {}, {}, {}
+        ideal = np.zeros((0, 1), dtype=np.int64)
+        for d in range(top + 2):
+            n = len(mons[d])
+            if d:
+                inv = la.mod_nullspace(np.concatenate(
+                    [s - np.eye(n, dtype=np.int64) for s in sigma[d]]), ell)
+                ideal = np.concatenate([inv] + [ideal @ a.T for a in x[d - 1]])
+            red, piv = la.mod_rref(ideal, ell)
+            ideal = red[:len(piv)]
+            keep = [k for k in range(n) if k not in piv]
+            self.basis[d] = [mons[d][k] for k in keep]
+            q = np.zeros((len(keep), n), dtype=np.int64)
+            q[:, keep] = np.eye(len(keep), dtype=np.int64)
+            q[:, piv] = -ideal[:, keep].T % ell
+            self._reduction[d] = q
+            lift[d] = np.eye(n, dtype=np.int64)[:, keep]
 
-        self.top = top
         dims = [len(self.basis[d]) for d in range(top + 2)]
         if dims[top + 1]:
             raise StructuralError("coinvariant algebra too large")
@@ -174,53 +151,23 @@ class CoinvariantAlgebra:
                 "Hilbert series does not match the Poincare polynomial")
         self.dims = dims[: top + 1]
 
-        # generator multiplication C_d -> C_{d+1}
-        self.gen_mult = []
-        for i in range(self.rank):
-            mats = {}
-            for d in range(top):
-                m = np.zeros((len(self.basis[d + 1]), len(self.basis[d])),
-                             dtype=np.int64)
-                for col, mon in enumerate(self.basis[d]):
-                    up = tuple(e + int(k == i) for k, e in enumerate(mon))
-                    m[:, col] = self._reduce[d + 1][up]
-                mats[d] = m
-            mats[top] = np.zeros((0, len(self.basis[top])), dtype=np.int64)
-            self.gen_mult.append(mats)
-
-        # reflection action and Demazure operators on C (one degree past
+        # the tables on C are reduction . operator . lift (one degree past
         # the top, where everything is zero-sized, to keep edge cases out
         # of the induction)
-        self.refl = []
-        self.demazure = []
-        for i in range(self.rank):
-            rmats, dmats = {}, {}
-            for d in range(top + 2):
-                rm = np.zeros((len(self.basis[d]), len(self.basis[d])),
-                              dtype=np.int64)
-                dm = np.zeros((len(self.basis[d - 1]) if d else 0,
-                               len(self.basis[d])), dtype=np.int64)
-                for col, mon in enumerate(self.basis[d]):
-                    img = refl_poly(i, {mon: 1})
-                    acc = np.zeros(len(self.basis[d]), dtype=np.int64)
-                    for k, v in img.items():
-                        acc = (acc + v * self._reduce[d][k]) % ell
-                    rm[:, col] = acc
-                    if d:
-                        diff = dict(img)
-                        diff[mon] = (diff.get(mon, 0) - 1) % ell
-                        quot = _divide_by_variable(
-                            {k: (-v) % ell for k, v in diff.items() if v % ell},
-                            i, ell)
-                        accd = np.zeros(len(self.basis[d - 1]),
-                                        dtype=np.int64)
-                        for k, v in quot.items():
-                            accd = (accd + v * self._reduce[d - 1][k]) % ell
-                        dm[:, col] = accd
-                rmats[d] = rm
-                dmats[d] = dm
-            self.refl.append(rmats)
-            self.demazure.append(dmats)
+        red = self._reduction
+        self.gen_mult, self.refl, self.demazure = [], [], []
+        for i in range(rank):
+            self.gen_mult.append({d: red[d + 1] @ x[d][i] @ lift[d]
+                                  for d in range(top + 1)})
+            moved = [sigma[d][i] @ lift[d] for d in range(top + 2)]
+            self.refl.append({d: la.mod_matmul(red[d], moved[d], ell)
+                              for d in range(top + 2)})
+            # (1 - s_i) f is divisible by a_i, and the quotient reduces
+            self.demazure.append({0: np.zeros((0, 1), dtype=np.int64)})
+            for d in range(1, top + 2):
+                quot = _divide_by_variable((lift[d] - moved[d]) % ell,
+                                           up[d - 1][i])
+                self.demazure[i][d] = la.mod_matmul(red[d - 1], quot, ell)
 
         self._delta = {}
         self._inv_basis = {}
@@ -229,6 +176,16 @@ class CoinvariantAlgebra:
         self._end_cache = {}
 
     # -- elements ------------------------------------------------------
+
+    def product(self, u, d1, v, d2):
+        """Coordinates in C_{d1+d2} of the product of u in C_{d1} and v
+        in C_{d2}: products of basis monomials add exponents, and each is
+        reduced into C_{d1+d2}."""
+        cols = [self._position[tuple(p + q for p, q in zip(a, b))]
+                for a in self.basis[d1] for b in self.basis[d2]]
+        red = self._reduction[d1 + d2]
+        table = red[:, cols].reshape(len(red), len(u), len(v))
+        return la.mod_matmul(la.mod_matmul(table, v, self.ell), u, self.ell)
 
     def monomial_action(self, module_gens, mon):
         """Action matrix of a monomial on a module given its generator
@@ -290,55 +247,11 @@ class CoinvariantAlgebra:
         return self._family
 
 
-def _poly_mult(f, g, ell):
-    out = {}
-    for a, c in f.items():
-        for b, d in g.items():
-            k = tuple(x + y for x, y in zip(a, b))
-            out[k] = (out.get(k, 0) + c * d) % ell
-    return {k: v for k, v in out.items() if v}
-
-
-def _divide_by_variable(poly, i, ell):
-    out = {}
-    for exps, c in poly.items():
-        if c % ell == 0:
-            continue
-        if exps[i] == 0:
-            raise StructuralError(
-                "polynomial is not divisible by the variable")
-        down = tuple(e - int(k == i) for k, e in enumerate(exps))
-        out[down] = c % ell
-    return out
-
-
 def coinvariant_algebra(cartan_type, ell):
     return CoinvariantAlgebra(cartan_type, ell)
 
 
-def demazure_matrix(C, i, d):
-    """Matrix of the i-th Demazure operator C_d -> C_{d-1} (polynomial
-    degrees)."""
-    return C.demazure[i][d]
-
-
-def demazure_apply(C, i, coords, d):
-    """Apply the i-th Demazure operator to a degree-d element given by its
-    coordinates; returns coordinates in degree d - 1."""
-    if isinstance(i, str):
-        i = LETTERS.index(i)
-    return (C.demazure[i][d] @ np.array(coords, dtype=np.int64)) % C.ell
-
-
-def invariant_basis(C, i):
-    """Rows spanning the s_i-invariant subalgebra of C, per polynomial
-    degree; the total dimension is |W| / 2."""
-    if isinstance(i, str):
-        i = LETTERS.index(i)
-    return C.invariants(i)
-
-
-@dataclass
+@dataclass(eq=False)
 class BSModule:
     """Bott-Samelson module: basis degrees (doubled grading) and one
     action matrix per algebra generator."""
@@ -378,38 +291,19 @@ def bott_samelson(C, word):
         degrees = list(inner.degrees) + [d + 2 for d in inner.degrees]
         gen_action = []
         for i in range(C.rank):
-            # alpha_i = a + delta_s * c with c scalar, a invariant deg 1
-            var = np.zeros(len(C.basis[1]), dtype=np.int64)
-            var_mon = tuple(int(k == i) for k in range(C.rank))
-            var += C._reduce[1][var_mon]
-            c_scal = int((C.demazure[s][1] @ var)[0]) % ell
-            a_vec = (var - c_scal * delta) % ell
-            act_a = C.element_action(inner.gen_action, a_vec, 1)
-            # alpha_i * delta_s = a2 + delta_s * c2
-            ad = np.zeros(len(C.basis[2]), dtype=np.int64)
-            for k, c in enumerate(delta):
-                if c % ell:
-                    ad = (ad + int(c) * (C.gen_mult[i][1]
-                                         @ C._reduce[1][C.basis[1][k]])) % ell
-            c2 = (C.demazure[s][2] @ ad) % ell
-            delta_c2 = np.zeros(len(C.basis[2]), dtype=np.int64)
-            for k, c in enumerate(c2):
-                if c % ell:
-                    # delta_s * (c2 basis monomial)
-                    for k2, c3 in enumerate(delta):
-                        if c3 % ell:
-                            mon = tuple(a + b for a, b in zip(
-                                C.basis[1][k], C.basis[1][k2]))
-                            delta_c2 = (delta_c2 + int(c) * int(c3)
-                                        * C._reduce[2][mon]) % ell
-            a2 = (ad - delta_c2) % ell
-            act_a2 = C.element_action(inner.gen_action, a2, 2)
-            act_c2 = C.element_action(inner.gen_action, c2, 1)
+            # alpha_i = a + delta_s c with c a scalar and a invariant
+            alpha = C.gen_mult[i][0][:, 0]
+            c = int((C.demazure[s][1] @ alpha)[0]) % ell
+            a = (alpha - c * delta) % ell
+            # alpha_i delta_s = a2 + delta_s c2 with a2, c2 invariant
+            ad = C.product(alpha, 1, delta, 1)
+            c2 = la.mod_matmul(C.demazure[s][2], ad, ell)
+            a2 = (ad - C.product(delta, 1, c2, 1)) % ell
             m = np.zeros((2 * n, 2 * n), dtype=np.int64)
-            m[:n, :n] = act_a
-            m[n:, :n] = (c_scal * np.eye(n, dtype=np.int64)) % ell
-            m[:n, n:] = act_a2
-            m[n:, n:] = act_c2
+            m[:n, :n] = C.element_action(inner.gen_action, a, 1)
+            m[n:, :n] = c * np.eye(n, dtype=np.int64)
+            m[:n, n:] = C.element_action(inner.gen_action, a2, 2)
+            m[n:, n:] = C.element_action(inner.gen_action, c2, 1)
             gen_action.append(m)
         mod = BSModule(C, key, degrees, gen_action)
     # commuting actions certify that this is a module over C
@@ -475,7 +369,7 @@ def graded_hom_basis(C, M, N, wall=None):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class EndAlgebraData:
     """An endomorphism algebra End(D) together with its bookkeeping: the
     underlying GradedAlgebra, the modules D_f, the block/degree layout of

@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
 from flagalg import _linalg as la
 from flagalg import soergel as sg
+from flagalg.coxeter import CARTAN, build_group
 from flagalg.galgebra import StructuralError
 
 FIX = json.load(open(os.path.join(os.path.dirname(__file__),
@@ -66,7 +69,9 @@ def test_demazure_properties(C_A2):
 
 def test_splitting_is_free_of_rank_two(C_A2):
     # C = C^s + delta_s C^s: per degree, invariants plus delta times
-    # invariants fill C exactly (the rank-2 freeness behind the induction)
+    # invariants fill C exactly (the rank-2 freeness behind the induction);
+    # delta is a combination of the degree-1 monomials, the variables, and
+    # a variable multiplies through gen_mult
     C = C_A2
     for i in range(C.rank):
         inv = C.invariants(i)
@@ -75,20 +80,13 @@ def test_splitting_is_free_of_rank_two(C_A2):
             if d >= 1:
                 for row in inv.get(d - 1, []):
                     vec = np.zeros(len(C.basis[d]), dtype=np.int64)
-                    for k, c in enumerate(C.delta(i)):
-                        if c % C.ell:
-                            for k2, c2 in enumerate(row):
-                                if c2 % C.ell:
-                                    mon = tuple(
-                                        a + b for a, b in zip(
-                                            C.basis[1][k],
-                                            C.basis[d - 1][k2]))
-                                    vec = (vec + int(c) * int(c2)
-                                           * C._reduce[d][mon]) % C.ell
+                    for c, mon in zip(C.delta(i), C.basis[1]):
+                        j = mon.index(1)
+                        vec = (vec + int(c) * (C.gen_mult[j][d - 1] @ row)) \
+                            % C.ell
                     rows.append(vec)
             if rows:
                 m = np.array(rows, dtype=np.int64)
-                from flagalg import _linalg as la
                 assert la.mod_rank(m, C.ell) == len(C.basis[d])
                 assert len(rows) == len(C.basis[d])
 
@@ -220,6 +218,242 @@ def test_g2_coinvariants_and_small_homs():
     assert D.dims_by_degree() == {0: 1, 2: 2, 4: 1}
     hom = sg.graded_hom(C, D, D)
     assert hom[0] >= 1 and sum(hom.values()) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the dict-polynomial reference for the coinvariant algebra
+
+
+def _monomials_ref(rank, degree):
+    if degree == 0:
+        return [(0,) * rank]
+    out = set()
+    for combo in combinations_with_replacement(range(rank), degree):
+        e = [0] * rank
+        for i in combo:
+            e[i] += 1
+        out.add(tuple(e))
+    return sorted(out)
+
+
+def _poly_mult(f, g, ell):
+    out = {}
+    for a, c in f.items():
+        for b, d in g.items():
+            k = tuple(x + y for x, y in zip(a, b))
+            out[k] = (out.get(k, 0) + c * d) % ell
+    return {k: v for k, v in out.items() if v}
+
+
+def _divide_by_variable_ref(poly, i, ell):
+    out = {}
+    for exps, c in poly.items():
+        if c % ell == 0:
+            continue
+        assert exps[i], "polynomial is not divisible by the variable"
+        down = tuple(e - int(k == i) for k, e in enumerate(exps))
+        out[down] = c % ell
+    return out
+
+
+class _CoinvariantReference:
+    """C from polynomials as dicts {exponents: coefficient}: the ideal
+    spanned by every invariant times every monomial, each monomial's
+    reduction kept in `_reduce[d][mon]`, and every table built one basis
+    monomial at a time.  The reference for sg.CoinvariantAlgebra."""
+
+    def __init__(self, cartan_type, ell):
+        self.ell = ell
+        self.group = build_group(cartan_type)
+        self.rank = self.group.rank
+        cartan = CARTAN[cartan_type]
+        top = self.group.longest_element.length
+
+        def refl_poly(i, poly):
+            out = {}
+            for exps, c in poly.items():
+                term = {(0,) * self.rank: c}
+                for j, e in enumerate(exps):
+                    if e == 0:
+                        continue
+                    lin = {}
+                    unit = tuple(int(k == j) for k in range(self.rank))
+                    lin[unit] = 1
+                    shift = tuple(int(k == i) for k in range(self.rank))
+                    lin[shift] = lin.get(shift, 0) - cartan[i][j]
+                    for _ in range(e):
+                        term = _poly_mult(term, lin, ell)
+                for k, v in term.items():
+                    out[k] = (out.get(k, 0) + v) % ell
+            return {k: v for k, v in out.items() if v}
+
+        inv_by_degree = {}
+        for d in range(1, top + 2):
+            mons = _monomials_ref(self.rank, d)
+            pos = {m: k for k, m in enumerate(mons)}
+            rows = []
+            for i in range(self.rank):
+                for m in mons:
+                    img = refl_poly(i, {m: 1})
+                    row = np.zeros(len(mons), dtype=np.int64)
+                    for k, v in img.items():
+                        row[pos[k]] = v % ell
+                    row[pos[m]] = (row[pos[m]] - 1) % ell
+                    rows.append(row)
+            mat = np.array(rows, dtype=np.int64).reshape(-1, len(mons))
+            stacked = np.concatenate(
+                [mat[i * len(mons):(i + 1) * len(mons)].T
+                 for i in range(self.rank)], axis=0)
+            inv = la.mod_nullspace(stacked, ell)
+            inv_by_degree[d] = [dict((m, int(v[k])) for m, k in pos.items()
+                                     if v[k]) for v in inv]
+
+        self.basis = {0: [(0,) * self.rank]}
+        self._reduce = {0: {(0,) * self.rank: np.array([1], dtype=np.int64)}}
+        for d in range(1, top + 2):
+            mons = _monomials_ref(self.rank, d)
+            pos = {m: k for k, m in enumerate(mons)}
+            rows = []
+            for e in range(1, d + 1):
+                for f in inv_by_degree.get(e, []):
+                    for m in _monomials_ref(self.rank, d - e):
+                        row = np.zeros(len(mons), dtype=np.int64)
+                        for k, v in f.items():
+                            prod = tuple(a + b for a, b in zip(k, m))
+                            row[pos[prod]] = (row[pos[prod]] + v) % ell
+                        if np.any(row):
+                            rows.append(row)
+            if rows:
+                red, piv = la.mod_rref(np.array(rows, dtype=np.int64), ell)
+            else:
+                red, piv = np.zeros((0, len(mons)), dtype=np.int64), []
+            keep = [m for k, m in enumerate(mons) if k not in piv]
+            self.basis[d] = keep
+            table = {}
+            keep_pos = {m: k for k, m in enumerate(keep)}
+            for k, m in enumerate(mons):
+                vec = np.zeros(len(keep), dtype=np.int64)
+                if k in piv:
+                    i = piv.index(k)
+                    for m2, k2 in keep_pos.items():
+                        vec[k2] = (-int(red[i, pos[m2]])) % ell
+                else:
+                    vec[keep_pos[m]] = 1
+                table[m] = vec
+            self._reduce[d] = table
+
+        self.top = top
+        self.dims = [len(self.basis[d]) for d in range(top + 1)]
+
+        self.gen_mult = []
+        for i in range(self.rank):
+            mats = {}
+            for d in range(top):
+                m = np.zeros((len(self.basis[d + 1]), len(self.basis[d])),
+                             dtype=np.int64)
+                for col, mon in enumerate(self.basis[d]):
+                    up = tuple(e + int(k == i) for k, e in enumerate(mon))
+                    m[:, col] = self._reduce[d + 1][up]
+                mats[d] = m
+            mats[top] = np.zeros((0, len(self.basis[top])), dtype=np.int64)
+            self.gen_mult.append(mats)
+
+        self.refl = []
+        self.demazure = []
+        for i in range(self.rank):
+            rmats, dmats = {}, {}
+            for d in range(top + 2):
+                rm = np.zeros((len(self.basis[d]), len(self.basis[d])),
+                              dtype=np.int64)
+                dm = np.zeros((len(self.basis[d - 1]) if d else 0,
+                               len(self.basis[d])), dtype=np.int64)
+                for col, mon in enumerate(self.basis[d]):
+                    img = refl_poly(i, {mon: 1})
+                    acc = np.zeros(len(self.basis[d]), dtype=np.int64)
+                    for k, v in img.items():
+                        acc = (acc + v * self._reduce[d][k]) % ell
+                    rm[:, col] = acc
+                    if d:
+                        diff = dict(img)
+                        diff[mon] = (diff.get(mon, 0) - 1) % ell
+                        quot = _divide_by_variable_ref(
+                            {k: (-v) % ell for k, v in diff.items() if v % ell},
+                            i, ell)
+                        accd = np.zeros(len(self.basis[d - 1]),
+                                        dtype=np.int64)
+                        for k, v in quot.items():
+                            accd = (accd + v * self._reduce[d - 1][k]) % ell
+                        dm[:, col] = accd
+                rmats[d] = rm
+                dmats[d] = dm
+            self.refl.append(rmats)
+            self.demazure.append(dmats)
+
+    def delta(self, i):
+        dm = self.demazure[i][1]
+        col = next(c for c in range(dm.shape[1]) if dm[0, c] % self.ell)
+        v = np.zeros(len(self.basis[1]), dtype=np.int64)
+        v[col] = pow(int(dm[0, col]), self.ell - 2, self.ell)
+        return v
+
+    def invariants(self, i):
+        return {d: la.mod_nullspace(
+            (self.refl[i][d] - np.eye(len(self.basis[d]), dtype=np.int64))
+            % self.ell, self.ell) for d in range(self.top + 1)}
+
+
+def _same_tables(got, want):
+    """Dicts {degree: matrix}, with the same keys in the same order and
+    the same int64 matrices."""
+    assert list(got) == list(want)
+    for d in want:
+        assert got[d].dtype == want[d].dtype == np.int64
+        assert got[d].shape == want[d].shape
+        assert np.array_equal(got[d], want[d]), d
+
+
+@pytest.mark.parametrize("cartan,ell", [
+    *[("A1", ell) for ell in (3, 5, 7, 11)],
+    *[("A2", ell) for ell in (5, 7, 11, 13)],
+    *[("A3", ell) for ell in (5, 7, 11)],
+    *[("B2", ell) for ell in (5, 7, 11, 13)],
+    *[("G2", ell) for ell in (7, 11, 13, 17)]])
+def test_coinvariant_tables_match_reference(cartan, ell):
+    C = sg.coinvariant_algebra(cartan, ell)
+    ref = _CoinvariantReference(cartan, ell)
+    assert C.top == ref.top and C.rank == ref.rank
+    assert C.basis == ref.basis and C.dims == ref.dims
+    for d, table in ref._reduce.items():
+        # the reduction of every monomial of S_d into C_d
+        assert list(table) == sg._monomials(C.rank, d)
+        got = C._reduction[d]
+        assert got.shape == (len(C.basis[d]), len(table))
+        assert np.array_equal(got.T, np.array(list(table.values()))
+                              .reshape(got.shape[::-1]))
+    for i in range(C.rank):
+        _same_tables(C.gen_mult[i], ref.gen_mult[i])
+        _same_tables(C.refl[i], ref.refl[i])
+        _same_tables(C.demazure[i], ref.demazure[i])
+        _same_tables(C.invariants(i), ref.invariants(i))
+        assert np.array_equal(C.delta(i), ref.delta(i))
+
+
+def test_product_matches_monomial_reduction(C_A2, C_B2):
+    # the product of coordinates is the reduction of the product of the
+    # lifted polynomials, here for every pair of basis monomials (A3 has
+    # C_d of unequal dimensions)
+    for C in (C_A2, C_B2, sg.coinvariant_algebra("A3", 5)):
+        for d1 in range(C.top + 1):
+            for d2 in range(C.top + 1 - d1):
+                for k1, m1 in enumerate(C.basis[d1]):
+                    for k2, m2 in enumerate(C.basis[d2]):
+                        u = np.eye(C.dims[d1], dtype=np.int64)[k1]
+                        v = np.eye(C.dims[d2], dtype=np.int64)[k2]
+                        mon = tuple(a + b for a, b in zip(m1, m2))
+                        want = C._reduction[d1 + d2][
+                            :, sg._monomials(C.rank, d1 + d2).index(mon)]
+                        assert np.array_equal(C.product(u, d1, v, d2), want)
+                        assert np.array_equal(C.product(v, d2, u, d1), want)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import importlib
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "flagalg")
@@ -17,3 +18,15 @@ def test_no_assert_statements_in_src():
         found += [f"{os.path.basename(path)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert glob.glob(os.path.join(SRC, "*.py")) and not found, found
+
+
+def test_every_exported_name_exists():
+    # a deleted function leaves no stale entry in its module's __all__
+    missing = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        module = importlib.import_module(
+            "flagalg" if name == "__init__" else f"flagalg.{name}")
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert glob.glob(os.path.join(SRC, "*.py")) and not missing, missing
