@@ -50,11 +50,38 @@ def mod_mat(rows, p):
     return np.mod(a, p)
 
 
+# below this many multiply-adds, casting both operands to float64 costs
+# more than BLAS saves over numpy's int64 loop (measured on x86-64 with
+# OpenBLAS: the crossover lies between 2**11 and 2**12)
+_BLAS_MIN_WORK = 2**12
+
+
 def mod_matmul(a, b, p):
-    # entries < p, so dot products stay below 2**63 for all our sizes
-    if a.shape[-1] > 0 and int(a.shape[-1]) * (p - 1) * (p - 1) >= 2**62:
-        raise OverflowError("modulus too large for int64 matmul")
-    out = a @ b
+    """a @ b mod p in [0, p), int64, for integer operands with entries in
+    (-p, p); numpy's matmul broadcasting applies.
+
+    With k the inner dimension every dot product is an integer of absolute
+    value at most k (p - 1)^2, as is every partial sum.  Below 2**53 that
+    is exact in a double, so a product of two matrices big enough to pay
+    for the casts goes to BLAS in float64 (the FFLAS-FFPACK technique).
+    A matrix-vector product does not: it reads each matrix entry once, so
+    the cast would be a second full pass.  Nor does a product with a stack
+    of matrices: the cast would copy the whole stack, here a module's
+    action, at once.  Every other product is numpy's int64 loop, exact
+    below 2**62."""
+    k = a.shape[-1]
+    bound = k * (int(p) - 1) ** 2
+    if bound < 2**53 and a.ndim == b.ndim == 2 and \
+            min(a.shape[0], b.shape[1]) > 1 and \
+            a.size * b.shape[1] >= _BLAS_MIN_WORK:
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    elif bound < 2**62:
+        out = a @ b
+    else:
+        raise OverflowError(
+            f"modulus too large for exact products: k (p - 1)^2 >= 2**62 "
+            f"for k = {k}, p = {p} (float64 is exact below 2**53, int64 "
+            f"below 2**62)")
     out %= p
     return out
 

@@ -3,10 +3,11 @@ Command line surface: batch commands over the library, with JSON or text
 output and an on-disk cache for computed endomorphism algebras.
 
 Every command is deterministic given its arguments; JSON output uses
-sorted keys so repeated runs are byte-identical.  Cached algebra files
-carry a schema version and a checksum over the canonical payload (a
-generation timestamp is stored alongside but excluded from the checksum);
-a corrupt cache entry triggers recomputation with a warning.  Exit status
+sorted keys so repeated runs are byte-identical.  A cached algebra file
+stores the JSON text that `endalg` prints, with the sha256 of those
+bytes and a key naming the file format; a cache hit checks the hash and
+prints the stored text.  A corrupt cache entry, or a file of another
+format, triggers recomputation with a warning.  Exit status
 is zero exactly when no precondition was violated and every internal
 certificate passed.
 """
@@ -23,6 +24,7 @@ from . import coxeter, deodhar, formality, galgebra, gradedO, phimod, soergel
 
 CACHE_ENV = "FLAGALG_CACHE_DIR"
 SCHEMA_VERSION = 1
+CACHE_FORMAT = "endalg-stdout-1"    # cache file layout: stdout and sha256
 
 __all__ = ["main", "Config"]
 
@@ -147,9 +149,8 @@ def _endalg_payload(cfg, data):
     return payload
 
 
-def _checksum(payload):
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def cmd_endalg(cfg):
@@ -158,41 +159,38 @@ def cmd_endalg(cfg):
     path = os.path.join(
         _cache_dir(cfg),
         f"endalg-{cfg.cartan_type}-{cfg.ell}-{_family_hash(C)}.json")
-    cached = None
+    text = None
     if os.path.exists(path):
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            if doc.get("schema_version") != SCHEMA_VERSION or \
-                    _checksum(doc["payload"]) != doc["checksum"]:
+            text = doc["stdout"]
+            if doc.get("format") != CACHE_FORMAT or \
+                    _sha256(text) != doc["sha256"]:
                 raise ValueError("cache checksum mismatch")
-            cached = doc["payload"]
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             print("warning: cache entry corrupt, recomputing",
                   file=sys.stderr)
-            cached = None
-    if cached is None:
+            text = None
+    if text is None:
         data = soergel.endomorphism_algebra(C)
-        payload = _endalg_payload(cfg, data)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "payload": payload,
-            "checksum": _checksum(payload),
-            "generated_unix_time": 0,
-        }
+        text = json.dumps(_endalg_payload(cfg, data), sort_keys=True,
+                          indent=2)
         fd, tmp = tempfile.mkstemp(dir=_cache_dir(cfg))
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+            json.dump({"format": CACHE_FORMAT, "stdout": text,
+                       "sha256": _sha256(text)}, fh, sort_keys=True)
         os.replace(tmp, path)
-        cached = payload
+    if cfg.fmt == "json":
+        print(text)
+        return 0
+    payload = json.loads(text)
     series = galgebra.dims_to_laurent(
-        {int(k): v for k, v in cached["dims_by_degree"].items()})
-    _emit(cfg, cached, [
-        f"E for {cfg.cartan_type} at ell = {cfg.ell}: "
-        f"dim {cached['dimension']}",
-        f"graded dimension: {series}",
-        f"cache: {path}",
-    ])
+        {int(k): v for k, v in payload["dims_by_degree"].items()})
+    print(f"E for {cfg.cartan_type} at ell = {cfg.ell}: "
+          f"dim {payload['dimension']}")
+    print(f"graded dimension: {series}")
+    print(f"cache: {path}")
     return 0
 
 

@@ -89,12 +89,35 @@ def test_endalg_cache_corruption_recovers(tmp_path, capsys):
     code, out1, _ = run(capsys, *args)
     path = list(tmp_path.glob("endalg-*.json"))[0]
     doc = json.loads(path.read_text())
-    doc["payload"]["dimension"] = 999
+    assert '"dimension": 5' in doc["stdout"]
+    doc["stdout"] = doc["stdout"].replace('"dimension": 5',
+                                          '"dimension": 999')
     path.write_text(json.dumps(doc))
     code, out2, err = run(capsys, *args)
     assert code == 0
     assert "recomputing" in err
-    assert json.loads(out2)["dimension"] == 5
+    assert out2 == out1
+
+
+def test_endalg_cache_of_another_format_recomputes(tmp_path, capsys):
+    # a file in the earlier layout (the payload as a JSON object, with a
+    # valid checksum) is not read: it is recomputed and rewritten
+    args = ("endalg", "--type", "A1", "--ell", "5", "--cache-dir", str(tmp_path))
+    code, out1, _ = run(capsys, *args)
+    path = list(tmp_path.glob("endalg-*.json"))[0]
+    payload = json.loads(out1)
+    path.write_text(json.dumps({
+        "schema_version": 1, "payload": payload, "generated_unix_time": 0,
+        "checksum": hashlib.sha256(json.dumps(
+            payload, sort_keys=True).encode()).hexdigest()}, indent=1))
+    code, out2, err = run(capsys, *args)
+    assert code == 0 and "recomputing" in err and out2 == out1
+    code, out3, err = run(capsys, *args)
+    assert code == 0 and err == "" and out3 == out1
+    code, text, _ = run(capsys, *args, "--format", "text")
+    assert code == 0
+    assert text.splitlines()[:2] == [
+        "E for A1 at ell = 5: dim 5", "graded dimension: 3 + 2*q^2"]
 
 
 def test_decompose_matrix_file(tmp_path, capsys):
@@ -163,6 +186,15 @@ def test_soergel_precondition(capsys):
         code, out, err = run(capsys, cmd, "--type", t, "--ell", "9")
         assert code == 1 and out == ""
         assert err.strip() == "error: ell = 9 is not prime"
+
+
+def test_endalg_modulus_too_large_for_products(tmp_path, capsys):
+    # 2**31 - 1 passes the coinvariant algebra's bound, (ell - 1)^2 < 2**63,
+    # but a product with inner dimension k >= 2 can leave int64
+    code, out, err = run(capsys, "endalg", "--type", "A1", "--ell",
+                         "2147483647", "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "modulus too large" in err
 
 
 @pytest.mark.parametrize("command", sorted(FROZEN_SHA256))

@@ -208,3 +208,54 @@ def test_mod_rref_rejects_modulus_beyond_int64():
     # (p - 1)^2 > 2^63 - 1: the int64 row update would wrap silently
     with pytest.raises(OverflowError):
         la.mod_rref([[1, 2], [3, 4]], 4294967311)
+
+
+def test_mod_matmul_overflow_names_both_bounds():
+    p = 2147483647      # (p - 1)^2 < 2**62 <= 2 (p - 1)^2
+    a = np.ones((2, 2), dtype=np.int64)
+    assert la.mod_matmul(a[:, :1], a[:1], p).tolist() == [[1, 1], [1, 1]]
+    with pytest.raises(OverflowError) as exc:
+        la.mod_matmul(a, a, p)
+    msg = str(exc.value)
+    assert "modulus too large" in msg
+    assert "k = 2" in msg and f"p = {p}" in msg
+    assert "2**53" in msg and "2**62" in msg
+
+
+# (shape of a, shape of b) for inner dimension k: matrix-vector products,
+# products on both sides of la._BLAS_MIN_WORK multiply-adds, and both
+# stacked forms
+_MATMUL_SHAPES = [
+    lambda k: ((1, k), (k, 70)),
+    lambda k: ((70, k), (k, 1)),
+    lambda k: ((3, k), (k, 5)),
+    lambda k: ((64, k), (k, 64)),
+    lambda k: ((64, k), (5, k, 64)),
+    lambda k: ((5, 64, k), (k, 64)),
+    lambda k: ((1, k), (5, k, 64)),
+]
+
+
+@pytest.mark.parametrize("p,ks", [
+    (3, [0, 1, 5, 64]),
+    (13, [0, 2, 33, 130]),
+    (10007, [0, 3, 64, 200]),
+    # 2**53 / (p - 1)**2 = 2.0000004: products with k <= 2 are exact in
+    # float64, those with k >= 3 only in int64
+    (67108859, [0, 1, 2, 3, 40]),
+])
+def test_mod_matmul_matches_object_reference(p, ks):
+    rng = np.random.default_rng(p)
+    for k in ks:
+        for shapes in _MATMUL_SHAPES:
+            sa, sb = shapes(k)
+            a = rng.integers(1 - p, p, size=sa)
+            b = rng.integers(1 - p, p, size=sb)
+            # the extreme entries too: sums of k products of p - 1
+            a.reshape(-1)[::7] = p - 1
+            b.reshape(-1)[::5] = 1 - p
+            got = la.mod_matmul(a, b, p)
+            want = (a.astype(object) @ b.astype(object)) % p
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want), (p, k, sa, sb)
+            assert got.size == 0 or (got.min() >= 0 and got.max() < p)

@@ -612,6 +612,31 @@ def test_end_assembly_matches_loop(cartan, ell, wall):
     assert list(alg.idempotents.items()) == list(idems.items())
 
 
+def test_g2_assembly_matches_int64_products(monkeypatch):
+    # E(G2) on the family words of length <= 3: every product, the float64
+    # ones included, must give what the int64 product gives
+    def build():
+        C = sg.CoinvariantAlgebra("G2", 7)
+        words = [w for w in sg._family_words(C) if len(w) <= 3]
+        return sg.endomorphism_algebra(C, words).algebra
+
+    got = build()
+    blas_sized = []
+
+    def int64_matmul(a, b, p):
+        blas_sized.append(a.ndim == b.ndim == 2 and min(a.shape[0],
+                          b.shape[1]) > 1 and a.size * b.shape[1] >=
+                          la._BLAS_MIN_WORK)
+        out = a.astype(np.int64) @ b.astype(np.int64)
+        return out % p
+
+    monkeypatch.setattr(la, "mod_matmul", int64_matmul)
+    want = build()
+    assert any(blas_sized)
+    assert got.dim == want.dim == 173
+    assert np.array_equal(got.mult, want.mult)
+
+
 def _mod_solve(a, b, p):
     """One solution x of a @ x = b mod p, or None."""
     a = np.mod(np.array(a, dtype=np.int64), p)
