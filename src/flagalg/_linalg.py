@@ -575,14 +575,15 @@ def frac_scalar_shift(a, c):
 
 
 def frac_matpow(a, e):
-    out = frac_identity(len(a))
-    base = [row[:] for row in a]
+    """a^e, a new matrix, by binary powering: a^1 takes no product."""
+    out = None
     while e:
         if e & 1:
-            out = frac_matmul(out, base)
-        base = frac_matmul(base, base)
+            out = [r[:] for r in a] if out is None else frac_matmul(out, a)
         e >>= 1
-    return out
+        if e:
+            a = frac_matmul(a, a)
+    return frac_identity(len(a)) if out is None else out
 
 
 def frac_is_zero(a):

@@ -334,13 +334,12 @@ def build_parser():
                     "algebras, graded module categories and dg formality")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, need_type=True):
-        if need_type:
-            p.add_argument("--type", required=True, dest="type",
-                           choices=sorted(coxeter.CARTAN))
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--precision", type=int, default=32)
+    def common(p, *read):
+        """--type, and of --ell and --q only those the command reads."""
+        p.add_argument("--type", required=True, dest="type",
+                       choices=sorted(coxeter.CARTAN))
+        for name in read:
+            p.add_argument(f"--{name}", type=int, default=None)
 
     p = sub.add_parser("rpoly", parents=[shared],
                        help="point-count polynomial")
@@ -361,16 +360,16 @@ def build_parser():
                    help="wall: compute the parabolic profile")
     p = sub.add_parser("qcond", parents=[shared],
                        help="order-of-q hypothesis check")
-    common(p)
+    common(p, "ell", "q")
     p = sub.add_parser("endalg", parents=[shared],
                        help="endomorphism algebra (cached)")
-    common(p)
+    common(p, "ell")
     p = sub.add_parser("standards", parents=[shared],
                        help="graded standard modules")
-    common(p)
+    common(p, "ell")
     p = sub.add_parser("koszul", parents=[shared],
                        help="Koszulity of the regraded algebra")
-    common(p)
+    common(p, "ell")
     p.add_argument("--cap", type=int, default=None)
     p = sub.add_parser("decompose", parents=[shared],
                        help="split a lattice automorphism")

@@ -125,23 +125,37 @@ class GradedAlgebra:
             labels=self.labels, idempotents=self.idempotents)
 
     def check(self, spot=200):
-        """Unit and associativity spot checks on basis triples."""
+        """Unit and associativity spot checks on basis triples.  The rows
+        of e_i e_j are one contiguous run of the lexsorted mult, so each
+        side of the unit is one pass over the rows with i (or j) in the
+        unit's support, and a spot product reads only its runs."""
+        p, n = self.p, self.dim
+        i, j, k, c = self.mult.T
         u = self.unit_vector()
-        for i in range(self.dim):
-            b = self.basis_vec(i)
-            if not np.array_equal(self.mul_vec(u, b), b):
-                raise StructuralError("unit fails (left)")
-            if not np.array_equal(self.mul_vec(b, u), b):
-                raise StructuralError("unit fails (right)")
+        for side, fixed, free in (("left", i, j), ("right", j, i)):
+            # u e_b (or e_b u) for all b as one sparse matrix: the identity
+            rows = np.flatnonzero(u[fixed])
+            keys, at = np.unique(free[rows] * n + k[rows], return_inverse=True)
+            sums = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(sums, at, u[fixed[rows]] * c[rows] % p)
+            live = sums % p != 0
+            if not (np.array_equal(keys[live], np.arange(n) * (n + 1))
+                    and np.all(sums[live] % p == 1)):
+                raise StructuralError(f"unit fails ({side})")
+        pair = i * n + j
+
+        def mul(x, y):
+            out = np.zeros(n, dtype=np.int64)
+            for a in np.flatnonzero(x):
+                for b in np.flatnonzero(y):
+                    lo, hi = np.searchsorted(pair, (a * n + b, a * n + b + 1))
+                    np.add.at(out, k[lo:hi], x[a] * y[b] % p * c[lo:hi] % p)
+            return out % p
+
         rng = np.random.default_rng(0)
-        for a, b, c in rng.integers(0, self.dim, size=(spot, 3)):
-            ab_c = self.mul_vec(self.mul_vec(self.basis_vec(a),
-                                             self.basis_vec(b)),
-                                self.basis_vec(c))
-            a_bc = self.mul_vec(self.basis_vec(a),
-                                self.mul_vec(self.basis_vec(b),
-                                             self.basis_vec(c)))
-            if not np.array_equal(ab_c, a_bc):
+        for triple in rng.integers(0, n, size=(spot, 3)):
+            x, y, z = map(self.basis_vec, triple)
+            if not np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z))):
                 raise StructuralError("associativity fails")
 
     def generators(self):

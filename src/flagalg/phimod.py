@@ -6,13 +6,18 @@ generalized-eigenspace decompositions.
 The base ring is Z_(l) = {a/b : l does not divide b}, handled exactly with
 Fractions.  "M has q-weights obtained from I" means that the product of
 (phi - q^i) over i in I is nilpotent.  A lattice is decomposable under phi
-when it is the direct sum of its generalized eigenspaces; the decision
-procedure is exact for eigenvalues that are rational (in particular for
-powers of q), falls back to Hensel-refined rank-one blocks for simple
-residues, and reports `undecidable` at the working precision for the
-genuinely ambiguous remainder rather than guessing.
+when it is the direct sum of its generalized eigenspaces.  With D the lcm
+of the denominators of phi, every rational eigenvalue is mu / D for an
+integer mu dividing the constant term of the monic integer charpoly of
+D phi, |mu| at most its largest absolute row sum: one scan finds them
+exactly, each with its exact q-exponent.  The rest of the spectrum falls
+back to Hensel-refined rank-one blocks for simple residues, and reports
+`undecidable` at the working precision for the genuinely ambiguous
+remainder rather than guessing.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,17 +48,18 @@ class PhiModule:
     q: int
     precision: int = 32
 
+    def __post_init__(self):
+        self.validate()
+
     @staticmethod
     def build(phi_rows, ell, q, precision=32):
         rows = tuple(tuple(Fraction(x) for x in row) for row in phi_rows)
-        rank = len(rows)
-        if any(len(r) != rank for r in rows):
-            raise ValueError("phi must be square")
-        m = PhiModule(rank, rows, ell, q, precision)
-        m.validate()
-        return m
+        return PhiModule(len(rows), rows, ell, q, precision)
 
     def validate(self):
+        if len(self.phi) != self.rank or \
+                any(len(r) != self.rank for r in self.phi):
+            raise ValueError("phi must be square")
         if not la.is_prime(self.ell):
             raise ValueError(f"ell = {self.ell} is not prime")
         if self.q % self.ell == 0:
@@ -139,52 +145,43 @@ def decompose(M):
     """Split M into generalized eigenspaces, certify that this is
     impossible, or report undecidable at the working precision.
 
+    One scan over the candidates mu / D (module docstring) finds the
+    rational eigenvalues in increasing order; synthetic division gives
+    each one's multiplicity m, and its summand is the saturated kernel of
+    (phi - mu / D)^m, certified to have rank m.  The cofactor left over
+    is split by residues mod l.
+
     Returned summand bases are phi-stable over Z_(l); for a decomposable
     verdict their concatenation has determinant a unit mod l, and
-    (phi - eigenvalue) is nilpotent on each exact summand.
+    (phi - eigenvalue) is nilpotent on each exact summand.  `exponent` is
+    the exact q-exponent of a rational eigenvalue, with no cap.
     """
-    M.validate()
     phi = M.phi_frac()
-    n = M.rank
-    charpoly = la.frac_charpoly(phi)
-
-    # candidate exact eigenvalues: powers of q, then rational roots
-    candidates = {}
-    cap = _order_cap(M)
-    for i in range(-cap, cap + 1):
-        lam = Fraction(M.q) ** i
-        if _poly_eval(charpoly, lam) == 0:
-            candidates.setdefault(lam, i)
-    bound = int(max(sum(abs(x) for x in row) for row in phi)) + 1
-    for c in range(-bound, bound + 1):
-        lam = Fraction(c)
-        if _poly_eval(charpoly, lam) == 0:
-            candidates.setdefault(lam, None)
+    rest = la.frac_charpoly(phi)
+    D = math.lcm(*(x.denominator for row in phi for x in row))
+    const = (D ** M.rank * rest[0]).numerator
+    bound = int(max(sum(abs(D * x) for x in row) for row in phi))
 
     summands = []
-    used = 0
-    for lam, exp in sorted(candidates.items()):
-        power = la.frac_matpow(la.frac_scalar_shift(phi, lam), n)
-        kernel = la.frac_kernel(power)
-        if not kernel:
+    for mu in range(-bound, bound + 1):
+        if len(rest) == 1:
+            break
+        if mu == 0 or const % mu:
             continue
-        basis = la.lloc_saturate(kernel, M.ell)
-        _check_phi_stable(phi, basis, M.ell)
-        if exp is None:
-            exp = _exponent_of(lam, M.q, cap)
-        summands.append(Summand(
-            basis=tuple(tuple(r) for r in basis),
-            eigenvalue=lam, exponent=exp, exact=True))
-        used += len(basis)
+        lam = Fraction(mu, D)
+        m = 0
+        quot, value = _divide_linear(rest, lam)
+        while value == 0:
+            rest, m = quot, m + 1
+            quot, value = _divide_linear(rest, lam)
+        if m:
+            basis = _eigenlattice(phi, lam, m, M.ell)
+            summands.append(Summand(
+                basis=tuple(tuple(r) for r in basis),
+                eigenvalue=lam, exponent=_q_exponent(lam, M.q), exact=True))
 
-    if used == n:
-        return _assemble_verdict(M, summands)
-
-    # leftover characteristic factor, analyzed by residues
-    rest = charpoly
-    for s in summands:
-        rest = _poly_div_exact(rest, _linear_power(s.eigenvalue,
-                                                   len(s.basis)))
+    # leftover characteristic factor, analyzed by residues (none if the
+    # spectrum is rational)
     rest_mod = [la.frac_mod_ell(c, M.ell) for c in rest]
     parts = la.coprime_power_split(rest_mod, M.ell)
     if any(not la.poly_roots(f, M.ell) for f in parts):
@@ -234,25 +231,33 @@ def _assemble_verdict(M, summands):
                          message=msg)
 
 
-def _check_phi_stable(phi, basis, ell):
+def _eigenlattice(phi, lam, m, ell):
+    """Saturated basis of ker (phi - lam)^m, lam an eigenvalue of
+    multiplicity m: the generalized eigenlattice, certified to have rank m
+    and to be phi-stable."""
+    kernel = la.frac_kernel(la.frac_matpow(la.frac_scalar_shift(phi, lam), m))
+    if len(kernel) != m:
+        raise la.StructuralError(
+            f"generalized eigenspace of {lam} has rank {len(kernel)}, "
+            f"not its multiplicity {m}")
+    basis = la.lloc_saturate(kernel, ell)
     for row in basis:
         img = la.frac_matmul([list(row)], _transpose(phi))[0]
         if not la.lloc_membership(img, basis, ell):
             raise la.StructuralError("eigenlattice is not phi-stable")
+    return basis
 
 
-def _poly_eval(coeffs, x):
+def _divide_linear(f, x):
+    """Synthetic division f(X) = (X - x) g(X) + f(x), coefficients low
+    degree first: returns (g, f(x)).  So f'(x) = g(x)."""
     acc = Fraction(0)
-    for c in reversed(coeffs):
+    high_first = []
+    for c in reversed(f):
         acc = acc * x + c
-    return acc
-
-
-def _linear_power(lam, e):
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = _poly_mul_frac(out, [-lam, Fraction(1)])
-    return out
+        high_first.append(acc)
+    value = high_first.pop()
+    return high_first[::-1], value
 
 
 def _poly_mul_frac(f, g):
@@ -263,50 +268,27 @@ def _poly_mul_frac(f, g):
     return out
 
 
-def _poly_div_exact(f, g):
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(c != 0 for c in f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        d = len(f) - len(g)
-        c = f[-1] / g[-1]
-        q[d] = c
-        for i, b in enumerate(g):
-            f[d + i] -= c * b
-        f.pop()
-    if any(c != 0 for c in f):
-        raise la.StructuralError("inexact polynomial division")
-    return q
-
-
-def _order_cap(M):
-    acc = M.q % M.ell
-    order = 1
-    while acc != 1:
-        acc = (acc * M.q) % M.ell
-        order += 1
-    return max(order, M.rank, 8)
-
-
-def _exponent_of(lam, q, cap):
-    for i in range(-cap, cap + 1):
-        if Fraction(q) ** i == lam:
-            return i
-    return None
+def _q_exponent(lam, q):
+    """The i with q^i == lam, exact and with no cap, or None; for |q| = 1
+    the i of least |i|, and 1 before -1."""
+    size = max(abs(lam), 1 / abs(lam))
+    for i in itertools.count():
+        for e in (i, -i):
+            if Fraction(q) ** e == lam:
+                return e
+        if abs(q) ** i > size or (i and abs(q) == 1):
+            return None
 
 
 def _hensel_root(poly, r, ell, precision):
     """Lift a simple root r of poly mod ell to a root mod ell^precision."""
     mod = ell
     x = r % ell
-    dpoly = [Fraction(i) * c for i, c in enumerate(poly)][1:]
     while mod < ell ** precision:
         mod = min(mod * mod, ell ** precision)
-        fx = _frac_mod(_poly_eval(poly, Fraction(x)), mod)
-        dfx = _frac_mod(_poly_eval(dpoly, Fraction(x)), mod)
+        quot, value = _divide_linear(poly, Fraction(x))
+        fx = _frac_mod(value, mod)
+        dfx = _frac_mod(_divide_linear(quot, Fraction(x))[1], mod)
         x = (x - fx * pow(dfx, -1, mod)) % mod
     return x
 
@@ -360,7 +342,6 @@ def stable_sub_quotient_split(M, sublattice_rows):
     quotient M/N.  The quotient must be free over Z_(l) (no elementary
     divisor of the inclusion divisible by l); this hypothesis cannot be
     dropped.  Returns (sub_decomposition, quotient_decomposition)."""
-    M.validate()
     rows = [[Fraction(x) for x in row] for row in sublattice_rows]
     for row in rows:
         for x in row:

@@ -55,6 +55,18 @@ def test_ext_and_parabolic(capsys):
     assert code == 1 and "coset" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rpoly", "--type", "A2", "--q", "3", "e", "s"),
+    ("envelope", "--type", "A1", "--ell", "5", "e", "s"),
+    ("endalg", "--type", "A1", "--ell", "5", "--precision", "8"),
+    ("koszul", "--type", "A1", "--ell", "5", "--q", "2"),
+])
+def test_options_a_command_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_qcond(capsys):
     code, out, _ = run(capsys, "qcond", "--type", "A2", "--ell", "13", "--q", "2")
     assert code == 0

@@ -852,6 +852,63 @@ def test_check_certificates_raise_structural_errors():
         ga.RightModule(A, [0, 0], reg.action).check()
 
 
+def test_check_names_the_unit_side_that_fails():
+    # dual numbers without e1 e0 = e1 (or e0 e1 = e1): one side of the
+    # unit still holds, and the check names the other
+    A = dual_numbers()
+    for drop, side in (((0, 1, 1, 1), "left"), ((1, 0, 1, 1), "right")):
+        mult = [r for r in A.mult.tolist() if tuple(r) != drop]
+        with pytest.raises(ga.StructuralError,
+                           match=fr"^unit fails \({side}\)$"):
+            ga.GradedAlgebra(A.p, A.degrees, mult, dict(A.unit)).check()
+
+
+def _check_by_mul_vec(A, spot=200):
+    """The unit and spot associativity checks over whole-vector mul_vec
+    products: the verdict GradedAlgebra.check must reach, as a message."""
+    u = A.unit_vector()
+    for b in map(A.basis_vec, range(A.dim)):
+        if not np.array_equal(A.mul_vec(u, b), b):
+            return "unit fails (left)"
+        if not np.array_equal(A.mul_vec(b, u), b):
+            return "unit fails (right)"
+    rng = np.random.default_rng(0)
+    for x, y, z in (map(A.basis_vec, t)
+                    for t in rng.integers(0, A.dim, size=(spot, 3))):
+        if not np.array_equal(A.mul_vec(A.mul_vec(x, y), z),
+                              A.mul_vec(x, A.mul_vec(y, z))):
+            return "associativity fails"
+    return None
+
+
+def test_check_matches_whole_vector_products(monkeypatch):
+    # E(A2) and copies with one structure constant dropped or changed:
+    # the check that reads runs reaches the verdict of mul_vec products,
+    # and calls no mul_vec itself
+    E = sg.endomorphism_algebra(sg.coinvariant_algebra("A2", 5)).algebra
+    variants = [E]
+    # rows spread over mult, and three whose loss only the spot triples see
+    rows = list(np.linspace(0, len(E.mult) - 1, 12).astype(int))
+    for r in rows + [11, 34, 530]:
+        variants.append(ga.GradedAlgebra(
+            E.p, E.degrees, np.delete(E.mult, r, axis=0), dict(E.unit)))
+        changed = E.mult.copy()
+        changed[r, 3] = changed[r, 3] % (E.p - 1) + 1
+        variants.append(ga.GradedAlgebra(E.p, E.degrees, changed,
+                                         dict(E.unit)))
+    want = [_check_by_mul_vec(A) for A in variants]
+    assert want[0] is None and len(set(want)) == 4
+    monkeypatch.setattr(ga.GradedAlgebra, "mul_vec", None)
+    got = []
+    for A in variants:
+        try:
+            A.check()
+            got.append(None)
+        except ga.StructuralError as exc:
+            got.append(str(exc))
+    assert got == want
+
+
 def test_component_idempotents_certificates(monkeypatch):
     # F_2 x F_2 x F_2: its components of 1 are the coordinate idempotents,
     # unless the regular module is split along lines that are not ideals

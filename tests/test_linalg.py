@@ -98,6 +98,24 @@ def test_elementary_exponents():
         la.lloc_elementary_exponents([[Fraction(1, 5)]], 5)
 
 
+@pytest.mark.parametrize("e", range(10))
+def test_frac_matpow_by_binary_powering(e, monkeypatch):
+    a = la.frac_mat([[1, Fraction(1, 2), 0], [0, 2, 1], [-1, 0, 3]])
+    want = la.frac_identity(3)
+    for _ in range(e):
+        want = la.frac_matmul(want, a)
+    products = []
+    matmul = la.frac_matmul
+    monkeypatch.setattr(la, "frac_matmul",
+                        lambda x, y: products.append(1) or matmul(x, y))
+    got = la.frac_matpow(a, e)
+    assert got == want and got is not a
+    # a square per bit below the top one and a product per further set
+    # bit: a^1 takes none and a^5 three
+    assert len(products) == max(e.bit_length() - 1, 0) + \
+        max(bin(e).count("1") - 1, 0)
+
+
 def test_charpoly():
     cp = la.frac_charpoly(la.frac_mat([[1, 0], [0, 6]]))
     assert cp == [Fraction(6), Fraction(-7), Fraction(1)]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -8,6 +10,18 @@ import pytest
 
 from flagalg import _linalg as la
 from flagalg import phimod as pm
+
+FROZEN = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
+                                     "frozen.json")))
+
+# the fixed matrices of this file, as (rows, ell, q)
+REFERENCE_MATRICES = [
+    ([[1, 0], [0, 4]], 3, 4), ([[1, 0], [1, 4]], 3, 4), ([[1, 0], [1, 4]], 3, 2),
+    ([[1, 0], [0, 6]], 5, 6), ([[1, 0], [1, 6]], 5, 6), ([[1, 0], [1, 6]], 5, 2),
+    ([[1, 1], [0, 1]], 5, 2), ([[1, 0, 0], [0, 6, 0], [3, 0, 36]], 5, 6),
+    ([[1, 0, 0], [0, 2, 0], [3, 0, 4]], 7, 2), ([[1, 5], [5, 26]], 5, 2),
+    ([[0, 2], [1, 0]], 7, 3),
+]
 
 
 def test_invariant_validation():
@@ -51,6 +65,45 @@ def test_decompose_single_block():
     assert len(d.summands) == 1 and d.summands[0].exponent == 0
 
 
+@pytest.mark.parametrize("entry,exponent", [
+    (Fraction(3, 2), None), (512, 9), (Fraction(1, 4), -2),
+    (Fraction(1, 1024), -10), (Fraction(-1, 8), None)])
+def test_decompose_rational_eigenvalue_is_exact(entry, exponent):
+    # at q = 2: 3/2 is a root of the D-scaled charpoly X - 3 with D = 2,
+    # and the q-exponent has no cap
+    d = pm.decompose(pm.PhiModule.build([[entry]], 5, 2))
+    assert d.status == "decomposable" and d.message == ""
+    (s,) = d.summands
+    assert s.exact and s.eigenvalue == entry and s.exponent == exponent
+
+
+def test_decompose_q_exponent_for_unit_q():
+    # every power of q = +-1 is +-1: the exponent is the one of least |i|
+    d = pm.decompose(pm.PhiModule.build([[1, 0], [0, -1]], 5, -1))
+    assert [(s.eigenvalue, s.exponent) for s in d.summands] == [(-1, 1),
+                                                                (1, 0)]
+    d = pm.decompose(pm.PhiModule.build([[1, 1], [0, 1]], 5, 1))
+    assert [(s.eigenvalue, s.exponent) for s in d.summands] == [(1, 0)]
+
+
+def test_decompose_rational_and_irrational_spectrum():
+    # 3/2 exactly, then +-sqrt(2) by residues: the cofactor X^2 - 2 is
+    # what is left once 3/2 is divided out
+    phi = [[Fraction(3, 2), 0, 0], [0, 0, 2], [0, 1, 0]]
+    d = pm.decompose(pm.PhiModule.build(phi, 7, 3))
+    assert d.status == "decomposable"
+    assert [s.eigenvalue for s in d.summands] == \
+        [Fraction(3, 2), ("residue", 3), ("residue", 4)]
+    assert [s.exact for s in d.summands] == [True, False, False]
+
+
+def test_construction_validates_once():
+    with pytest.raises(ValueError, match="automorphism"):
+        pm.PhiModule(1, ((Fraction(5),),), 5, 2)
+    with pytest.raises(ValueError, match="square"):
+        pm.PhiModule(2, ((Fraction(1),),), 5, 2)
+
+
 def test_decompose_residue_collision_is_detected():
     # q = 6 is 1 mod 5, so the eigenvalues 1, 6, 36 all collide mod 5 and
     # the coupling entry creates an index-5 defect: honestly indecomposable
@@ -83,6 +136,19 @@ def test_decompose_idempotence_and_certificate():
         i = s.exponent
         shifted = la.frac_scalar_shift(sub_phi, Fraction(q) ** i)
         assert la.frac_is_zero(la.frac_matpow(shifted, sub.rank))
+
+
+def test_decompositions_match_frozen_digest():
+    # the repr of every decomposition, summands, bases and messages
+    # included: the reference matrices and criterion 5's 200 randoms
+    decs = [pm.decompose(pm.PhiModule.build(rows, ell, q))
+            for rows, ell, q in REFERENCE_MATRICES]
+    random.seed(20260808)
+    for _ in range(200):
+        M, _ell = _random_criterion_module(rank_max=5)
+        decs.append(pm.decompose(M))
+    digest = hashlib.sha256(repr(decs).encode()).hexdigest()
+    assert digest == FROZEN["phimod_decompositions_sha256"]
 
 
 def test_criterion_soundness_randoms():
@@ -269,35 +335,42 @@ def test_free_cover_random_torsion():
 # certificates that python -O must not strip
 
 
-def test_certificates_raise_structural_errors():
-    with pytest.raises(la.StructuralError, match="inexact polynomial"):
-        pm._poly_div_exact([1, 0, 1], [1, 1])
+def test_certificates_raise_structural_errors(monkeypatch):
+    # phi = diag(2, 3): the eigenvalue 2 has multiplicity 1, not 2
+    phi = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
+    with pytest.raises(la.StructuralError, match="not its multiplicity 2"):
+        pm._eigenlattice(phi, Fraction(2), 2, 5)
     with pytest.raises(la.StructuralError, match="matrix not invertible"):
         pm._frac_inverse([[Fraction(1), Fraction(2)],
                           [Fraction(2), Fraction(4)]])
+    # the swap has eigenlattice (1, 1) at 1; (1, 0) in its place is not
+    # phi-stable
+    monkeypatch.setattr(la, "lloc_saturate", lambda rows, ell: [[1, 0]])
     with pytest.raises(la.StructuralError, match="phi-stable"):
-        pm._check_phi_stable([[0, 1], [1, 0]], [[1, 0]], 5)
+        pm._eigenlattice([[0, 1], [1, 0]], Fraction(1), 1, 5)
 
 
-_INEXACT_DIVISION = """
+_WRONG_MULTIPLICITY = """
+from fractions import Fraction
 from flagalg import _linalg as la
 from flagalg import phimod as pm
 if __debug__:
     raise SystemExit("expected python -O")
 try:
-    pm._poly_div_exact([1, 0, 1], [1, 1])   # x^2 + 1 = (x + 1)(x - 1) + 2
+    pm._eigenlattice([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]],
+                     Fraction(2), 2, 5)
 except la.StructuralError as exc:
     print("StructuralError:", exc)
 """
 
 
-def test_inexact_division_raises_under_python_O():
+def test_multiplicity_certificate_raises_under_python_O():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _INEXACT_DIVISION],
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_MULTIPLICITY],
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == \
-        "StructuralError: inexact polynomial division"
+    assert proc.stdout.strip() == ("StructuralError: generalized eigenspace "
+                                   "of 2 has rank 1, not its multiplicity 2")

@@ -30,3 +30,22 @@ def test_every_exported_name_exists():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert glob.glob(os.path.join(SRC, "*.py")) and not missing, missing
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level `def _name` that nothing in src/ refers to is left
+    # over from a rewrite: delete it, or call it
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
+    used = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    used |= {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    helpers = [f"{name}:{node.name}" for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and node.name not in used]
+    assert trees
+    assert not helpers, helpers
