@@ -488,7 +488,9 @@ def _algebra_quotient(T, ideal_rows, p):
     """Structure tensor of A / span(ideal_rows) on the complement basis of
     the non-pivot columns `comp`; returns (tensor, comp)."""
     r, piv = mod_rref(ideal_rows, p) if ideal_rows.size else (ideal_rows, [])
-    comp = np.setdiff1d(np.arange(len(T)), piv)
+    comp = np.ones(len(T), dtype=bool)
+    comp[piv] = False
+    comp = np.flatnonzero(comp)
     # products of complement basis vectors, minus their part in the ideal
     prods = T[np.ix_(comp, comp)]
     prods = (prods - mod_matmul(prods[..., piv], r[: len(piv)], p)) % p
@@ -549,10 +551,6 @@ def _check_nilpotent_ideal(T, rad, p):
 
 # ---------------------------------------------------------------------------
 # exact arithmetic over Q and over the l-local integers
-
-
-def frac_mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def frac_identity(n):

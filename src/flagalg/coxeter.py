@@ -117,12 +117,6 @@ class WeylGroup:
         if len(top) != 1 or 2 * top[0].length != self.num_roots:
             raise StructuralError("no unique longest element of length |R|/2")
 
-        # reflections (conjugates of simple reflections), for cover relations
-        simples = [self.element(c) for c in self.simple_labels]
-        self._reflections = {
-            self._mult[self._mult[w.index][s.index]][self._inv[w.index]]
-            for w in self.elements for s in simples}
-
     # -- lookups ------------------------------------------------------
 
     @property
@@ -204,29 +198,6 @@ def bruhat_leq(W, u, v):
         s = W.element(c)
         reachable |= {W._mult[i][s.index] for i in reachable}
     return u.index in reachable
-
-
-def bruhat_leq_by_covers(W, u, v):
-    """Independent computation of the Bruhat order: transitive closure of
-    length-one cover steps u -> u t (t a reflection).  Used to cross-check
-    the subword criterion."""
-    if u == v:
-        return True
-    if u.length >= v.length:
-        return False
-    frontier = {u.index}
-    for _ in range(v.length - u.length):
-        nxt = set()
-        for i in frontier:
-            a = W.elements[i]
-            for t in W._reflections:
-                b = W.elements[W._mult[i][t]]
-                if b.length == a.length + 1:
-                    nxt.add(b.index)
-        if v.index in nxt:
-            return True
-        frontier = nxt
-    return False
 
 
 def coset_reps(W, s):

@@ -95,13 +95,6 @@ class IntPolynomial:
                 d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
         return IntPolynomial.from_dict(d)
 
-    def scale(self, c):
-        return IntPolynomial.from_dict({e: c * a for e, a in self.coeffs})
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        return IntPolynomial(tuple((e + k, c) for e, c in self.coeffs))
-
     def __call__(self, q):
         return sum(c * q ** e for e, c in self.coeffs)
 
@@ -179,24 +172,6 @@ def r_polynomial(W, u, v):
                 + q * r_polynomial(W, us, vs)
     _R_MEMO[key] = out
     return out
-
-
-def r_polynomial_with_descent(W, u, v, s):
-    """Same recursion but forcing the first descent choice; used to test
-    that the result does not depend on it."""
-    if u == v:
-        return IntPolynomial.one()
-    if not bruhat_leq(W, u, v):
-        return IntPolynomial.zero()
-    if W.mult(v, s).length >= v.length:
-        raise ValueError("s is not a right descent of v")
-    vs = W.mult(v, s)
-    us = W.mult(u, s)
-    if us.length < u.length:
-        return r_polynomial(W, us, vs)
-    q_minus_1 = IntPolynomial.from_dict({1: 1, 0: -1})
-    q = IntPolynomial.from_dict({1: 1})
-    return q_minus_1 * r_polynomial(W, u, vs) + q * r_polynomial(W, us, vs)
 
 
 def weight_envelope(W, u, v):

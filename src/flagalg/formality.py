@@ -36,9 +36,9 @@ from . import _linalg as la
 from .galgebra import StructuralError
 
 __all__ = [
-    "BigradedDgAlgebra", "BigradedComponents", "cohomology",
-    "diagonal_check", "shear_subalgebra", "omega_shear", "verify_quasi_iso",
-    "random_diagonal_instance", "random_nondiagonal_instance",
+    "BigradedDgAlgebra", "cohomology", "diagonal_check", "shear_subalgebra",
+    "verify_quasi_iso", "random_diagonal_instance",
+    "random_nondiagonal_instance",
 ]
 
 
@@ -302,81 +302,6 @@ def verify_quasi_iso(src, tgt, mat):
         return False
     induced = ht.classify(la.mod_matmul(hs.reps, (mat % p).T, p)).T
     return la.mod_rank(induced, p) == hs.algebra.dim
-
-
-# ---------------------------------------------------------------------------
-# bigraded module data and the index shear
-
-
-@dataclass(eq=False)
-class BigradedComponents:
-    """Bounded bigraded dg-module data: dims per bidegree and differential
-    blocks of bidegree (1, 0)."""
-
-    p: int
-    dims: dict                 # (i, j) -> dimension
-    diff: dict = field(default_factory=dict)  # (i, j) -> matrix to (i+1, j)
-
-    def check(self):
-        for (i, j), m in self.diff.items():
-            if m.shape != (self.dims.get((i + 1, j), 0),
-                           self.dims.get((i, j), 0)):
-                raise StructuralError("differential block has wrong shape")
-            nxt = self.diff.get((i + 1, j))
-            if nxt is not None and m.size and nxt.size and \
-                    np.any(la.mod_matmul(nxt, m, self.p)):
-                raise StructuralError("d^2 != 0")
-
-    def shift_internal(self, n):
-        """<n>: component (i, j) of the result is component (i, j - n)."""
-        return BigradedComponents(
-            self.p,
-            {(i, j + n): v for (i, j), v in self.dims.items()},
-            {(i, j + n): m.copy() for (i, j), m in self.diff.items()})
-
-    def shift_cohomological(self, n):
-        """[n]: component (i, j) of the result is component (i + n, j)."""
-        return BigradedComponents(
-            self.p,
-            {(i - n, j): v for (i, j), v in self.dims.items()},
-            {(i - n, j): m.copy() for (i, j), m in self.diff.items()})
-
-    def equal_to(self, other):
-        a = {k: v for k, v in self.dims.items() if v}
-        b = {k: v for k, v in other.dims.items() if v}
-        if a != b:
-            return False
-        for k in set(self.diff) | set(other.diff):
-            ma = self.diff.get(k)
-            mb = other.diff.get(k)
-            if ma is None or mb is None:
-                if (ma is None or not ma.size or not np.any(ma)) and \
-                   (mb is None or not mb.size or not np.any(mb)):
-                    continue
-                return False
-            if ma.shape != mb.shape or \
-                    not np.array_equal(ma % self.p, mb % self.p):
-                return False
-        return True
-
-
-def omega_shear(M):
-    """The index shear: component (i, j) of the result is component
-    (i + j, j) of the input.  Satisfies
-    omega(M<n>) = omega(M)[n]<n>, asserted in tests."""
-    return BigradedComponents(
-        M.p,
-        {(i - j, j): v for (i, j), v in M.dims.items()},
-        {(i - j, j): m.copy() for (i, j), m in M.diff.items()})
-
-
-def omega_unshear(M):
-    """Inverse regrading: component (i, j) of the result is component
-    (i - j, j) of the input."""
-    return BigradedComponents(
-        M.p,
-        {(i + j, j): v for (i, j), v in M.dims.items()},
-        {(i + j, j): m.copy() for (i, j), m in M.diff.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,12 @@ from . import _linalg as la
 from ._linalg import StructuralError
 
 __all__ = [
-    "GradedAlgebra", "RightModule", "UngradedModule", "GradedComplex",
-    "DgModule", "StructuralError", "dims_to_laurent", "regular_module",
-    "module_hom_basis", "hom_all", "hom_dims", "module_generators",
-    "module_presentation", "shift_module", "submodule", "quotient_module",
-    "span_under_action", "idempotent_slice", "direct_sum", "restrict_module",
-    "decompose_module", "decompose_module_with_rows", "is_iso_up_to_shift",
-    "graded_projectives", "v_forget", "v_bar_shear", "minimal_resolution",
+    "GradedAlgebra", "RightModule", "StructuralError", "dims_to_laurent",
+    "regular_module", "module_hom_basis", "hom_all", "hom_dims",
+    "module_generators", "module_presentation", "shift_module", "submodule",
+    "quotient_module", "span_under_action", "idempotent_slice", "direct_sum",
+    "restrict_module", "decompose_module", "decompose_module_with_rows",
+    "is_iso_up_to_shift", "graded_projectives", "minimal_resolution",
     "koszulity_check", "koszul_module_check", "ext_algebra_of_projectives",
     "upsilon_module", "simple_dims",
 ]
@@ -192,10 +191,6 @@ class RightModule:
         out %= p
         return out
 
-    def act_vec(self, x, avec):
-        """x * (sum avec[a] e_a)"""
-        return self.matrix(avec) @ x % self.algebra.p
-
     def check(self):
         if not np.array_equal(self.matrix(self.algebra.unit_vector()),
                               np.eye(self.dim, dtype=np.int64)):
@@ -252,7 +247,9 @@ def quotient_module(M, rows):
         red = r[: len(piv)]
     else:
         red, piv = np.zeros((0, dim), dtype=np.int64), []
-    keep = np.setdiff1d(np.arange(dim), piv)
+    keep = np.ones(dim, dtype=bool)
+    keep[piv] = False
+    keep = np.flatnonzero(keep)
     # e_c for a pivot column c of row i is -sum over kept columns c' of
     # red[i, c'] e_c'
     proj = np.eye(dim, dtype=np.int64)[keep]
@@ -514,7 +511,7 @@ def hom_all(M, N):
     # earlier ones are the pivot columns of the stacked pieces
     gap = np.subtract.outer(N.degrees, M.degrees)
     final = {}
-    for d in np.unique(gap).tolist():
+    for d in sorted(set(gap.ravel().tolist())):
         mask = gap == d
         _, piv = la.mod_rref(psi[:, mask].T, p)
         if piv:
@@ -624,17 +621,16 @@ def is_iso_up_to_shift(M, N):
     if M.dim != N.dim:
         return None
     dm, dn = M.dims_by_degree(), N.dims_by_degree()
-    shifts = {min(dn) - min(dm)}
-    for k in shifts:
-        if {d + k: v for d, v in dm.items()} != dn:
-            continue
-        fwd = module_hom_basis(M, N, k)
-        bwd = module_hom_basis(N, M, -k)
-        p = M.algebra.p
-        for phi in fwd:
-            for psi in bwd:
-                if not _nilpotent((psi @ phi) % p, p):
-                    return k
+    k = min(dn) - min(dm)
+    if {d + k: v for d, v in dm.items()} != dn:
+        return None
+    fwd = module_hom_basis(M, N, k)
+    bwd = module_hom_basis(N, M, -k)
+    p = M.algebra.p
+    for phi in fwd:
+        for psi in bwd:
+            if not _nilpotent((psi @ phi) % p, p):
+                return k
     return None
 
 
@@ -655,12 +651,9 @@ def graded_projectives(E, family_words, lengths):
         summands = decompose_module(sub)
         fresh = []
         for s in summands:
-            if any(is_iso_up_to_shift(s, q) is not None
-                   for q in found.values()):
-                continue
-            if any(is_iso_up_to_shift(s, q) is not None for q in fresh):
-                continue
-            fresh.append(s)
+            if all(is_iso_up_to_shift(s, q) is None
+                   for q in [*found.values(), *fresh]):
+                fresh.append(s)
         if len(fresh) != 1:
             raise StructuralError(
                 f"expected exactly one new projective class in e_f E for "
@@ -695,92 +688,6 @@ def simple_dims(projectives):
                 "split-endomorphism assumption violated")
         out[k] = int(v)
     return out
-
-
-# ---------------------------------------------------------------------------
-# scaffolding functors
-
-
-@dataclass(eq=False)
-class UngradedModule:
-    dim: int
-    action: list
-
-
-def v_forget(M):
-    """Forget the grading; the underlying space and action are unchanged."""
-    return UngradedModule(M.dim, M.action.copy())
-
-
-@dataclass(eq=False)
-class GradedComplex:
-    """Bounded complex of graded spaces: components[i] = degrees list,
-    differentials[i]: matrix from component i to component i+1 (graded,
-    degree 0)."""
-
-    components: dict
-    differentials: dict
-    p: int
-
-    def check(self):
-        for i, d in self.differentials.items():
-            src = self.components[i]
-            tgt = self.components.get(i + 1, [])
-            if d.shape != (len(tgt), len(src)):
-                raise ValueError("differential has the wrong shape")
-            if (i + 1) in self.differentials and \
-                    np.any(self.differentials[i + 1] @ d % self.p):
-                raise StructuralError("d^2 != 0")
-
-    def shift_internal(self, k):
-        """<k>: all internal degrees go up by k."""
-        return GradedComplex(
-            {i: [d + k for d in degs] for i, degs in self.components.items()},
-            {i: m.copy() for i, m in self.differentials.items()}, self.p)
-
-
-@dataclass(eq=False)
-class DgModule:
-    """Dg-space graded by total degree; differential of degree +1."""
-
-    components: dict        # n -> dimension
-    differentials: dict     # n -> matrix to component n+1
-    p: int
-
-    def shift_cohomological(self, k):
-        """[k]: component n of the result is component n+k of the input."""
-        return DgModule({n - k: v for n, v in self.components.items()},
-                        {n - k: m.copy()
-                         for n, m in self.differentials.items()}, self.p)
-
-
-def v_bar_shear(cx):
-    """Collapse a complex of graded spaces to the dg-space with total
-    degree n = i + j; the differential is inherited blockwise.  Satisfies
-    v_bar(M<1>) = v_bar(M)[-1]."""
-    pos = {}
-    comps = {}
-    for i, degs in cx.components.items():
-        for idx, j in enumerate(degs):
-            n = i + j
-            pos[(i, idx)] = (n, comps.get(n, 0))
-            comps[n] = comps.get(n, 0) + 1
-    diffs = {}
-    for n in comps:
-        if (n + 1) in comps:
-            diffs[n] = np.zeros((comps[n + 1], comps[n]), dtype=np.int64)
-    for i, dmat in cx.differentials.items():
-        src = cx.components[i]
-        tgt = cx.components.get(i + 1, [])
-        for sidx in range(len(src)):
-            n, scol = pos[(i, sidx)]
-            for tidx in range(len(tgt)):
-                if dmat[tidx, sidx] % cx.p:
-                    n2, trow = pos[(i + 1, tidx)]
-                    if n2 != n + 1:
-                        raise StructuralError("differential is not graded")
-                    diffs[n][trow, scol] = dmat[tidx, sidx] % cx.p
-    return DgModule(dict(sorted(comps.items())), diffs, cx.p)
 
 
 # ---------------------------------------------------------------------------

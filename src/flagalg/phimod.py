@@ -500,19 +500,10 @@ def _nilpotency_index(pres, exps):
     power = la.frac_identity(k)
     for n in range(1, k * max(len(exps), 1) + 2):
         power = la.frac_matmul(prod, power)
-        if all(_in_relation_span(c, rel, pres.ell)
+        if all(la.lloc_membership(c, rel, pres.ell)
                for c in _transpose(power)):
             return n
     raise ValueError("module does not have q-weights from I")
-
-
-def _in_relation_span(vec, rel, ell):
-    if all(x == 0 for x in vec):
-        return True
-    if not rel:
-        return False
-    sol = la.frac_solve(_transpose(rel), list(vec))
-    return sol is not None and all(la.is_l_integral(c, ell) for c in sol)
 
 
 def _surjective_mod_ell(pres, surj):

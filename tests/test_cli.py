@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,6 +209,30 @@ def test_endalg_modulus_too_large_for_products(tmp_path, capsys):
                          "2147483647", "--cache-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert "modulus too large" in err
+
+
+_CATEGORY_O_IMPORTS = """
+import contextlib, io, sys
+from flagalg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([cmd, "--type", "A2", "--ell", "5",
+                       "--cache-dir", sys.argv[1]])
+             for cmd in ("standards", "koszul")]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_category_o_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on the first np.unique or np.setdiff1d call,
+    # at a cost in memory and time that graded category O does not need
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CATEGORY_O_IMPORTS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False"
 
 
 @pytest.mark.parametrize("command", sorted(FROZEN_SHA256))

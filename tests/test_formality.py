@@ -122,32 +122,6 @@ def test_seeded_instances_all_pass():
         assert fm.verify_quasi_iso(sub, hd.algebra, proj)
 
 
-def test_omega_shear_bookkeeping():
-    M = fm.BigradedComponents(5, {(0, 0): 1, (2, 1): 3, (3, 1): 2},
-                              {(2, 1): np.zeros((2, 3), dtype=np.int64)})
-    O = fm.omega_shear(M)
-    assert O.dims == {(0, 0): 1, (1, 1): 3, (2, 1): 2}
-    assert fm.omega_unshear(O).equal_to(M)
-    for n in (-2, 1, 3):
-        lhs = fm.omega_shear(M.shift_internal(n))
-        rhs = fm.omega_shear(M).shift_cohomological(n).shift_internal(n)
-        assert lhs.equal_to(rhs)
-
-
-def test_omega_shear_random_shift_law():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        dims = {}
-        for _ in range(6):
-            i, j = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-            dims[(i, j)] = int(rng.integers(1, 4))
-        M = fm.BigradedComponents(5, dims)
-        n = int(rng.integers(-3, 4))
-        lhs = fm.omega_shear(M.shift_internal(n))
-        rhs = fm.omega_shear(M).shift_cohomological(n).shift_internal(n)
-        assert lhs.equal_to(rhs)
-
-
 # ---------------------------------------------------------------------------
 # the loop versions of mul_vec and check, kept as references
 
@@ -341,14 +315,3 @@ def test_shear_not_closed_raises_structural_error():
     with pytest.raises(StructuralError,
                        match="shear subalgebra is not closed"):
         fm.shear_subalgebra(R)
-
-
-def test_components_check_raises_structural_error():
-    one = np.ones((1, 1), dtype=np.int64)
-    M = fm.BigradedComponents(5, {(0, 0): 1, (1, 0): 1, (2, 0): 1},
-                              {(0, 0): one, (1, 0): one})
-    with pytest.raises(StructuralError, match=re.escape("d^2 != 0")):
-        M.check()
-    M = fm.BigradedComponents(5, {(0, 0): 1}, {(0, 0): one})
-    with pytest.raises(StructuralError, match="wrong shape"):
-        M.check()

@@ -98,9 +98,13 @@ def test_elementary_exponents():
         la.lloc_elementary_exponents([[Fraction(1, 5)]], 5)
 
 
+def frac_mat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
 @pytest.mark.parametrize("e", range(10))
 def test_frac_matpow_by_binary_powering(e, monkeypatch):
-    a = la.frac_mat([[1, Fraction(1, 2), 0], [0, 2, 1], [-1, 0, 3]])
+    a = frac_mat([[1, Fraction(1, 2), 0], [0, 2, 1], [-1, 0, 3]])
     want = la.frac_identity(3)
     for _ in range(e):
         want = la.frac_matmul(want, a)
@@ -117,7 +121,7 @@ def test_frac_matpow_by_binary_powering(e, monkeypatch):
 
 
 def test_charpoly():
-    cp = la.frac_charpoly(la.frac_mat([[1, 0], [0, 6]]))
+    cp = la.frac_charpoly(frac_mat([[1, 0], [0, 6]]))
     assert cp == [Fraction(6), Fraction(-7), Fraction(1)]
 
 

@@ -11,6 +11,8 @@ import pytest
 from flagalg import _linalg as la
 from flagalg import phimod as pm
 
+from test_linalg import frac_mat
+
 FROZEN = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
                                      "frozen.json")))
 
@@ -196,15 +198,15 @@ def _random_criterion_module(rank_max=5):
         off += len(b)
     while True:
         U = [[random.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        det = la.frac_det(la.frac_mat(U))
+        det = la.frac_det(frac_mat(U))
         if det != 0 and la.lval(det, ell) == 0:
             break
-    Uf = la.frac_mat(U)
+    Uf = frac_mat(U)
     aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(Uf)]
     red, piv = la.frac_rref(aug)
     inv = [row[n:] for row in red]
-    conj = la.frac_matmul(la.frac_matmul(Uf, la.frac_mat(m)), inv)
+    conj = la.frac_matmul(la.frac_matmul(Uf, frac_mat(m)), inv)
     return pm.PhiModule.build(conj, ell, q), ell
 
 

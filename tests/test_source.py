@@ -6,6 +6,25 @@ import importlib
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "flagalg")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _trees(directory):
+    """File name -> parsed module, for every .py file in the directory."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
+    return trees
+
+
+def _referenced_names(trees):
+    """Every Name and Attribute identifier in the given modules."""
+    used = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    used |= {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    return used
 
 
 def test_no_assert_statements_in_src():
@@ -35,17 +54,30 @@ def test_every_exported_name_exists():
 def test_every_private_helper_has_a_caller():
     # a module-level `def _name` that nothing in src/ refers to is left
     # over from a rewrite: delete it, or call it
-    trees = {}
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path) as fh:
-            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
-    used = {node.id for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Name)}
-    used |= {node.attr for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)}
+    trees = _trees(SRC)
+    used = _referenced_names(trees.values())
     helpers = [f"{name}:{node.name}" for name, tree in trees.items()
                for node in tree.body
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("_") and node.name not in used]
     assert trees
     assert not helpers, helpers
+
+
+def test_every_unexported_function_has_a_caller():
+    # a public module-level function outside __all__ that nothing in src/
+    # or perfbench/ refers to is only a test oracle: it belongs in tests/
+    trees = _trees(SRC)
+    used = _referenced_names([*trees.values(), *_trees(PERFBENCH).values()])
+    orphans = []
+    for file, tree in trees.items():
+        name = os.path.splitext(file)[0]
+        module = importlib.import_module(
+            "flagalg" if name == "__init__" else f"flagalg.{name}")
+        exported = set(getattr(module, "__all__", ()))
+        orphans += [f"{name}.{node.name}" for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in exported
+                    and node.name not in used]
+    assert trees and not orphans, orphans
