@@ -2,10 +2,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from flagalg import _linalg as la
 from flagalg import formality as fm
 from flagalg.galgebra import StructuralError
 
@@ -120,6 +122,119 @@ def test_seeded_instances_all_pass():
         assert fm.diagonal_check(R)
         assert fm.verify_quasi_iso(sub, R, inc)
         assert fm.verify_quasi_iso(sub, hd.algebra, proj)
+
+
+# ---------------------------------------------------------------------------
+# bigraded module data and the index shear, kept here as a check of the
+# regrading convention omega(M<n>) = omega(M)[n]<n>; nothing in flagalg
+# calls them
+
+
+@dataclass(eq=False)
+class BigradedComponents:
+    """Bounded bigraded dg-module data: dims per bidegree and differential
+    blocks of bidegree (1, 0)."""
+
+    p: int
+    dims: dict                 # (i, j) -> dimension
+    diff: dict = field(default_factory=dict)  # (i, j) -> matrix to (i+1, j)
+
+    def check(self):
+        for (i, j), m in self.diff.items():
+            if m.shape != (self.dims.get((i + 1, j), 0),
+                           self.dims.get((i, j), 0)):
+                raise StructuralError("differential block has wrong shape")
+            nxt = self.diff.get((i + 1, j))
+            if nxt is not None and m.size and nxt.size and \
+                    np.any(la.mod_matmul(nxt, m, self.p)):
+                raise StructuralError("d^2 != 0")
+
+    def shift_internal(self, n):
+        """<n>: component (i, j) of the result is component (i, j - n)."""
+        return BigradedComponents(
+            self.p,
+            {(i, j + n): v for (i, j), v in self.dims.items()},
+            {(i, j + n): m.copy() for (i, j), m in self.diff.items()})
+
+    def shift_cohomological(self, n):
+        """[n]: component (i, j) of the result is component (i + n, j)."""
+        return BigradedComponents(
+            self.p,
+            {(i - n, j): v for (i, j), v in self.dims.items()},
+            {(i - n, j): m.copy() for (i, j), m in self.diff.items()})
+
+    def equal_to(self, other):
+        a = {k: v for k, v in self.dims.items() if v}
+        b = {k: v for k, v in other.dims.items() if v}
+        if a != b:
+            return False
+        for k in set(self.diff) | set(other.diff):
+            ma = self.diff.get(k)
+            mb = other.diff.get(k)
+            if ma is None or mb is None:
+                if (ma is None or not ma.size or not np.any(ma)) and \
+                   (mb is None or not mb.size or not np.any(mb)):
+                    continue
+                return False
+            if ma.shape != mb.shape or \
+                    not np.array_equal(ma % self.p, mb % self.p):
+                return False
+        return True
+
+
+def omega_shear(M):
+    """The index shear: component (i, j) of the result is component
+    (i + j, j) of the input."""
+    return BigradedComponents(
+        M.p,
+        {(i - j, j): v for (i, j), v in M.dims.items()},
+        {(i - j, j): m.copy() for (i, j), m in M.diff.items()})
+
+
+def omega_unshear(M):
+    """Inverse regrading: component (i, j) of the result is component
+    (i - j, j) of the input."""
+    return BigradedComponents(
+        M.p,
+        {(i + j, j): v for (i, j), v in M.dims.items()},
+        {(i + j, j): m.copy() for (i, j), m in M.diff.items()})
+
+
+def test_omega_shear_bookkeeping():
+    M = BigradedComponents(5, {(0, 0): 1, (2, 1): 3, (3, 1): 2},
+                           {(2, 1): np.zeros((2, 3), dtype=np.int64)})
+    O = omega_shear(M)
+    assert O.dims == {(0, 0): 1, (1, 1): 3, (2, 1): 2}
+    assert omega_unshear(O).equal_to(M)
+    for n in (-2, 1, 3):
+        lhs = omega_shear(M.shift_internal(n))
+        rhs = omega_shear(M).shift_cohomological(n).shift_internal(n)
+        assert lhs.equal_to(rhs)
+
+
+def test_omega_shear_random_shift_law():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        dims = {}
+        for _ in range(6):
+            i, j = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
+            dims[(i, j)] = int(rng.integers(1, 4))
+        M = BigradedComponents(5, dims)
+        n = int(rng.integers(-3, 4))
+        lhs = omega_shear(M.shift_internal(n))
+        rhs = omega_shear(M).shift_cohomological(n).shift_internal(n)
+        assert lhs.equal_to(rhs)
+
+
+def test_components_check_raises_structural_error():
+    one = np.ones((1, 1), dtype=np.int64)
+    M = BigradedComponents(5, {(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                           {(0, 0): one, (1, 0): one})
+    with pytest.raises(StructuralError, match=re.escape("d^2 != 0")):
+        M.check()
+    M = BigradedComponents(5, {(0, 0): 1}, {(0, 0): one})
+    with pytest.raises(StructuralError, match="wrong shape"):
+        M.check()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ def dual_numbers(p=5, deg=1):
     lambda: fm.BigradedDgAlgebra(
         5, [(0, 0), (1, 1)], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
         {0: 1}, np.zeros((2, 2), dtype=np.int64)),
+    lambda: GradedComplex({0: [0], 1: [0]},
+                          {0: np.ones((1, 1), dtype=np.int64)}, 5),
     lambda: sg.bott_samelson(sg.coinvariant_algebra("A1", 5), "s"),
     lambda: sg.endomorphism_algebra(sg.coinvariant_algebra("A1", 5))],
-    ids=["GradedAlgebra", "RightModule", "BigradedDgAlgebra", "BSModule",
-         "EndAlgebraData"])
+    ids=["GradedAlgebra", "RightModule", "BigradedDgAlgebra",
+         "GradedComplex", "BSModule", "EndAlgebraData"])
 def test_array_holders_compare_by_identity(build):
     # a field-by-field == would ask numpy for the truth value of an array
     # and raise; these compare by identity and hash
@@ -47,6 +50,112 @@ def test_regular_module_and_check():
     reg = ga.regular_module(A)
     reg.check()
     assert reg.dims_by_degree() == {0: 1, 1: 1}
+
+
+# ---------------------------------------------------------------------------
+# the grading functors v and v_bar, kept here as a check of the regrading
+# convention v_bar(M<1>) = v_bar(M)[-1]; nothing in flagalg calls them
+
+
+@dataclass(eq=False)
+class GradedComplex:
+    """Bounded complex of graded spaces: components[i] = degrees list,
+    differentials[i]: matrix from component i to component i+1 (graded,
+    degree 0)."""
+
+    components: dict
+    differentials: dict
+    p: int
+
+    def check(self):
+        for i, d in self.differentials.items():
+            src = self.components[i]
+            tgt = self.components.get(i + 1, [])
+            if d.shape != (len(tgt), len(src)):
+                raise ValueError("differential has the wrong shape")
+            if (i + 1) in self.differentials and \
+                    np.any(self.differentials[i + 1] @ d % self.p):
+                raise ga.StructuralError("d^2 != 0")
+
+    def shift_internal(self, k):
+        """<k>: all internal degrees go up by k."""
+        return GradedComplex(
+            {i: [d + k for d in degs] for i, degs in self.components.items()},
+            {i: m.copy() for i, m in self.differentials.items()}, self.p)
+
+
+@dataclass(eq=False)
+class DgModule:
+    """Dg-space graded by total degree; differential of degree +1."""
+
+    components: dict        # n -> dimension
+    differentials: dict     # n -> matrix to component n+1
+    p: int
+
+    def shift_cohomological(self, k):
+        """[k]: component n of the result is component n+k of the input."""
+        return DgModule({n - k: v for n, v in self.components.items()},
+                        {n - k: m.copy()
+                         for n, m in self.differentials.items()}, self.p)
+
+
+def v_bar_shear(cx):
+    """Collapse a complex of graded spaces to the dg-space with total
+    degree n = i + j; the differential is inherited blockwise."""
+    pos = {}
+    comps = {}
+    for i, degs in cx.components.items():
+        for idx, j in enumerate(degs):
+            n = i + j
+            pos[(i, idx)] = (n, comps.get(n, 0))
+            comps[n] = comps.get(n, 0) + 1
+    diffs = {}
+    for n in comps:
+        if (n + 1) in comps:
+            diffs[n] = np.zeros((comps[n + 1], comps[n]), dtype=np.int64)
+    for i, dmat in cx.differentials.items():
+        src = cx.components[i]
+        tgt = cx.components.get(i + 1, [])
+        for sidx in range(len(src)):
+            n, scol = pos[(i, sidx)]
+            for tidx in range(len(tgt)):
+                if dmat[tidx, sidx] % cx.p:
+                    n2, trow = pos[(i + 1, tidx)]
+                    if n2 != n + 1:
+                        raise ga.StructuralError("differential is not graded")
+                    diffs[n][trow, scol] = dmat[tidx, sidx] % cx.p
+    return DgModule(dict(sorted(comps.items())), diffs, cx.p)
+
+
+def test_v_forget():
+    # forgetting the grading sends M and M<3> to the same ungraded module:
+    # the same underlying space and the same action
+    A = dual_numbers()
+    reg = ga.regular_module(A)
+    shifted = ga.shift_module(reg, 3)
+    assert shifted.dim == reg.dim
+    assert [m.tolist() for m in shifted.action] == \
+        [m.tolist() for m in reg.action]
+
+
+def test_v_bar_shear_laws():
+    comps = {0: [0, 1, 1], 1: [1, 2]}
+    d0 = np.array([[1, 0, 2], [0, 3, 1]], dtype=np.int64)
+    # make it graded: entries allowed only when target degree == source
+    d0[0, 0] = 0
+    d0[1, 1] = 0
+    d0[1, 2] = 0
+    cx = GradedComplex(comps, {0: d0}, 5)
+    cx.check()
+    dg = v_bar_shear(cx)
+    # dimensions along antidiagonals of (i, j)
+    assert dg.components == {0: 1, 1: 2, 2: 1, 3: 1}
+    # shift law: v_bar(M<1>) = v_bar(M)[-1]
+    lhs = v_bar_shear(cx.shift_internal(1))
+    rhs = v_bar_shear(cx).shift_cohomological(-1)
+    assert lhs.components == rhs.components
+    for n in lhs.differentials:
+        assert np.array_equal(lhs.differentials[n], rhs.differentials[n])
 
 
 def test_decompose_simple_and_shifted_sum():
@@ -743,6 +852,15 @@ except ga.StructuralError as exc:
 def test_certificates_raise_under_python_O(call, message):
     assert _run_optimized(_CERTIFICATE_UNDER_O.replace("CALL", call)) == \
         f"StructuralError: {message}"
+
+
+def test_complex_certificates():
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="wrong shape"):
+        GradedComplex({0: [0]}, {0: one}, 5).check()
+    # a degree-0 differential that moves internal degree 0 to 1
+    with pytest.raises(ga.StructuralError, match="not graded"):
+        v_bar_shear(GradedComplex({0: [0], 1: [1]}, {0: one}, 5))
 
 
 def test_structure_constants_canonical_form():
