@@ -30,9 +30,12 @@ algebra with semisimple degree-zero part, the generators are minimal.
 
 Every slice e A of an algebra by an idempotent e (the projectives, and
 the blocks of E and E^s that graded category O is built from) comes from
-idempotent_slice, which works from the sparse structure constants; the
-regular module is the slice by the unit.  direct_sum and restrict_module
-assemble and restrict such slices.
+idempotent_slice, which works from the sparse structure constants: the
+products x e_b for a chunk of basis elements b come from one scatter of
+the constants, and each chunk is certified in one comparison to lie in
+e A.  The certified rows of e A stay on the algebra, where presentations
+find them.  The regular module is the slice by the unit.  direct_sum and
+restrict_module assemble and restrict such slices.
 
 Indecomposability is certified through degree-zero endomorphism rings:
 the splitting search combines Fitting decompositions with the coprime
@@ -274,48 +277,70 @@ def _idempotent_vectors(alg):
     return [alg.unit_vector()]
 
 
+# product entries formed at once: per chunk of products in _right_products,
+# per fold into the running RREF in span_under_action, per chunk of
+# composites in _block_products
+_PRODUCT_BUDGET = 2 ** 16
+
+
 def _right_products(A, X):
-    """X e_b for every basis index b of A in turn, one (rows of X) x dim
-    matrix at a time, accumulated from the rows (m, b, k, c) of the
-    structure constants with m in the support of X, grouped by b."""
-    p = A.p
+    """X e_b for every basis index b of A, a chunk of consecutive b at a
+    time: yields (b0, img) with img[t] = X e_{b0 + t}, img one (chunk,
+    rows of X, dim A) stack of at most _PRODUCT_BUDGET entries (or one b).
+
+    The rows (m, b, k, c) of the structure constants with m in the support
+    of X are sorted by (b, k); each run of equal (b, k) sums to one entry
+    column X[:, m] c, and the sums of a chunk go into its stack in one
+    scatter."""
+    p, n = A.p, A.dim
     live = A.mult[X.any(axis=0)[A.mult[:, 0]]]
-    live = live[np.argsort(live[:, 1], kind="stable")]
-    ends = np.searchsorted(live[:, 1], np.arange(A.dim + 1))
-    for b in range(A.dim):
-        m, _, k, c = live[ends[b]: ends[b + 1]].T
-        out = np.zeros((A.dim, X.shape[0]), dtype=np.int64)
-        np.add.at(out, k, (X[:, m] * c).T % p)
-        yield out.T % p
+    live = live[np.argsort(live[:, 1] * n + live[:, 2], kind="stable")]
+    step = max(1, _PRODUCT_BUDGET // max(1, X.size))
+    starts = np.arange(0, n, step)
+    ends = np.searchsorted(live[:, 1], np.append(starts, n))
+    for b0, lo, hi in zip(starts, ends[:-1], ends[1:]):
+        m, b, k, c = live[lo:hi].T
+        at = (b - b0) * n + k
+        run = np.flatnonzero(np.diff(at, prepend=-1))
+        out = np.zeros((len(X), min(step, n - b0) * n), dtype=np.int64)
+        if len(run):
+            out[:, at[run]] = np.add.reduceat(X[:, m] * c % p, run,
+                                              axis=1) % p
+        yield b0, out.reshape(len(X), -1, n).transpose(1, 0, 2)
 
 
 def idempotent_slice(A, e):
     """e A, for an idempotent vector e of A, as a right A-module built from
-    the structure constants (no regular module is formed).
+    the structure constants (no regular module is formed), a chunk of
+    basis elements b at a time (_right_products).  The rows are kept in
+    A._slice_rows under e's bytes, where module_presentation finds them.
 
     Returns (module, rows, pivots): the module's basis is the RREF basis
     `rows` of e A in A's coordinates, so the coordinates of a vector of
     e A are its entries in the pivot columns."""
     p = A.p
     e = np.mod(np.asarray(e, dtype=np.int64), p)
-    spans = np.concatenate(list(_right_products(A, e[None])))
+    spans = np.concatenate([img.reshape(-1, A.dim)
+                            for _, img in _right_products(A, e[None])])
     red, piv = la.mod_rref(spans[spans.any(axis=1)], p)
     rows = red[: len(piv)]
     deg = np.array(A.degrees)
     if np.any((rows != 0) & (deg != deg[piv][:, None])):
         raise StructuralError("e A is not spanned by homogeneous rows")
     # a vector lies in the span of RREF rows iff it vanishes off their
-    # support and agrees there with (pivot entries) @ rows
+    # support and agrees there with (pivot entries) @ rows; one check per
+    # chunk of products
     outside = ~rows.any(axis=0)
     free = ~outside
     free[piv] = False
     action = np.empty((A.dim, len(piv), len(piv)), dtype=np.int64)
-    for b, img in enumerate(_right_products(A, rows)):
-        coords = img[:, piv]
-        if np.any(img[:, outside]) or not np.array_equal(
-                img[:, free], la.mod_matmul(coords, rows[:, free], p)):
+    for b0, img in _right_products(A, rows):
+        coords = img[:, :, piv]
+        if np.any(img[:, :, outside]) or not np.array_equal(
+                img[:, :, free], la.mod_matmul(coords, rows[:, free], p)):
             raise StructuralError("e A is not closed under the action")
-        action[b] = coords.T
+        action[b0: b0 + len(img)] = coords.transpose(0, 2, 1)
+    A.__dict__.setdefault("_slice_rows", {})[e.tobytes()] = rows
     return RightModule(A, deg[piv].tolist(), action), rows, piv
 
 
@@ -339,11 +364,6 @@ def restrict_module(N, B, emb):
     for b in range(B.dim):
         action[b] = N.matrix(emb[:, b])
     return RightModule(B, list(N.degrees), action)
-
-
-# product entries formed at once: per fold into the running RREF in
-# span_under_action, per chunk of composites in _block_products
-_PRODUCT_BUDGET = 2 ** 16
 
 
 def span_under_action(M, rows, base=None):
@@ -425,13 +445,13 @@ def module_presentation(M):
     p = alg.p
     idems = _idempotent_vectors(alg)
     gens = module_generators(M, idems)
-    # rows of e_h A, kept on the algebra; the first request certifies them
+    # rows of e_h A, kept on the algebra by the first idempotent_slice of e_h
     slice_rows = alg.__dict__.setdefault("_slice_rows", {})
     proj_rows = {}
     for h in {h for _, h in gens}:
         key = idems[h].tobytes()
         if key not in slice_rows:
-            slice_rows[key] = idempotent_slice(alg, idems[h])[1]
+            idempotent_slice(alg, idems[h])
         proj_rows[h] = slice_rows[key]
     pi = _cover(M, gens, proj_rows)
     if gens and la.mod_rank(pi, p) != M.dim:

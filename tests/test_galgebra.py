@@ -222,15 +222,46 @@ def test_graded_projectives_counts(C_A1, C_A2):
     assert pe.dims_by_degree() == {0: 2}
 
 
-def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2):
+# M_2(F_5) on E11, E12, E21, E22: the rows (2 i + j, 2 j + m, 2 i + m, 1)
+# of E_ij E_jm = E_im
+_M2_ROWS = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 2, 0, 1), (1, 3, 1, 1),
+            (2, 0, 2, 1), (2, 1, 3, 1), (3, 2, 2, 1), (3, 3, 3, 1)]
+# the same with E21 E12 = E11 in place of E22: then e A for e = E11 + E21
+# is the span of E11 + E21 and E11 + E12, which E22 sends to E12 outside it
+_M2_ROWS_MOVED = [(2, 1, 0, 1) if row == (2, 1, 3, 1) else row
+                  for row in _M2_ROWS]
+
+
+def _m2(degrees=(0, 0, 0, 0), rows=_M2_ROWS):
+    return ga.GradedAlgebra(5, list(degrees), rows, {0: 1, 3: 1})
+
+
+def _slice_reference(A, e):
+    """e A from A.mul_vec alone: the RREF rows and pivots of the span of
+    the e e_b, the pivot degrees, and the action, whose column i at b is
+    the coordinates (pivot entries) of rows[i] e_b, certified against the
+    rows."""
+    p = A.p
+    spans = np.array([A.mul_vec(e, A.basis_vec(b)) for b in range(A.dim)])
+    red, piv = la.mod_rref(spans[spans.any(axis=1)], p)
+    rows = red[: len(piv)]
+    action = np.zeros((A.dim, len(piv), len(piv)), dtype=np.int64)
+    for b in range(A.dim):
+        for i, r in enumerate(rows):
+            img = A.mul_vec(r, A.basis_vec(b))
+            assert np.array_equal(la.mod_matmul(img[piv], rows, p), img)
+            action[b][:, i] = img[piv]
+    return rows, piv, [A.degrees[c] for c in piv], action
+
+
+def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2, monkeypatch):
     # every basis idempotent of E(A1), E(A2) and E^s(A1), the component
     # idempotents of K(A1), and E11 + E21 in M_2(F_5), whose slice rows
-    # E11 + E21, E12 + E22 are not basis vectors
-    pairs = [(i, j) for i in range(2) for j in range(2)]
-    m2 = ga.GradedAlgebra(5, [0] * 4, [
-        (2 * i + j, 2 * k + m, 2 * i + m, 1)
-        for i, j in pairs for k, m in pairs if j == k], {0: 1, 3: 1})
-    cases = [(m2, np.array([1, 0, 1, 0]))]
+    # E11 + E21, E12 + E22 are not basis vectors; the reference submodule
+    # of the regular module is built from A.mul_vec.  Each slice is built
+    # with the default chunks of products and with one basis element per
+    # chunk
+    cases = [(_m2(), np.array([1, 0, 1, 0]))]
     for A in (sg.endomorphism_algebra(C_A1).algebra,
               sg.endomorphism_algebra(C_A2).algebra,
               sg.wall_algebra(C_A1, 0)[0].algebra):
@@ -240,16 +271,27 @@ def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2):
     cases += [(K, e) for e in
               ga._simple_idempotents(K, *ga._degree_zero_subalgebra(K))]
     for A, e in cases:
-        M, rows, piv = ga.idempotent_slice(A, e)
-        spans = [A.mul_vec(e, A.basis_vec(b)) for b in range(A.dim)]
-        want, want_rows = ga.submodule(
-            ga.regular_module(A), np.array([v for v in spans if np.any(v)]))
-        assert np.array_equal(rows, want_rows)
-        assert piv == [int(np.flatnonzero(r)[0]) for r in want_rows]
-        assert M.degrees == want.degrees
-        assert len(M.action) == len(want.action) == A.dim
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(M.action, want.action))
+        rows, piv, degrees, action = _slice_reference(A, e)
+        for budget in (ga._PRODUCT_BUDGET, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(ga, "_PRODUCT_BUDGET", budget)
+                M, got_rows, got_piv = ga.idempotent_slice(A, e)
+            assert np.array_equal(got_rows, rows)
+            assert got_piv == piv
+            assert M.degrees == degrees
+            assert np.array_equal(M.action, action)
+
+
+def test_idempotent_slice_certificates():
+    # E11 + E21 in M_2(F_5): with E12, E21 in degrees 1, -1 the slice row
+    # E11 + E21 mixes degrees 0 and -1
+    e = np.array([1, 0, 1, 0])
+    with pytest.raises(ga.StructuralError,
+                       match="e A is not spanned by homogeneous rows"):
+        ga.idempotent_slice(_m2(degrees=(0, 1, -1, 0)), e)
+    with pytest.raises(ga.StructuralError,
+                       match="e A is not closed under the action"):
+        ga.idempotent_slice(_m2(rows=_M2_ROWS_MOVED), e)
 
 
 def test_bs_w0_mirror_decomposition(C_A2):
@@ -594,7 +636,8 @@ def test_submodule_not_closed_raises_structural_error():
 
 
 def test_presentations_slice_each_idempotent_once(monkeypatch):
-    # two modules over one algebra: the rows of e A are built once
+    # the regular module and the presentations of two modules over one
+    # algebra: the rows of e A are built once, by regular_module
     A = dual_numbers()
     calls = []
     real = ga.idempotent_slice
@@ -603,8 +646,8 @@ def test_presentations_slice_each_idempotent_once(monkeypatch):
         calls.append(e.tobytes())
         return real(B, e)
 
-    reg = ga.regular_module(A)
     monkeypatch.setattr(ga, "idempotent_slice", counted)
+    reg = ga.regular_module(A)
     first = ga.module_presentation(reg)
     second = ga.module_presentation(ga.shift_module(reg, 1))
     assert len(calls) == 1
@@ -848,7 +891,14 @@ except ga.StructuralError as exc:
     # the Demazure quotient of a_1 by a_0: S_1 has the monomials a_1, a_0,
     # in this order, and a_0 times 1 sits at position 1
     ("sg._divide_by_variable(np.array([[1], [0]]), [1])",
-     "polynomial is not divisible by the variable")])
+     "polynomial is not divisible by the variable"),
+    # the two slice certificates of test_idempotent_slice_certificates
+    (f"ga.idempotent_slice(ga.GradedAlgebra(5, [0, 1, -1, 0], {_M2_ROWS!r}, "
+     "{0: 1, 3: 1}), np.array([1, 0, 1, 0]))",
+     "e A is not spanned by homogeneous rows"),
+    (f"ga.idempotent_slice(ga.GradedAlgebra(5, [0, 0, 0, 0], "
+     f"{_M2_ROWS_MOVED!r}, {{0: 1, 3: 1}}), np.array([1, 0, 1, 0]))",
+     "e A is not closed under the action")])
 def test_certificates_raise_under_python_O(call, message):
     assert _run_optimized(_CERTIFICATE_UNDER_O.replace("CALL", call)) == \
         f"StructuralError: {message}"

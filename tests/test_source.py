@@ -81,3 +81,27 @@ def test_every_unexported_function_has_a_caller():
                     and node.name not in exported
                     and node.name not in used]
     assert trees and not orphans, orphans
+
+
+def _import_time_parts(node):
+    """The parts of a module-level statement that run on import, leaving
+    out decorators, class bodies and the `__main__` guard."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.args, node.returns]
+    if isinstance(node, ast.ClassDef):
+        return [*node.bases, *node.keywords]
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) \
+            and ast.unparse(node.test) == "__name__ == '__main__'":
+        return []
+    return [node]
+
+
+def test_no_calls_at_module_level():
+    # importing flagalg computes nothing: every import pays for a
+    # module-level call, the benchmark's set-up time included
+    trees = _trees(SRC)
+    found = [f"{name}:{sub.lineno}" for name, tree in trees.items()
+             for node in tree.body for part in _import_time_parts(node)
+             if part is not None for sub in ast.walk(part)
+             if isinstance(sub, ast.Call)]
+    assert trees and not found, found
