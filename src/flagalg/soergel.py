@@ -26,10 +26,16 @@ operator of s sending delta_s to 1) makes each induction step an explicit
 doubling of bases, certified by the generator actions commuting.
 
 E = End_C(D), for D the sum of the D_f over the distinguished family of
-words, is assembled by solving for module maps degree by degree; the wall
-algebra End_{C^s}(D) is the same computation over the invariant
-subalgebra, and the inclusion of the first into the second is the
-identity on matrices.
+words, is assembled from the Hom spaces between the D_f.  Each is solved
+from a presentation of its source, cached on C: the generators complete,
+degree by degree, the image of the positive-degree part of the algebra,
+and the relations are the kernel of the span of the c g over its
+homogeneous basis c and the generators g.  A map is fixed by its values
+on the generators, so each degree is one small system in those values;
+every map found is certified to be a homogeneous module map, and the
+basis returned is the canonical one of the Hom space.  The wall algebra
+End_{C^s}(D) is the same computation over the invariant subalgebra, and
+the inclusion of the first into the second is the identity on matrices.
 """
 
 from collections import Counter
@@ -42,7 +48,7 @@ from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
 from .galgebra import GradedAlgebra, StructuralError, _block_products, \
-    _coordinates, idempotent_slice, restrict_module
+    _coordinates, _right_inverse, idempotent_slice, restrict_module
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
@@ -173,6 +179,7 @@ class CoinvariantAlgebra:
         self._inv_basis = {}
         self._family = None
         self._bs_cache = {}
+        self._presentations = {}
         self._end_cache = {}
 
     # -- elements ------------------------------------------------------
@@ -317,20 +324,34 @@ def bott_samelson(C, word):
     return mod
 
 
-def _algebra_elements_full(C, modules):
-    """(degree, action on each module) for the generators of C, which sit
-    in degree 2; commuting with them is commuting with C."""
-    return [(2, [m.gen_action[i] for m in modules]) for i in range(C.rank)]
+def _generators(acts, p):
+    """The coordinates that complete, degree by degree, the image of the
+    positive-degree part of acts (all but the unit, its first matrix)."""
+    image = la.mod_rref(acts[1:].transpose(0, 2, 1).reshape(
+        -1, acts.shape[1]), p)[1]
+    return [k for k in range(acts.shape[1]) if k not in image]
 
 
-def _algebra_elements_wall(C, s, modules):
-    """Same for C^s, from its invariants of polynomial degree 1 and 2:
-    ell > h >= 2 makes averaging over <s> exact, so C^s is the image of
-    the invariant ring S^s = F[(V*)^s, alpha_s^2], generated in those
-    degrees."""
-    inv = C.invariants(s)
-    return [(2 * d, [C.element_action(m.gen_action, row, d) for m in modules])
-            for d in (1, 2) if d <= C.top for row in inv[d]]
+def _presentation(C, M, wall):
+    """The presentation of M over C, or over C^s for a generator index
+    `wall`, cached on C: (acts, gens, span, rel, sect).  acts stacks the
+    action on M of the homogeneous basis c of the algebra, the unit first;
+    the columns of span are the c g, generator-major, zero ones kept (c g =
+    0 is a relation); rel spans its kernel and span @ sect = 1."""
+    key = (M.word, wall)
+    if key not in C._presentations:
+        ell = C.ell
+        rows = C.invariants(wall) if wall is not None else \
+            {d: np.eye(n, dtype=np.int64) for d, n in enumerate(C.dims)}
+        acts = np.array([C.element_action(M.gen_action, row, d)
+                         for d in range(C.top + 1) for row in rows[d]])
+        gens = _generators(acts, ell)
+        span = acts[:, :, gens].transpose(1, 2, 0).reshape(M.dim, -1)
+        if la.mod_rank(span, ell) != M.dim:
+            raise StructuralError("generators do not generate")
+        C._presentations[key] = (acts, gens, span, la.mod_nullspace(span, ell),
+                                 _right_inverse(span, ell))
+    return C._presentations[key]
 
 
 def graded_hom(C, M, N, wall=None):
@@ -342,30 +363,47 @@ def graded_hom(C, M, N, wall=None):
 
 def graded_hom_basis(C, M, N, wall=None):
     """Per degree-shift d, a basis of maps M -> N raising degree by d,
-    as dim(N) x dim(M) matrices."""
-    if wall is None:
-        elems = _algebra_elements_full(C, [M, N])
-    else:
-        elems = _algebra_elements_wall(C, wall, [M, N])
+    as dim(N) x dim(M) matrices, over C or over C^s for a generator index
+    `wall`.  A map is fixed by its values x_j in N_{deg g_j + d} on the
+    generators g_j of M, and they extend to a map exactly when every
+    relation rho gives sum rho_{c,j} c x_j = 0: one nullspace per degree.
+    Each map is certified homogeneous and to send c g_j to c x_j.  The
+    basis is the canonical one: on the entries of degree d in row-major
+    order, the reduced echelon form of the maps with the columns
+    reversed, which puts a 1 at each map's last nonzero entry and zeros at
+    the others' (what a nullspace over all entries returns)."""
     ell = C.ell
-    gap = np.subtract.outer(np.array(N.degrees), np.array(M.degrees))
+    _, gens, span, rel, sect = _presentation(C, M, wall)
+    acts = _presentation(C, N, wall)[0]
+    ncols = span.shape[1]
+    ndeg, mdeg = np.array(N.degrees), np.array(M.degrees)
+    gap = np.subtract.outer(ndeg, mdeg)
     out = {}
-    for d in sorted(set(gap.ravel().tolist())):
-        # unknowns: the entries phi[un[k], um[k]] of degree d; constraints:
-        # for each algebra element a, the entries (on, om) of
-        # phi a_M - a_N phi that have degree d + deg(a)
-        un, um = np.nonzero(gap == d)
-        blocks = [np.zeros((0, len(un)), dtype=np.int64)]
-        for da, (am, an) in elems:
-            on, om = np.nonzero(gap == d + da)
-            rows = ((on[:, None] == un) * am[um, om[:, None]]
-                    - (om[:, None] == um) * an[on[:, None], un]) % ell
-            blocks.append(rows[rows.any(axis=1)])
-        ker = la.mod_nullspace(np.concatenate(blocks), ell)
-        if len(ker):
-            mats = np.zeros((len(ker), N.dim, M.dim), dtype=np.int64)
-            mats[:, un, um] = ker
-            out[d] = list(mats)
+    for d in sorted({int(e - mdeg[g]) for e in set(N.degrees) for g in gens}):
+        # unknown u is coordinate n of x_j, for deg n = deg g_j + d, and
+        # lift[(j, c), :, u] is c_N applied to it (zero for the other j)
+        owner, coord = np.nonzero(np.equal.outer(mdeg[gens] + d, ndeg))
+        lift = (acts[None, :, :, coord] * (owner == np.arange(len(gens))[
+            :, None])[:, None, None]).reshape(ncols, N.dim, len(owner))
+        eqs = la.mod_matmul(rel, lift.reshape(ncols, -1), ell)
+        eqs = eqs.reshape(-1, len(owner))
+        sols = la.mod_nullspace(eqs[eqs.any(axis=1)], ell)
+        if not len(sols):
+            continue
+        # vals[(k, n), (j, c)] = (c_N x_j)_n for the k-th solution
+        vals = la.mod_matmul(sols, lift.transpose(2, 0, 1).reshape(
+            len(owner), -1), ell).reshape(len(sols), ncols, N.dim)
+        vals = vals.transpose(0, 2, 1).reshape(-1, ncols)
+        maps = la.mod_matmul(vals, sect, ell).reshape(-1, N.dim, M.dim)
+        if maps[:, gap != d].any() or not np.array_equal(la.mod_matmul(
+                maps.reshape(-1, M.dim), span, ell), vals):
+            raise StructuralError("Hom basis map is not a module map")
+        # the maps are independent (x_j is the value at g_j); their
+        # entries in use, last first, give the canonical basis
+        un, um = (i[::-1] for i in np.nonzero(maps.any(axis=0)))
+        mats = np.zeros(maps.shape, dtype=np.int64)
+        mats[:, un, um] = la.mod_rref(maps[:, un, um], ell)[0][::-1]
+        out[d] = list(mats)
     return out
 
 

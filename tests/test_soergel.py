@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -575,7 +576,7 @@ def _assemble_end_algebra_loop(C, words, modules, wall=None):
 
 
 @pytest.mark.parametrize("cartan,ell,max_length", [
-    ("A1", 5, None), ("A2", 5, None), ("B2", 7, None), ("G2", 7, 3)])
+    ("A1", 5, None), ("A2", 5, None), ("B2", 7, None), ("G2", 7, 4)])
 def test_graded_hom_basis_matches_loop(cartan, ell, max_length):
     C = sg.coinvariant_algebra(cartan, ell)
     words = [w for w in sg._family_words(C)
@@ -589,6 +590,65 @@ def test_graded_hom_basis_matches_loop(cartan, ell, max_length):
                 assert list(got) == list(want)
                 for d, mats in want.items():
                     assert np.array_equal(np.array(got[d]), np.array(mats))
+
+
+def test_g2_hom_blocks_frozen():
+    # all 144 Hom blocks between the G2 Bott-Samelson modules of the
+    # family: graded dims per block, and one sha256 over the bases in
+    # (target, source, degree) order
+    frozen = FIX["g2_hom_blocks"]
+    C = sg.coinvariant_algebra("G2", frozen["ell"])
+    words = sg._family_words(C)
+    mods = {w: sg.bott_samelson(C, w) for w in words}
+    dims, digest = {}, hashlib.sha256()
+    for ft in words:
+        for fs in words:
+            homs = sg.graded_hom_basis(C, mods[fs], mods[ft])
+            dims[f"{ft or 'e'}<-{fs or 'e'}"] = {
+                str(d): len(b) for d, b in homs.items()}
+            for d, b in homs.items():
+                digest.update(f"{ft}<-{fs} {d} {len(b)};".encode())
+                digest.update(np.array(b, dtype=np.int64).tobytes())
+    assert dims == frozen["dims"]
+    assert sum(sum(v.values()) for v in dims.values()) == 4869
+    assert digest.hexdigest() == frozen["sha256"]
+
+
+def test_presentation_generators_g2():
+    # as C-modules D_sts has 2 generators, D_stst 3, D_ststs and D_tstst
+    # 6; every presentation spans its module
+    C = sg.coinvariant_algebra("G2", 7)
+    for word, count in (("", 1), ("sts", 2), ("stst", 3), ("ststs", 6),
+                        ("tstst", 6)):
+        M = sg.bott_samelson(C, word)
+        acts, gens, span, rel, sect = sg._presentation(C, M, None)
+        assert len(gens) == count and len(acts) == 12
+        assert span.shape == (M.dim, 12 * count)
+        assert len(rel) == 12 * count - M.dim
+        assert not la.mod_matmul(span, rel.T, C.ell).any()
+        assert np.array_equal(la.mod_matmul(span, sect, C.ell),
+                              np.eye(M.dim, dtype=np.int64))
+
+
+def test_hom_presentation_certificates(monkeypatch):
+    C = sg.coinvariant_algebra("A2", 5)
+    D = sg.bott_samelson(C, "sts")
+    # a presentation that lost a generator does not span the module
+    orig = sg._generators
+    monkeypatch.setattr(sg, "_generators", lambda acts, p: orig(acts, p)[1:])
+    for wall in (None, 0):
+        with pytest.raises(StructuralError,
+                           match="generators do not generate"):
+            sg.graded_hom_basis(C, D, D, wall)
+    monkeypatch.undo()
+    # one wrong entry in the section of a cached presentation: the maps
+    # built with it are no longer module maps
+    for wall in (None, 0):
+        sect = sg._presentation(C, D, wall)[4]
+        r = sect.any(axis=1).argmax()
+        sect[r, 0] = (sect[r, 0] + 1) % C.ell
+        with pytest.raises(StructuralError, match="not a module map"):
+            sg.graded_hom_basis(C, D, D, wall)
 
 
 @pytest.mark.parametrize("cartan,ell,wall", [
@@ -700,11 +760,21 @@ def test_wall_embedding_certificates():
             sg.wall_algebra(C, 0)
 
 
-_TRUNCATED_ASSEMBLY = """
+_TAMPERED_ASSEMBLY = """
 from flagalg import soergel as sg
 from flagalg.galgebra import StructuralError
 if __debug__:
     raise SystemExit("expected python -O")
+C = sg.coinvariant_algebra("A2", 5)
+{tamper}
+try:
+    sg.endomorphism_algebra(C)
+except StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+# drop the last map of one Hom basis, in the given degree or the top one
+_TRUNCATE = """
 orig = sg.graded_hom_basis
 def truncated(C, M, N, wall=None):
     out = orig(C, M, N, wall)
@@ -713,25 +783,42 @@ def truncated(C, M, N, wall=None):
         out[d] = out[d][:-1]
     return out
 sg.graded_hom_basis = truncated
-try:
-    sg.endomorphism_algebra(sg.coinvariant_algebra("A2", 5))
-except StructuralError as exc:
-    print("StructuralError:", exc)
+"""
+
+# presentations that lose a generator
+_DROP_GENERATOR = """
+orig = sg._generators
+sg._generators = lambda acts, p: orig(acts, p)[1:]
+"""
+
+# one wrong entry in the cached section of D_sts
+_CORRUPT_SECTION = """
+sect = sg._presentation(C, sg.bott_samelson(C, "sts"), None)[4]
+r = sect.any(axis=1).argmax()
+sect[r, 0] = (sect[r, 0] + 1) % C.ell
 """
 
 
-@pytest.mark.parametrize("word,degree,message", [
-    ((0, 1, 0), None, "composite outside computed hom space"),
-    ((0,), 0, "identity missing from End block")])
-def test_end_assembly_certificates_survive_python_O(word, degree, message):
-    # drop one map from one Hom basis: the assembly must refuse even with
-    # asserts stripped
+@pytest.mark.parametrize("tamper,message", [
+    pytest.param(_TRUNCATE.format(word=(0, 1, 0), degree=None),
+                 "composite outside computed hom space",
+                 id="word0-None-composite outside computed hom space"),
+    pytest.param(_TRUNCATE.format(word=(0,), degree=0),
+                 "identity missing from End block",
+                 id="word1-0-identity missing from End block"),
+    pytest.param(_DROP_GENERATOR, "generators do not generate",
+                 id="generator-dropped"),
+    pytest.param(_CORRUPT_SECTION, "Hom basis map is not a module map",
+                 id="section-corrupted")])
+def test_end_assembly_certificates_survive_python_O(tamper, message):
+    # a Hom basis short of one map, or Hom spaces solved from a broken
+    # presentation: the assembly must refuse even with asserts stripped
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
-         _TRUNCATED_ASSEMBLY.format(word=word, degree=degree)],
+         _TAMPERED_ASSEMBLY.format(tamper=tamper)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"StructuralError: {message}"
