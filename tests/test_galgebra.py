@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -376,6 +377,18 @@ def test_regraded_algebra_a1_frozen(C_A1):
     got = {f"{i}|{j}|{j2}|{mk}": v
            for (i, j, j2, mk), v in sorted(rep.ext_table.items())}
     assert got == frozen["ext_table"]
+
+
+def test_regraded_algebra_b2_frozen(C_B2):
+    # K(B2) rests on every hom_all basis between the B2 projectives: its
+    # structure constants pin those bases, independently of hom_all
+    frozen = FIX["koszul_b2"]
+    assert C_B2.ell == frozen["ell"]
+    E = sg.endomorphism_algebra(C_B2).algebra
+    K = ga.ext_algebra_of_projectives(E, go.projectives_for(C_B2))
+    assert K.dim == frozen["dim"]
+    assert hashlib.sha256(K.mult.tobytes()).hexdigest() == \
+        frozen["mult_sha256"]
 
 
 def test_upsilon_and_standard_koszul_modules(C_A1):
