@@ -14,9 +14,12 @@ A RightModule stores its action as one int64 array of shape (dim A,
 dim M, dim M) (columns are coordinates, so coords(x * e_a) = action[a] @
 coords(x)), and RightModule.matrix sums it over the nonzero coefficients
 of an algebra element.  Module maps of degree d send degree e to degree
-e + d; hom_all solves for them through a projective presentation of the
+e + d.  Every Hom space of flagalg, over C and C^s (soergel's
+graded_hom_basis) as over E, E^s and the regraded algebra K (hom_all),
+comes from one solver, _solve_homs, working from a presentation of the
 source: a hom is fixed by its values on module generators, subject to
-the relations.
+the relations.  It solves one degree at a time and certifies every map
+it returns to be a homogeneous module map.
 
 The submodule R A that rows R generate is spanned by the products r e_a
 over the basis of A, and that span is already A-stable, since
@@ -434,15 +437,13 @@ def _cover(M, gens, rows):
 
 def module_presentation(M):
     """Projective presentation data of M (cached on the module): the
-    generators with their idempotent slots, the projective row bases, and
-    the relation kernel and a section of the cover.  The cover's columns
-    run over (generator g, row beta of its slot's basis), with value
-    g beta."""
+    generators with their idempotent slots, the projective row bases, the
+    cover matrix, whose columns run over (generator g, row beta of its
+    slot's basis) with value g beta, its relation kernel and a section."""
     cached = getattr(M, "_presentation", None)
     if cached is not None:
         return cached
     alg = M.algebra
-    p = alg.p
     idems = _idempotent_vectors(alg)
     gens = module_generators(M, idems)
     # rows of e_h A, kept on the algebra by the first idempotent_slice of e_h
@@ -454,108 +455,115 @@ def module_presentation(M):
             idempotent_slice(alg, idems[h])
         proj_rows[h] = slice_rows[key]
     pi = _cover(M, gens, proj_rows)
-    if gens and la.mod_rank(pi, p) != M.dim:
-        raise StructuralError("generators do not generate")
-    rel = la.mod_nullspace(pi, p)
-    sect = _right_inverse(pi, p) if gens else None
-    out = (gens, idems, proj_rows, rel, sect)
+    out = (gens, idems, proj_rows, pi, *_relations_and_section(pi, alg.p))
     M._presentation = out
     return out
 
 
-def hom_all(M, N):
-    """All module homs M -> N, as {degree d: list of dimN x dimM
-    matrices}, where a degree-d hom sends M_e into N_{e+d}.
+def _relations_and_section(span, p):
+    """(rel, sect) for a presentation whose cover has the matrix span: the
+    rows of rel span its kernel and span @ sect = 1, both read off one RREF
+    of [span | I].  The generators generate iff span has full row rank,
+    that is, iff no pivot falls in the identity block."""
+    nrows, ncols = span.shape
+    red, piv = la.mod_rref(np.concatenate(
+        [span, np.eye(nrows, dtype=np.int64)], axis=1), p)
+    if nrows and piv[-1] >= ncols:
+        raise StructuralError("generators do not generate")
+    free = np.ones(ncols, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    rel = np.zeros((len(free), ncols), dtype=np.int64)
+    rel[np.arange(len(free)), free] = 1
+    rel[:, piv] = -red[:, free].T % p
+    sect = np.zeros((ncols, nrows), dtype=np.int64)
+    sect[piv] = red[:, ncols:]
+    return rel, sect
 
-    A hom is determined by its values on module generators of M; the
-    constraints are the relations of the presentation by the projectives
-    attached to the generators' idempotent slots.  The values of the
-    generator attached to slot h range over N e_h."""
-    alg = M.algebra
-    p = alg.p
+
+def _solve_homs(span, rel, sect, lifts, shifts, gap, p, degrees=None):
+    """The module maps M -> N from a presentation of M, as {degree d: stack
+    of dim N x dim M maps} over the given degrees (by default every shift
+    below), those with no nonzero map left out.
+
+    The columns of span are the g_j c, generator-major, for the generators
+    g_j of M and a spanning set c of their cover; rel spans its kernel and
+    span @ sect = 1.  lifts[j][c, :, u] is w_u c, for a homogeneous basis
+    w_u of the values g_j may take, and shifts[j][u] = deg w_u - deg g_j;
+    gap[n, m] is deg n - deg m.  A map of degree d is fixed by its values
+    x_j = sum y_u w_u on the g_j (over the u with shift d), and these
+    extend to a map exactly when every relation rho gives sum rho_{j,c}
+    x_j c = 0: one nullspace per degree, each relation applied one
+    generator block at a time.  The map is (x_j c) @ sect.  Each is
+    certified homogeneous of degree d and to send every g_j c to x_j c;
+    as the g_j c span M and the cover is closed, that makes it a module
+    map."""
+    cols = np.cumsum([0] + [len(lift) for lift in lifts])
+    if degrees is None:
+        degrees = sorted(set(np.concatenate(shifts).tolist()))
+    out = {}
+    for d in degrees:
+        picks = [lift[:, :, s == d] for lift, s in zip(lifts, shifts)]
+        if not sum(pick.shape[2] for pick in picks):
+            continue
+        eqs = np.concatenate([la.mod_matmul(
+            rel[:, c0:c1], pick.reshape(c1 - c0, -1), p).reshape(
+                len(rel), *pick.shape[1:])
+            for pick, c0, c1 in zip(picks, cols, cols[1:])], axis=2)
+        eqs = eqs.reshape(-1, eqs.shape[2])
+        sols = la.mod_nullspace(eqs[eqs.any(axis=1)], p)
+        if not len(sols):
+            continue
+        # vals[(k, n), (j, c)] = (x_j c)_n for the k-th solution
+        u = np.cumsum([0] + [pick.shape[2] for pick in picks])
+        vals = np.concatenate([la.mod_matmul(
+            sols[:, u0:u1], pick.transpose(2, 0, 1).reshape(
+                u1 - u0, len(pick) * len(gap)), p).reshape(
+                    len(sols), *pick.shape[:2])
+            for pick, u0, u1 in zip(picks, u, u[1:])], axis=1)
+        vals = vals.transpose(0, 2, 1).reshape(-1, span.shape[1])
+        maps = la.mod_matmul(vals, sect, p).reshape(len(sols), *gap.shape)
+        if maps[:, gap != d].any() or not np.array_equal(la.mod_matmul(
+                maps.reshape(-1, gap.shape[1]), span, p), vals):
+            raise StructuralError("Hom basis map is not a module map")
+        out[d] = maps
+    return out
+
+
+def hom_all(M, N, degrees=None):
+    """The module homs M -> N, as {degree d: list of dimN x dimM
+    matrices}, where a degree-d hom sends M_e into N_{e+d}: every degree,
+    or the given ones.
+
+    They are solved by _solve_homs from the presentation of M by the
+    projectives e_h A of its generators' idempotent slots: the values of
+    the generator attached to slot h range over N e_h, on its RREF basis
+    w, whose rows are homogeneous, and w beta over the cover rows beta of
+    e_h A is w_u beta_t = sum_a beta_t[a] (w_u e_a)."""
     if M.dim == 0 or N.dim == 0:
         return {}
-    gens, idems, proj_rows, rel, sect = module_presentation(M)
-    if not gens:
-        return {}
-
-    # unknowns: coordinates of n_i in a basis of N e_{h_i}; N e_h is
-    # spanned by the columns of e_h's action matrix
-    nbases = {}
-    for h in proj_rows:
+    alg = M.algebra
+    p = alg.p
+    gens, idems, proj_rows, span, rel, sect = module_presentation(M)
+    lifts, degs = {}, {}
+    for h, rows in proj_rows.items():
         img = N.matrix(idems[h]).T
-        r, piv = la.mod_rref(img[img.any(axis=1)], p)
-        nbases[h] = r[: len(piv)]
-
-    # wbeta[h][t, u, :] = w_u . beta_t = sum_a B[t, a] * (w_u . e_a), for
-    # the basis w of N e_h and the cover rows beta (rows of B) of e_h A
-    wbeta = {}
-    for h, W in nbases.items():
-        aw = la.mod_matmul(W, N.action.transpose(0, 2, 1), p)
-        wbeta[h] = la.mod_matmul(proj_rows[h], aw.reshape(alg.dim, -1),
-                                 p).reshape(len(proj_rows[h]), *W.shape)
-    # the unknowns and the presentation columns of each generator
-    ublocks, cblocks = [], []
-    for _, h in gens:
-        u0 = ublocks[-1].stop if ublocks else 0
-        c0 = cblocks[-1].stop if cblocks else 0
-        ublocks.append(slice(u0, u0 + nbases[h].shape[0]))
-        cblocks.append(slice(c0, c0 + proj_rows[h].shape[0]))
-    total_u = ublocks[-1].stop
-    if not total_u:
-        return {}
-
-    # one equation per relation and coordinate of N: the relation applied
-    # to the generator values
-    acc = np.zeros((len(rel), total_u, N.dim), dtype=np.int64)
-    for (_, h), ub, cb in zip(gens, ublocks, cblocks):
-        t, u, _ = wbeta[h].shape
-        acc[:, ub] = la.mod_matmul(rel[:, cb], wbeta[h].reshape(t, -1),
-                                   p).reshape(len(rel), u, N.dim)
-    eqs = acc.transpose(0, 2, 1).reshape(-1, total_u)
-    eqs = eqs[eqs.any(axis=1)]
-    sols = la.mod_nullspace(eqs, p)
-
-    # vals[s, c, :]: solution s's value on presentation column c; the hom
-    # is vals[s].T @ sect
-    vals = []
-    for (_, h), ub in zip(gens, ublocks):
-        t, u, _ = wbeta[h].shape
-        by_u = wbeta[h].transpose(1, 0, 2).reshape(u, t * N.dim)
-        vals.append(la.mod_matmul(sols[:, ub], by_u, p).reshape(
-            len(sols), t, N.dim))
-    vals = np.concatenate(vals, axis=1).transpose(0, 2, 1)
-    psi = la.mod_matmul(vals.reshape(-1, len(sect)), sect, p).reshape(
-        len(sols), N.dim, M.dim)
-    # split each hom by degree; per degree, the pieces independent of the
-    # earlier ones are the pivot columns of the stacked pieces
-    gap = np.subtract.outer(N.degrees, M.degrees)
-    final = {}
-    for d in sorted(set(gap.ravel().tolist())):
-        mask = gap == d
-        _, piv = la.mod_rref(psi[:, mask].T, p)
-        if piv:
-            final[d] = [np.where(mask, psi[i], 0) for i in piv]
-    return final
-
-
-def _right_inverse(mat, p):
-    """X with mat @ X = identity (mat must have full row rank)."""
-    nrows, ncols = mat.shape
-    aug = np.concatenate([mat, np.eye(nrows, dtype=np.int64)], axis=1)
-    r, piv = la.mod_rref(aug, p)
-    x = np.zeros((ncols, nrows), dtype=np.int64)
-    for i, c in enumerate(piv):
-        if c >= ncols:
-            raise StructuralError("matrix does not have full row rank")
-        x[c] = r[i, ncols:]
-    return x
+        red, piv = la.mod_rref(img[img.any(axis=1)], p)
+        aw = la.mod_matmul(N.action, red[: len(piv)].T, p)
+        lifts[h] = la.mod_matmul(rows, aw.reshape(alg.dim, -1), p).reshape(
+            len(rows), N.dim, len(piv))
+        degs[h] = np.array(N.degrees, dtype=np.int64)[piv]
+    homs = _solve_homs(
+        span, rel, sect, [lifts[h] for _, h in gens],
+        [degs[h] - M.degrees[np.flatnonzero(g)[0]] for g, h in gens],
+        np.subtract.outer(N.degrees, M.degrees), p, degrees)
+    return {d: list(maps) for d, maps in homs.items()}
 
 
 def module_hom_basis(M, N, d):
     """Basis (as dimN x dimM matrices) of module maps of degree d, i.e.
     phi(M_e) inside N_{e+d} with phi(x a) = phi(x) a."""
-    return hom_all(M, N).get(d, [])
+    return hom_all(M, N, [d]).get(d, [])
 
 
 def hom_dims(M, N):

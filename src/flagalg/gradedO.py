@@ -69,7 +69,7 @@ def translate_to_wall(td, M):
     (module over E^s, unit matrix M -> restriction of the result)."""
     Es = td.wall_data.algebra
     p = Es.p
-    gens, idems, proj_rows, rel, sect = module_presentation(M)
+    gens, idems, proj_rows, _, rel, sect = module_presentation(M)
     # e_h embeds as the idempotent of E^s with the same label; the cover
     # row t of e_h E embeds into e_h E^s, where its coordinates are its
     # pivot entries (the slice rows are in RREF)

@@ -31,11 +31,13 @@ from a presentation of its source, cached on C: the generators complete,
 degree by degree, the image of the positive-degree part of the algebra,
 and the relations are the kernel of the span of the c g over its
 homogeneous basis c and the generators g.  A map is fixed by its values
-on the generators, so each degree is one small system in those values;
-every map found is certified to be a homogeneous module map, and the
-basis returned is the canonical one of the Hom space.  The wall algebra
-End_{C^s}(D) is the same computation over the invariant subalgebra, and
-the inclusion of the first into the second is the identity on matrices.
+on the generators, so each degree is one small system in those values,
+solved by galgebra's _solve_homs, the Hom solver of every module
+category; every map found is certified to be a homogeneous module map,
+and the basis returned is the canonical one of the Hom space.  The wall
+algebra End_{C^s}(D) is the same computation over the invariant
+subalgebra, and the inclusion of the first into the second is the
+identity on matrices.
 """
 
 from collections import Counter
@@ -48,7 +50,8 @@ from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
 from .galgebra import GradedAlgebra, StructuralError, _block_products, \
-    _coordinates, _right_inverse, idempotent_slice, restrict_module
+    _coordinates, _relations_and_section, _solve_homs, idempotent_slice, \
+    restrict_module
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
@@ -347,10 +350,8 @@ def _presentation(C, M, wall):
                          for d in range(C.top + 1) for row in rows[d]])
         gens = _generators(acts, ell)
         span = acts[:, :, gens].transpose(1, 2, 0).reshape(M.dim, -1)
-        if la.mod_rank(span, ell) != M.dim:
-            raise StructuralError("generators do not generate")
-        C._presentations[key] = (acts, gens, span, la.mod_nullspace(span, ell),
-                                 _right_inverse(span, ell))
+        C._presentations[key] = (acts, gens, span,
+                                 *_relations_and_section(span, ell))
     return C._presentations[key]
 
 
@@ -364,40 +365,23 @@ def graded_hom(C, M, N, wall=None):
 def graded_hom_basis(C, M, N, wall=None):
     """Per degree-shift d, a basis of maps M -> N raising degree by d,
     as dim(N) x dim(M) matrices, over C or over C^s for a generator index
-    `wall`.  A map is fixed by its values x_j in N_{deg g_j + d} on the
-    generators g_j of M, and they extend to a map exactly when every
-    relation rho gives sum rho_{c,j} c x_j = 0: one nullspace per degree.
-    Each map is certified homogeneous and to send c g_j to c x_j.  The
-    basis is the canonical one: on the entries of degree d in row-major
-    order, the reduced echelon form of the maps with the columns
-    reversed, which puts a 1 at each map's last nonzero entry and zeros at
-    the others' (what a nullspace over all entries returns)."""
+    `wall`.  The maps come from galgebra's _solve_homs, the one Hom solver
+    of flagalg, which certifies each of them: the value x_j on a
+    generator g_j of M ranges over the coordinates of N of degree
+    deg g_j + d, and c x_j is acts[c] applied to it.  The basis is the
+    canonical one: on the entries of degree d in row-major order, the
+    reduced echelon form of the maps with the columns reversed, which puts
+    a 1 at each map's last nonzero entry and zeros at the others' (what a
+    nullspace over all entries returns)."""
     ell = C.ell
     _, gens, span, rel, sect = _presentation(C, M, wall)
     acts = _presentation(C, N, wall)[0]
-    ncols = span.shape[1]
     ndeg, mdeg = np.array(N.degrees), np.array(M.degrees)
-    gap = np.subtract.outer(ndeg, mdeg)
+    homs = _solve_homs(span, rel, sect, [acts] * len(gens),
+                       [ndeg - mdeg[g] for g in gens],
+                       np.subtract.outer(ndeg, mdeg), ell)
     out = {}
-    for d in sorted({int(e - mdeg[g]) for e in set(N.degrees) for g in gens}):
-        # unknown u is coordinate n of x_j, for deg n = deg g_j + d, and
-        # lift[(j, c), :, u] is c_N applied to it (zero for the other j)
-        owner, coord = np.nonzero(np.equal.outer(mdeg[gens] + d, ndeg))
-        lift = (acts[None, :, :, coord] * (owner == np.arange(len(gens))[
-            :, None])[:, None, None]).reshape(ncols, N.dim, len(owner))
-        eqs = la.mod_matmul(rel, lift.reshape(ncols, -1), ell)
-        eqs = eqs.reshape(-1, len(owner))
-        sols = la.mod_nullspace(eqs[eqs.any(axis=1)], ell)
-        if not len(sols):
-            continue
-        # vals[(k, n), (j, c)] = (c_N x_j)_n for the k-th solution
-        vals = la.mod_matmul(sols, lift.transpose(2, 0, 1).reshape(
-            len(owner), -1), ell).reshape(len(sols), ncols, N.dim)
-        vals = vals.transpose(0, 2, 1).reshape(-1, ncols)
-        maps = la.mod_matmul(vals, sect, ell).reshape(-1, N.dim, M.dim)
-        if maps[:, gap != d].any() or not np.array_equal(la.mod_matmul(
-                maps.reshape(-1, M.dim), span, ell), vals):
-            raise StructuralError("Hom basis map is not a module map")
+    for d, maps in homs.items():
         # the maps are independent (x_j is the value at g_j); their
         # entries in use, last first, give the canonical basis
         un, um = (i[::-1] for i in np.nonzero(maps.any(axis=0)))

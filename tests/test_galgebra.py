@@ -669,6 +669,45 @@ def test_presentations_slice_each_idempotent_once(monkeypatch):
         assert np.array_equal(first[2][h], second[2][h])
 
 
+def _slices_a2_ell7():
+    """The A2 slices e_2 E (dim 18) and e_3 E (dim 33) at ell = 7, fresh
+    modules with no presentation cached."""
+    E = sg.endomorphism_algebra(sg.coinvariant_algebra("A2", 7)).algebra
+    return [ga.idempotent_slice(E, e)[0]
+            for e in ga._idempotent_vectors(E)[2:4]]
+
+
+def test_presentation_without_generators_raises(monkeypatch):
+    # a nonzero module left with no generators: its presentation must not
+    # come back, and no Hom space may be read off it
+    X, Y = _slices_a2_ell7()
+    orig = ga.module_generators
+    assert len(orig(X, ga._idempotent_vectors(X.algebra))) == 1
+    monkeypatch.setattr(ga, "module_generators",
+                        lambda M, idems: orig(M, idems)[1:])
+    with pytest.raises(ga.StructuralError,
+                       match="generators do not generate"):
+        ga.hom_dims(X, Y)
+
+
+def test_hom_all_section_certificate(C_A2):
+    # one wrong entry in the cached section of a presentation, over E
+    # (Hom(e_2 E, e_3 E) for A2 at ell = 7) and over K (End of the regular
+    # K-module for A2): the maps built with it are no longer module maps
+    X, Y = _slices_a2_ell7()
+    assert ga.hom_dims(X, Y) == {2: 2, 4: 3, 6: 1}
+    K = ga.ext_algebra_of_projectives(sg.endomorphism_algebra(C_A2).algebra,
+                                      go.projectives_for(C_A2))
+    R = ga.regular_module(K)
+    for src, tgt in ((X, Y), (R, R)):
+        sect = ga.module_presentation(src)[5]
+        r = sect.any(axis=1).argmax()
+        sect[r, 0] = (sect[r, 0] + 1) % src.algebra.p
+        with pytest.raises(ga.StructuralError,
+                           match="Hom basis map is not a module map"):
+            ga.hom_all(src, tgt)
+
+
 # ---------------------------------------------------------------------------
 # per-pair references for the regraded algebra K and the modules Upsilon(M)
 
@@ -911,7 +950,17 @@ except ga.StructuralError as exc:
      "e A is not spanned by homogeneous rows"),
     (f"ga.idempotent_slice(ga.GradedAlgebra(5, [0, 0, 0, 0], "
      f"{_M2_ROWS_MOVED!r}, {{0: 1, 3: 1}}), np.array([1, 0, 1, 0]))",
-     "e A is not closed under the action")])
+     "e A is not closed under the action"),
+    # Hom(e_2 E, e_3 E) for A2 at ell = 7, one entry of the cached section
+    # of e_2 E changed (test_hom_all_section_certificate)
+    pytest.param(
+        "E = sg.endomorphism_algebra(sg.coinvariant_algebra('A2', 7))"
+        ".algebra; X, Y = (ga.idempotent_slice(E, e)[0] for e in "
+        "ga._idempotent_vectors(E)[2:4]); "
+        "sect = ga.module_presentation(X)[5]; "
+        "r = sect.any(axis=1).argmax(); sect[r, 0] = (sect[r, 0] + 1) % 7; "
+        "ga.hom_all(X, Y)",
+        "Hom basis map is not a module map", id="hom_all-section-corrupted")])
 def test_certificates_raise_under_python_O(call, message):
     assert _run_optimized(_CERTIFICATE_UNDER_O.replace("CALL", call)) == \
         f"StructuralError: {message}"

@@ -625,6 +625,7 @@ def test_presentation_generators_g2():
         assert len(gens) == count and len(acts) == 12
         assert span.shape == (M.dim, 12 * count)
         assert len(rel) == 12 * count - M.dim
+        assert np.array_equal(rel, la.mod_nullspace(span, C.ell))
         assert not la.mod_matmul(span, rel.T, C.ell).any()
         assert np.array_equal(la.mod_matmul(span, sect, C.ell),
                               np.eye(M.dim, dtype=np.int64))

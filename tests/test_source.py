@@ -105,3 +105,13 @@ def test_no_calls_at_module_level():
              if part is not None for sub in ast.walk(part)
              if isinstance(sub, ast.Call)]
     assert trees and not found, found
+
+
+def test_one_hom_solver():
+    # every Hom space is solved and certified by galgebra._solve_homs; a
+    # second solver would need the module-map certificate a second time
+    count = 0
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            count += fh.read().count("Hom basis map is not a module map")
+    assert count == 1
