@@ -9,13 +9,15 @@ Two arithmetic worlds live here:
   denominator is prime to l), done with Fraction entries.
 
 Nothing in this module knows about Weyl groups or graded algebras; it is
-only pivoting, kernels, minimal polynomials, an l-local echelon form,
-the one stored form of structure constants, and the Jacobson radical of
-a small F_p-algebra given by its structure tensor.  StructuralError, the
-failure of a certificate, is defined here so that every layer can raise
-it.
+only pivoting, kernels, certified coordinates in a span (mod_coordinates,
+through which every F_p solve in a span goes), minimal polynomials, an
+l-local echelon form, the one stored form of structure constants, and the
+Jacobson radical of a small F_p-algebra given by its structure tensor.
+StructuralError, the failure of a certificate, is defined here so that
+every layer can raise it.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +144,36 @@ def mod_nullspace(a, p):
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
+
+
+def mod_coordinates(basis, p, dependent="basis is not independent",
+                    outside="vector outside the span"):
+    """(coords, sect) for the rows of `basis`, a stack of vectors or of
+    matrices read as vectors, from one RREF of [B | I] = [T B | T]: a pivot
+    in the identity block raises StructuralError(dependent).
+
+    coords takes a stack like `basis`, its entries reduced mod p, and
+    returns the coordinates P[:, piv] @ T of its rows P, certified by
+    coords @ B == P, else StructuralError(outside).  sect is T on the
+    pivot rows and zero elsewhere, so that B @ sect = 1."""
+    basis = basis.reshape(len(basis), math.prod(basis.shape[1:]))
+    n, width = basis.shape
+    red, piv = mod_rref(np.concatenate(
+        [basis, np.eye(n, dtype=np.int64)], axis=1), p)
+    if n and piv[-1] >= width:
+        raise StructuralError(dependent)
+    to_coords = red[:, width:]
+
+    def coords(items):
+        rows = items.reshape(len(items), width)
+        out = mod_matmul(rows[:, piv], to_coords, p)
+        if not np.array_equal(mod_matmul(out, basis, p), rows):
+            raise StructuralError(outside)
+        return out
+
+    sect = np.zeros((width, n), dtype=np.int64)
+    sect[piv] = to_coords
+    return coords, sect
 
 
 class _Echelon:

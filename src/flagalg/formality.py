@@ -174,7 +174,11 @@ def cohomology(R):
 
     At each bidegree the representatives are the kernel vectors that are
     pivot columns of one RREF of the columns [image | kernel]: each is
-    independent of the boundaries and of the kernel vectors before it."""
+    independent of the boundaries and of the kernel vectors before it.
+    The boundaries that are pivot columns there are a basis of the image,
+    and the class map reads coordinates in the representatives stacked
+    over them (_linalg.mod_coordinates, built once per bidegree, on its
+    first use)."""
     cached = getattr(R, "_cohomology", None)
     if cached is not None:
         return cached
@@ -189,33 +193,29 @@ def cohomology(R):
         img = np.mod(R.diff[np.ix_(idxs, by_bd.get((i - 1, j), []))], p)
         _, piv = la.mod_rref(np.concatenate([img, ker.T], axis=1), p)
         h_local = ker[[c - img.shape[1] for c in piv if c >= img.shape[1]]]
-        # columns: the representatives first, then the boundaries
-        bases[bd] = (idxs, np.concatenate([h_local.T, img], axis=1),
-                     len(h_local))
+        # rows: the representatives first, then a basis of the boundaries
+        bases[bd] = (idxs, np.concatenate(
+            [h_local, img[:, piv[:len(piv) - len(h_local)]].T]), len(h_local))
         offset[bd] = len(rep_bd)
         reps.append(_lift(R, idxs, h_local))
         rep_bd.extend([bd] * len(h_local))
     reps_arr = np.concatenate(reps)
+    coords = {}         # bidegree -> coordinates map, built on first use
 
     def classify(vecs):
         """Coordinates in the cohomology basis of each row of `vecs`, a
-        batch of cycles, with one elimination per bidegree."""
+        batch of cycles; the representatives' coefficients are unique."""
         vecs = np.mod(vecs, p)
         out = np.zeros((len(vecs), len(rep_bd)), dtype=np.int64)
         for bd, (idxs, basis, nh) in bases.items():
             local = vecs[:, idxs]
             if not np.any(local):
                 continue
-            if not basis.shape[1]:
-                raise StructuralError("vector is not a cycle")
-            red, piv = la.mod_rref(
-                np.concatenate([basis, local.T], axis=1), p)
-            if piv[-1] >= basis.shape[1]:
-                raise StructuralError("vector is not a cycle/boundary combo")
-            # the representatives are independent, so they are the first
-            # nh pivots, and their coefficients are unique
-            out[:, offset[bd]: offset[bd] + nh] = \
-                red[:nh, basis.shape[1]:].T
+            if bd not in coords:
+                coords[bd] = la.mod_coordinates(basis, p, outside=(
+                    "vector is not a cycle/boundary combo" if len(basis)
+                    else "vector is not a cycle"))[0]
+            out[:, offset[bd]: offset[bd] + nh] = coords[bd](local)[:, :nh]
         return out
 
     h = len(rep_bd)
@@ -243,9 +243,9 @@ def shear_subalgebra(R):
     onto the cohomology, cohomology data).  The sub is always a
     dg-subalgebra; when the cohomology of R is diagonal, both maps are
     quasi-isomorphisms.  The products of all pairs of basis vectors, the
-    unit and the differential are coordinatised in one RREF of
-    [inclusion | targets]; a pivot among the targets means the sub is
-    not closed, which raises StructuralError."""
+    unit and the differential are coordinatised by _linalg.mod_coordinates
+    on the basis of the sub, which certifies that basis independent and
+    raises StructuralError if the sub is not closed."""
     R.check()
     p = R.p
     by_bd = _by_bidegree(R)
@@ -264,17 +264,14 @@ def shear_subalgebra(R):
     inc = np.concatenate(blocks).T if blocks else \
         np.zeros((R.dim, 0), dtype=np.int64)
     n = inc.shape[1]
-    red, piv = la.mod_rref(np.concatenate(
-        [inc, _products(R, inc.T).reshape(n * n, R.dim).T,
-         R.unit_vector()[:, None], la.mod_matmul(np.mod(R.diff, p), inc, p)],
-        axis=1), p)
-    if piv and piv[-1] >= n:
-        raise StructuralError("shear subalgebra is not closed")
-    # inc has independent columns, so they are the first n pivots
-    coords = red[:n, n:]
-    sub = BigradedDgAlgebra(p, row_bd, _product_rows(coords[:, :n * n].T, n),
-                            _entry(coords[:, n * n]),
-                            coords[:, n * n + 1:].copy())
+    coords = la.mod_coordinates(
+        inc.T, p, outside="shear subalgebra is not closed")[0]
+    # rows: every product x_a x_b, the unit, every d x_b
+    cs = coords(np.concatenate(
+        [_products(R, inc.T).reshape(n * n, R.dim), R.unit_vector()[None],
+         la.mod_matmul(np.mod(R.diff, p), inc, p).T]))
+    sub = BigradedDgAlgebra(p, row_bd, _product_rows(cs[:n * n], n),
+                            _entry(cs[n * n]), cs[n * n + 1:].T.copy())
     sub.check()
 
     hdata = cohomology(R)

@@ -19,7 +19,10 @@ graded_hom_basis) as over E, E^s and the regraded algebra K (hom_all),
 comes from one solver, _solve_homs, working from a presentation of the
 source: a hom is fixed by its values on module generators, subject to
 the relations.  It solves one degree at a time and certifies every map
-it returns to be a homogeneous module map.
+it returns to be a homogeneous module map.  Coordinates in a span (the
+section of a presentation, composites in the basis of a Hom block, the
+unit of K) all come from _linalg.mod_coordinates, which certifies the
+basis independent and every vector it is given to lie in the span.
 
 The submodule R A that rows R generate is spanned by the products r e_a
 over the basis of A, and that span is already A-stable, since
@@ -46,7 +49,6 @@ factor splitting of minimal polynomials, so a module survives only if
 every tested endomorphism is nilpotent or invertible.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -256,10 +258,9 @@ def quotient_module(M, rows):
     keep = np.ones(dim, dtype=bool)
     keep[piv] = False
     keep = np.flatnonzero(keep)
-    # e_c for a pivot column c of row i is -sum over kept columns c' of
-    # red[i, c'] e_c'
-    proj = np.eye(dim, dtype=np.int64)[keep]
-    proj[:, piv] = (-red[:, keep].T) % p
+    # the kernel of red: e_c for a pivot column c of row i is -sum over
+    # kept columns c' of red[i, c'] e_c'
+    proj = la.mod_nullspace(red, p)
     deg = np.array(M.degrees, dtype=np.int64)
     if np.any((proj[:, piv] != 0) & (deg[keep][:, None] != deg[piv])):
         raise StructuralError("quotient reduction is not graded")
@@ -462,23 +463,11 @@ def module_presentation(M):
 
 def _relations_and_section(span, p):
     """(rel, sect) for a presentation whose cover has the matrix span: the
-    rows of rel span its kernel and span @ sect = 1, both read off one RREF
-    of [span | I].  The generators generate iff span has full row rank,
-    that is, iff no pivot falls in the identity block."""
-    nrows, ncols = span.shape
-    red, piv = la.mod_rref(np.concatenate(
-        [span, np.eye(nrows, dtype=np.int64)], axis=1), p)
-    if nrows and piv[-1] >= ncols:
-        raise StructuralError("generators do not generate")
-    free = np.ones(ncols, dtype=bool)
-    free[piv] = False
-    free = np.flatnonzero(free)
-    rel = np.zeros((len(free), ncols), dtype=np.int64)
-    rel[np.arange(len(free)), free] = 1
-    rel[:, piv] = -red[:, free].T % p
-    sect = np.zeros((ncols, nrows), dtype=np.int64)
-    sect[piv] = red[:, ncols:]
-    return rel, sect
+    rows of rel span its kernel and span @ sect = 1.  The generators
+    generate iff the rows of span are independent."""
+    sect = la.mod_coordinates(
+        span, p, dependent="generators do not generate")[1]
+    return la.mod_nullspace(span, p), sect
 
 
 def _solve_homs(span, rel, sect, lifts, shifts, gap, p, degrees=None):
@@ -754,9 +743,10 @@ def _component_idempotents(A0):
     p = A0.p
     pieces = [rows for _, rows in
               decompose_module_with_rows(regular_module(A0))]
-    one = _coordinates(np.concatenate(pieces), p,
-                       "unit not reached by summand spans")(
-        A0.unit_vector()[None])[0]
+    one = la.mod_coordinates(
+        np.concatenate(pieces), p,
+        outside="unit not reached by summand spans")[0](
+            A0.unit_vector()[None])[0]
     ends = np.cumsum([len(rows) for rows in pieces])[:-1]
     idems = [la.mod_matmul(c[None], rows, p)[0]
              for c, rows in zip(np.split(one, ends), pieces)]
@@ -875,28 +865,6 @@ def koszul_module_check(A, M, cap=None):
                for i, layer in enumerate(res))
 
 
-def _coordinates(basis, p, outside="composite outside computed hom space"):
-    """The coordinates map of the independent rows `basis` (a stack of
-    vectors, or of matrices read as vectors): the RREF of [B | I] is
-    [T B | T], so rows P in the span of B have coordinates P[:, piv] @ T.
-    The map takes a stack like `basis` and certifies coords @ B == P; a
-    dependent basis or a row outside the span raises StructuralError."""
-    basis = basis.reshape(len(basis), math.prod(basis.shape[1:]))
-    red, piv = la.mod_rref(np.concatenate(
-        [basis, np.eye(len(basis), dtype=np.int64)], axis=1), p)
-    if any(c >= basis.shape[1] for c in piv):
-        raise StructuralError("basis is not independent")
-    to_coords = red[:, basis.shape[1]:]
-
-    def coords(items):
-        rows = items.reshape(len(items), basis.shape[1])
-        out = la.mod_matmul(rows[:, piv], to_coords, p)
-        if not np.array_equal(la.mod_matmul(out, basis, p), rows):
-            raise StructuralError(outside)
-        return out
-    return coords
-
-
 def _block_products(left, right, target, p):
     """Every composite l @ r of a map l in block (a, b) of `left` with a
     map r in block (b, c) of `right`, in the coordinates of block (a, c)
@@ -915,7 +883,8 @@ def _block_products(left, right, target, p):
     chunks = [np.zeros((0, 4), dtype=np.int64)]
     for key, todo in pairs.items():
         t0, tstack = target[key]
-        coords = _coordinates(tstack, p)
+        coords = la.mod_coordinates(
+            tstack, p, outside="composite outside computed hom space")[0]
         for (l0, lstack), (r0, rstack) in todo:
             nb = len(rstack)
             rmat = rstack.transpose(1, 0, 2).reshape(rstack.shape[1], -1)
@@ -992,8 +961,9 @@ def _ext_algebra(E, projectives):
     unit = {}
     for i, P in enumerate(mods):
         start, stack = blocks[(i, i)]
-        one = _coordinates(stack, p, "identity not in Hom(P, P)")(
-            np.eye(P.dim, dtype=np.int64)[None])[0]
+        one = la.mod_coordinates(
+            stack, p, outside="identity not in Hom(P, P)")[0](
+                np.eye(P.dim, dtype=np.int64)[None])[0]
         unit.update((start + int(k), int(one[k]))
                     for k in np.flatnonzero(one))
     lab = [f"{keys[si]}->{keys[ti]}:{n}" for si, ti, n in basis]

@@ -50,8 +50,7 @@ from . import _linalg as la
 from .coxeter import CARTAN, COXETER_NUMBER, LETTERS, build_group, \
     distinguished_family
 from .galgebra import GradedAlgebra, StructuralError, _block_products, \
-    _coordinates, _relations_and_section, _solve_homs, idempotent_slice, \
-    restrict_module
+    _relations_and_section, _solve_homs, idempotent_slice, restrict_module
 
 __all__ = [
     "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
@@ -143,12 +142,10 @@ class CoinvariantAlgebra:
                 ideal = np.concatenate([inv] + [ideal @ a.T for a in x[d - 1]])
             red, piv = la.mod_rref(ideal, ell)
             ideal = red[:len(piv)]
-            keep = [k for k in range(n) if k not in piv]
-            self.basis[d] = [mons[d][k] for k in keep]
-            q = np.zeros((len(keep), n), dtype=np.int64)
-            q[:, keep] = np.eye(len(keep), dtype=np.int64)
-            q[:, piv] = -ideal[:, keep].T % ell
-            self._reduction[d] = q
+            keep = np.ones(n, dtype=bool)
+            keep[piv] = False
+            self.basis[d] = [m for m, k in zip(mons[d], keep) if k]
+            self._reduction[d] = la.mod_nullspace(ideal, ell)
             lift[d] = np.eye(n, dtype=np.int64)[:, keep]
 
         dims = [len(self.basis[d]) for d in range(top + 2)]
@@ -405,10 +402,7 @@ class EndAlgebraData:
     modules: dict                # word -> BSModule
     basis_blocks: list           # per basis index: (f_to, f_from, degree)
     basis_mats: list             # per basis index: matrix D_from -> D_to
-
-    def block_indices(self, f_to, f_from):
-        return [i for i, (t, s, _) in enumerate(self.basis_blocks)
-                if t == f_to and s == f_from]
+    block_ranges: dict           # (f_to, f_from) -> range of basis indices
 
 
 def _assemble_end_algebra(C, words, modules, wall=None):
@@ -416,7 +410,7 @@ def _assemble_end_algebra(C, words, modules, wall=None):
     flavor = "wall" if wall is not None else "full"
     basis_blocks = []
     basis_mats = []
-    span = {}           # (f_to, f_from) -> basis indices, all degrees
+    span = {}           # (f_to, f_from) -> range of basis indices
     idems = {}
     for ft in words:
         for fs in words:
@@ -457,7 +451,7 @@ def _assemble_end_algebra(C, words, modules, wall=None):
     alg = GradedAlgebra(ell, degrees, mult, unit, labels=labels)
     alg.idempotents = dict(idems)
     return EndAlgebraData(alg, flavor, wall, C, list(words), dict(modules),
-                          basis_blocks, basis_mats)
+                          basis_blocks, basis_mats, span)
 
 
 def _family_words(C):
@@ -501,17 +495,16 @@ def wall_algebra(C, s, words=None):
     ell = C.ell
     # each block of E, in the coordinates of the same block of E^s
     emb = np.zeros((data.algebra.dim, full.algebra.dim), dtype=np.int64)
-    for ft in words:
-        for fs in words:
-            rows, cols = (d.block_indices(ft, fs) for d in (data, full))
-            if not cols:
-                continue
-            coords = _coordinates(np.array(
-                [data.basis_mats[i] for i in rows], dtype=np.int64).reshape(
-                    len(rows), modules[ft].dim, modules[fs].dim), ell,
-                "embedding failed: C-map not C^s-map?")
-            emb[np.ix_(rows, cols)] = coords(
-                np.array([full.basis_mats[j] for j in cols])).T
+    for (ft, fs), rows in data.block_ranges.items():
+        cols = full.block_ranges[(ft, fs)]
+        if not cols:
+            continue
+        coords = la.mod_coordinates(np.array(
+            data.basis_mats[rows.start:rows.stop], dtype=np.int64).reshape(
+                len(rows), modules[ft].dim, modules[fs].dim), ell,
+            outside="embedding failed: C-map not C^s-map?")[0]
+        emb[rows.start:rows.stop, cols.start:cols.stop] = coords(
+            np.array(full.basis_mats[cols.start:cols.stop])).T
     if la.mod_rank(emb, ell) != full.algebra.dim:
         raise StructuralError("embedding not injective")
     # e_f maps to e_f

@@ -430,3 +430,22 @@ def test_shear_not_closed_raises_structural_error():
     with pytest.raises(StructuralError,
                        match="shear subalgebra is not closed"):
         fm.shear_subalgebra(R)
+
+
+def test_shear_basis_independence_is_certified(monkeypatch):
+    # one row of the first block of the sub's basis repeated: without the
+    # independence certificate this surfaces only as an out-of-range
+    # structure constant from canonical_mult
+    R = fm.random_diagonal_instance(3)
+    lift, repeated = fm._lift, []
+
+    def repeat_first_row(R, idxs, local):
+        if not repeated and len(local):
+            repeated.append(idxs)
+            local = np.concatenate([local, local[:1]])
+        return lift(R, idxs, local)
+
+    monkeypatch.setattr(fm, "_lift", repeat_first_row)
+    with pytest.raises(StructuralError, match="^basis is not independent$"):
+        fm.shear_subalgebra(R)
+    assert repeated

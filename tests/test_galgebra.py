@@ -960,7 +960,15 @@ except ga.StructuralError as exc:
         "sect = ga.module_presentation(X)[5]; "
         "r = sect.any(axis=1).argmax(); sect[r, 0] = (sect[r, 0] + 1) % 7; "
         "ga.hom_all(X, Y)",
-        "Hom basis map is not a module map", id="hom_all-section-corrupted")])
+        "Hom basis map is not a module map", id="hom_all-section-corrupted"),
+    # the two certificates of _linalg.mod_coordinates: a dependent basis,
+    # and a row outside the span of an independent one
+    pytest.param("ga.la.mod_coordinates(np.array([[1, 2], [2, 4]]), 5, "
+                 "dependent='rows repeat')", "rows repeat",
+                 id="coordinates-dependent"),
+    pytest.param("ga.la.mod_coordinates(np.array([[1, 2]]), 5, "
+                 "outside='not in the span')[0](np.array([[0, 1]]))",
+                 "not in the span", id="coordinates-outside")])
 def test_certificates_raise_under_python_O(call, message):
     assert _run_optimized(_CERTIFICATE_UNDER_O.replace("CALL", call)) == \
         f"StructuralError: {message}"

@@ -281,3 +281,62 @@ def test_mod_matmul_matches_object_reference(p, ks):
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want), (p, k, sa, sb)
             assert got.size == 0 or (got.min() >= 0 and got.max() < p)
+
+
+def _independent_stack(rng, p, n, shape):
+    """n random entries of the given shape, independent as flat vectors."""
+    while True:
+        basis = rng.integers(0, p, size=(n, *shape))
+        if la.mod_rank(basis.reshape(n, int(np.prod(shape))), p) == n:
+            return basis
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("n,shape", [
+    (0, (4,)), (1, (1,)), (3, (6,)), (5, (5,)),
+    (0, (2, 3)), (2, (2, 3)), (4, (3, 3))])
+def test_mod_coordinates_recovers_coefficients(p, n, shape):
+    rng = np.random.default_rng(100 * p + 10 * n + len(shape))
+    width = int(np.prod(shape))
+    basis = _independent_stack(rng, p, n, shape)
+    flat = basis.reshape(n, width)
+    coords, sect = la.mod_coordinates(basis, p)
+    assert sect.shape == (width, n)
+    assert np.array_equal(la.mod_matmul(flat, sect, p),
+                          np.eye(n, dtype=np.int64))
+    want = rng.integers(0, p, size=(7, n))
+    items = la.mod_matmul(want, flat, p).reshape(7, *shape)
+    got = coords(items)
+    # the basis is independent, so the coefficients are unique
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(la.mod_matmul(got, flat, p),
+                          items.reshape(7, width))
+    assert coords(items[:0]).shape == (0, n)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_mod_coordinates_certificates(p):
+    rng = np.random.default_rng(p)
+    basis = _independent_stack(rng, p, 3, (2, 4))
+    dependent = np.concatenate([basis, 2 * basis[:1] % p])
+    with pytest.raises(la.StructuralError, match="^rows repeat$"):
+        la.mod_coordinates(dependent, p, dependent="rows repeat")
+    with pytest.raises(la.StructuralError, match="^basis is not independent$"):
+        la.mod_coordinates(dependent, p)
+    flat = basis.reshape(3, 8)
+    # a unit vector outside the 3-dimensional span of the basis
+    k = next(k for k in range(8) if la.mod_rank(
+        np.concatenate([flat, np.eye(1, 8, k, dtype=np.int64)]), p) == 4)
+    items = np.stack([flat.sum(axis=0) % p,
+                      np.eye(1, 8, k, dtype=np.int64)[0]])
+    coords, _ = la.mod_coordinates(basis, p, outside="not in the span")
+    assert np.array_equal(coords(items[:1].reshape(1, 2, 4)), [[1, 1, 1]])
+    with pytest.raises(la.StructuralError, match="^not in the span$"):
+        coords(items.reshape(2, 2, 4))
+    # no rows: only zero has coordinates
+    coords, sect = la.mod_coordinates(np.zeros((0, 8), dtype=np.int64), p,
+                                      outside="empty span")
+    assert sect.shape == (8, 0)
+    assert coords(np.zeros((2, 8), dtype=np.int64)).shape == (2, 0)
+    with pytest.raises(la.StructuralError, match="^empty span$"):
+        coords(items)

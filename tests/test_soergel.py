@@ -160,8 +160,12 @@ def test_block_bookkeeping(C_A1):
         for fs in data.words:
             expected = sg.graded_hom(C_A1, data.modules[fs],
                                      data.modules[ft])
+            rows = data.block_ranges[(ft, fs)]
+            assert list(rows) == [i for i, (t, s, _) in
+                                  enumerate(data.basis_blocks)
+                                  if (t, s) == (ft, fs)]
             got = {}
-            for i in data.block_indices(ft, fs):
+            for i in rows:
                 d = data.basis_blocks[i][2]
                 got[d] = got.get(d, 0) + 1
             assert got == expected
@@ -744,7 +748,7 @@ def test_wall_embedding_matches_solve(cartan, C_A1, C_A2, C_B2):
 def test_wall_embedding_certificates():
     def duplicate(full):
         # two equal basis maps of E: their images coincide
-        i, j = full.block_indices("s", "s")[:2]
+        i, j = full.block_ranges[("s", "s")][:2]
         full.basis_mats[j] = full.basis_mats[i]
 
     def swap(full):

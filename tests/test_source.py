@@ -115,3 +115,27 @@ def test_one_hom_solver():
         with open(path) as fh:
             count += fh.read().count("Hom basis map is not a module map")
     assert count == 1
+
+
+def _calls(node, name):
+    """Is node a call of a function or method called `name`?"""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def test_one_coordinates_helper():
+    # every F_p solve in a span reads its coordinates off _linalg's
+    # mod_coordinates: no other module row-reduces [B | I] itself, and the
+    # galgebra copy the helper replaced stays gone
+    trees = _trees(SRC)
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "_coordinates"]
+    found += [f"{name}:{node.lineno}" for name, tree in trees.items()
+              if name != "_linalg.py" for node in ast.walk(tree)
+              if _calls(node, "mod_rref") and any(
+                  _calls(sub, "concatenate")
+                  and any(_calls(eye, "eye") for eye in ast.walk(sub))
+                  for arg in node.args for sub in ast.walk(arg))]
+    assert trees and not found, found
