@@ -133,16 +133,20 @@ def mod_rank(a, p):
 def mod_nullspace(a, p):
     """Rows of the result span {x : a @ x = 0} over F_p."""
     a = np.mod(np.array(a, dtype=np.int64), p)
-    nrows, ncols = a.shape
-    if ncols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    r, pivots = mod_rref(a, p)
+    return mod_rref_nullspace(*mod_rref(a, p), p)
+
+
+def mod_rref_nullspace(red, pivots, p):
+    """mod_nullspace of a matrix from its RREF: `red` holds the pivot rows
+    first, `pivots` their pivot columns.  One row per free column c, with
+    a 1 at c and minus column c of the pivot rows at the pivots."""
+    ncols = red.shape[1]
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-r[: len(pivots), free].T) % p
+    basis[:, pivots] = (-red[: len(pivots), free].T) % p
     return basis
 
 

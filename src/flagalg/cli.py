@@ -13,6 +13,7 @@ certificate passed.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -322,7 +323,10 @@ def cmd_formality_demo(cfg, seed):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process; parse_args gives each call a
+    fresh namespace."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "text"),
                         default="json")

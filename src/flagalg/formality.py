@@ -16,9 +16,9 @@ Products go through the dense structure tensor T[a, b, k] (the
 coefficient of e_k in e_a e_b), built from the rows of `mult` and cached
 per instance.  `check` raises StructuralError unless: D D = 0; D and T
 are nonzero only where the bidegrees fit; u T and T u (u the unit vector)
-are the identity; D u = 0; and, one slice a at a time, D T[a, b, :] =
-sum_c D[c, a] T[c, b, :] + (-1)^i sum_c D[c, b] T[a, c, :] for all b.
-Associativity is not checked.
+are the identity; D u = 0; and D T[a, b, :] = sum_c D[c, a] T[c, b, :] +
+(-1)^i sum_c D[c, b] T[a, c, :] for all a, b, as three matrix products
+over a chunk of consecutive a at a time.  Associativity is not checked.
 
 Seeded random instances are built so the hypothesis holds by
 construction: a square-zero diagonal algebra extended by acyclic
@@ -40,6 +40,13 @@ __all__ = [
     "verify_quasi_iso", "random_diagonal_instance",
     "random_nondiagonal_instance",
 ]
+
+# entries of each (chunk of a, b, k) array of the Leibniz check.  At 2^14
+# an int64 array is 128 KiB, glibc's default threshold for serving an
+# allocation by mmap, and the peak RSS of a run of shears rises by about
+# 0.3 MB (by 2-3 MB with all of a at once, 2^16 entries at dim 40); at
+# 2^13 it stays where the loop over single a kept it, as fast
+_LEIBNIZ_CHUNK = 2**13
 
 
 @dataclass(eq=False)
@@ -112,12 +119,18 @@ class BigradedDgAlgebra:
         if np.any(la.mod_matmul(D, u[:, None], p)):
             raise StructuralError("d(1) != 0")
         sign = np.where(bd[:, 0] % 2 == 0, 1, p - 1)
-        for a in range(n):
-            # row b: d(e_a e_b) against (d e_a) e_b + (-1)^i e_a (d e_b)
-            lhs = la.mod_matmul(T[a], D.T, p)
-            rhs = la.mod_matmul(D[None, :, a], flat, p).reshape(n, n) + \
-                sign[a] * la.mod_matmul(D.T, T[a], p)
-            if np.any((lhs - rhs) % p):
+        step = max(1, _LEIBNIZ_CHUNK // (n * n))
+        for a0 in range(0, n, step):
+            Ta = T[a0:a0 + step]
+            m = len(Ta)
+            # [a - a0, b]: d(e_a e_b) - (d e_a) e_b - (-1)^i e_a (d e_b)
+            acc = la.mod_matmul(Ta.reshape(m * n, n), D.T, p).reshape(m, n, n)
+            acc -= la.mod_matmul(D.T[a0:a0 + m], flat, p).reshape(m, n, n)
+            acc -= sign[a0:a0 + m, None, None] * la.mod_matmul(
+                D.T, Ta.transpose(1, 0, 2).reshape(n, m * n),
+                p).reshape(n, m, n).transpose(1, 0, 2)
+            acc %= p
+            if np.any(acc):
                 raise StructuralError("Leibniz rule fails")
         self._checked = True
 
@@ -172,33 +185,43 @@ def cohomology(R):
     zero differential.  Rejects inputs violating the dg axioms; memoized
     per instance (recomputation would be identical).
 
-    At each bidegree the representatives are the kernel vectors that are
-    pivot columns of one RREF of the columns [image | kernel]: each is
-    independent of the boundaries and of the kernel vectors before it.
-    The boundaries that are pivot columns there are a basis of the image,
-    and the class map reads coordinates in the representatives stacked
-    over them (_linalg.mod_coordinates, built once per bidegree, on its
-    first use)."""
+    One nullspace of the whole differential D and one RREF of the columns
+    [D | kernel] give every bidegree at once: `check` certifies that D
+    has bidegree (1, 0), so, permuted by bidegree, both matrices are block
+    diagonal, and their pivots and kernel vectors are those of each block
+    in turn, each vector supported in one bidegree.  The representatives
+    are the kernel vectors that are pivot columns: each is independent of
+    the boundaries and of the kernel vectors before it.  The columns of D
+    that are pivots are a basis of the image, and at each bidegree the
+    class map reads coordinates in the representatives stacked over them
+    (_linalg.mod_coordinates, built once per bidegree, on its first
+    use)."""
     cached = getattr(R, "_cohomology", None)
     if cached is not None:
         return cached
     R.check()
-    p = R.p
+    p, n = R.p, R.dim
     by_bd = _by_bidegree(R)
+    label = np.empty(n, dtype=np.int64)     # index of each bidegree
+    for t, idxs in enumerate(by_bd.values()):
+        label[idxs] = t
+    D = np.mod(R.diff, p)
+    ker = la.mod_nullspace(D, p)
+    _, piv = la.mod_rref(np.concatenate([D, ker.T], axis=1), p)
+    piv = np.array(piv, dtype=np.int64)
+    hs, bnd = ker[piv[piv >= n] - n], D[:, piv[piv < n]].T
+    # a vector's bidegree is that of its first nonzero entry
+    hs_at = label[(hs != 0).argmax(axis=1)]
+    bnd_at = label[(bnd != 0).argmax(axis=1)]
     reps, rep_bd, offset, bases = [], [], {}, {}
-    for bd, idxs in by_bd.items():
-        i, j = bd
-        ker = la.mod_nullspace(R.diff[np.ix_(by_bd.get((i + 1, j), []),
-                                             idxs)], p)
-        img = np.mod(R.diff[np.ix_(idxs, by_bd.get((i - 1, j), []))], p)
-        _, piv = la.mod_rref(np.concatenate([img, ker.T], axis=1), p)
-        h_local = ker[[c - img.shape[1] for c in piv if c >= img.shape[1]]]
+    for t, (bd, idxs) in enumerate(by_bd.items()):
+        here = hs[hs_at == t]
         # rows: the representatives first, then a basis of the boundaries
-        bases[bd] = (idxs, np.concatenate(
-            [h_local, img[:, piv[:len(piv) - len(h_local)]].T]), len(h_local))
+        bases[bd] = (idxs, np.concatenate([here, bnd[bnd_at == t]])[:, idxs],
+                     len(here))
         offset[bd] = len(rep_bd)
-        reps.append(_lift(R, idxs, h_local))
-        rep_bd.extend([bd] * len(h_local))
+        reps.append(here)
+        rep_bd.extend([bd] * len(here))
     reps_arr = np.concatenate(reps)
     coords = {}         # bidegree -> coordinates map, built on first use
 

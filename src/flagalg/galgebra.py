@@ -260,7 +260,7 @@ def quotient_module(M, rows):
     keep = np.flatnonzero(keep)
     # the kernel of red: e_c for a pivot column c of row i is -sum over
     # kept columns c' of red[i, c'] e_c'
-    proj = la.mod_nullspace(red, p)
+    proj = la.mod_rref_nullspace(red, piv, p)
     deg = np.array(M.degrees, dtype=np.int64)
     if np.any((proj[:, piv] != 0) & (deg[keep][:, None] != deg[piv])):
         raise StructuralError("quotient reduction is not graded")

@@ -145,7 +145,7 @@ class CoinvariantAlgebra:
             keep = np.ones(n, dtype=bool)
             keep[piv] = False
             self.basis[d] = [m for m, k in zip(mons[d], keep) if k]
-            self._reduction[d] = la.mod_nullspace(ideal, ell)
+            self._reduction[d] = la.mod_rref_nullspace(ideal, piv, ell)
             lift[d] = np.eye(n, dtype=np.int64)[:, keep]
 
         dims = [len(self.basis[d]) for d in range(top + 2)]

@@ -69,6 +69,36 @@ def test_options_a_command_does_not_read_are_refused(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("first, second", [
+    (("koszul", "--type", "A2", "--ell", "7", "--cap", "3"),
+     ("koszul", "--type", "A2", "--ell", "7")),
+    (("rpoly", "--type", "A2", "e", "sts", "--format", "text"),
+     ("rpoly", "--type", "A2", "e", "sts")),
+    (("endalg", "--type", "A2", "--ell", "7", "--cache-dir", "{dir}"),
+     ("standards", "--type", "A2", "--ell", "7")),
+])
+def test_parser_built_once_carries_nothing_between_calls(
+        first, second, tmp_path, capsys):
+    # each call, made after another in one process, prints what it prints
+    # as the first call after the parser is built
+    def calls(run_dir):
+        return [[a.format(dir=run_dir) for a in argv]
+                for argv in (first, second)]
+
+    fresh = []
+    for argv in calls(tmp_path / "fresh"):
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls(tmp_path / "one")] == fresh
+    assert fresh[0][0] == fresh[1][0] == 0
+    # an option the command does not read is refused after the parses
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(second) + ["--q", "2"])
+    assert exc.value.code == 2
+    assert cli.build_parser.cache_info().currsize == 1
+
+
 def test_qcond(capsys):
     code, out, _ = run(capsys, "qcond", "--type", "A2", "--ell", "13", "--q", "2")
     assert code == 0

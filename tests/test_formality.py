@@ -334,6 +334,18 @@ def _broken_leibniz():
                       [(2, 1), (4, 3)], [(1, 1, 3, 1)])
 
 
+def _broken_leibniz_in_last_chunk(pad=36):
+    # the same failure with x the last basis element, after pad closed
+    # elements, so that the check reaches it only in its last chunk of a
+    n = pad + 5
+    y, w, v, x = range(pad + 1, n)
+    R = _with_unit([(0, 0)] + [(2, 2)] * pad + [(1, 1), (0, 2), (1, 2),
+                                                (0, 1)],
+                   [(y, x), (v, w)], [(x, x, w, 1)])
+    assert n > fm._LEIBNIZ_CHUNK // (n * n)     # more than one chunk
+    return R
+
+
 MUTANTS = [
     ("d^2 != 0",
      lambda: _with_unit([(0, 0), (0, 1), (1, 1), (2, 1)], [(2, 1), (3, 2)])),
@@ -348,6 +360,7 @@ MUTANTS = [
     ("d(1) != 0",
      lambda: _with_unit([(0, 0), (1, 0)], [(1, 0)])),
     ("Leibniz rule fails", _broken_leibniz),
+    ("Leibniz rule fails", _broken_leibniz_in_last_chunk),
 ]
 
 
@@ -384,17 +397,27 @@ from flagalg import formality as fm
 from flagalg.galgebra import StructuralError
 if __debug__:
     raise SystemExit("expected python -O")
-n = 5
-diff = np.zeros((n, n), dtype=np.int64)
-diff[2, 1] = diff[4, 3] = 1
-mult = [(0, k, k, 1) for k in range(n)] + \
-    [(k, 0, k, 1) for k in range(1, n)] + [(1, 1, 3, 1)]
-R = fm.BigradedDgAlgebra(5, [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
-                         mult, {0: 1}, diff)
-try:
-    R.check()
-except StructuralError as exc:
-    print("StructuralError:", exc)
+
+
+def broken(bidegrees, x, y, w, v):
+    # d x = y, d w = v and x x = w
+    n = len(bidegrees)
+    diff = np.zeros((n, n), dtype=np.int64)
+    diff[y, x] = diff[v, w] = 1
+    mult = [(0, k, k, 1) for k in range(n)] + \\
+        [(k, 0, k, 1) for k in range(1, n)] + [(x, x, w, 1)]
+    return fm.BigradedDgAlgebra(5, bidegrees, mult, {0: 1}, diff)
+
+
+pad = 36            # x last, in the last chunk of a
+for R in (broken([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)], 1, 2, 3, 4),
+          broken([(0, 0)] + [(2, 2)] * pad +
+                 [(1, 1), (0, 2), (1, 2), (0, 1)],
+                 pad + 4, pad + 1, pad + 2, pad + 3)):
+    try:
+        R.check()
+    except StructuralError as exc:
+        print("StructuralError:", exc)
 """
 
 
@@ -406,7 +429,8 @@ def test_broken_leibniz_raises_structural_error_under_O():
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "StructuralError: Leibniz rule fails"
+    assert proc.stdout.splitlines() == \
+        ["StructuralError: Leibniz rule fails"] * 2
 
 
 def test_classify_rejects_non_cycles():
@@ -449,3 +473,132 @@ def test_shear_basis_independence_is_certified(monkeypatch):
     with pytest.raises(StructuralError, match="^basis is not independent$"):
         fm.shear_subalgebra(R)
     assert repeated
+
+
+# ---------------------------------------------------------------------------
+# cohomology one bidegree at a time, kept as the reference for the one
+# elimination over the whole differential
+
+
+def _cohomology_by_bidegree(R):
+    """The cohomology of R from one nullspace and one RREF of [image |
+    kernel] per bidegree, built like fm.cohomology."""
+    R.check()
+    p = R.p
+    by_bd = fm._by_bidegree(R)
+    reps, rep_bd, offset, bases = [], [], {}, {}
+    for bd, idxs in by_bd.items():
+        i, j = bd
+        ker = la.mod_nullspace(R.diff[np.ix_(by_bd.get((i + 1, j), []),
+                                             idxs)], p)
+        img = np.mod(R.diff[np.ix_(idxs, by_bd.get((i - 1, j), []))], p)
+        _, piv = la.mod_rref(np.concatenate([img, ker.T], axis=1), p)
+        h_local = ker[[c - img.shape[1] for c in piv if c >= img.shape[1]]]
+        bases[bd] = (idxs, np.concatenate(
+            [h_local, img[:, piv[:len(piv) - len(h_local)]].T]), len(h_local))
+        offset[bd] = len(rep_bd)
+        reps.append(fm._lift(R, idxs, h_local))
+        rep_bd.extend([bd] * len(h_local))
+    reps_arr = np.concatenate(reps)
+
+    def classify(vecs):
+        vecs = np.mod(vecs, p)
+        out = np.zeros((len(vecs), len(rep_bd)), dtype=np.int64)
+        for bd, (idxs, basis, nh) in bases.items():
+            local = vecs[:, idxs]
+            if np.any(local):
+                coords = la.mod_coordinates(basis, p, outside=(
+                    "vector is not a cycle/boundary combo" if len(basis)
+                    else "vector is not a cycle"))[0]
+                out[:, offset[bd]: offset[bd] + nh] = coords(local)[:, :nh]
+        return out
+
+    h = len(rep_bd)
+    cls = classify(np.concatenate(
+        [fm._products(R, reps_arr).reshape(-1, R.dim),
+         R.unit_vector()[None]]))
+    H = fm.BigradedDgAlgebra(p, rep_bd, fm._product_rows(cls[:-1], h),
+                             fm._entry(cls[-1]),
+                             np.zeros((h, h), dtype=np.int64))
+    return fm.CohomologyData(H, reps_arr, classify)
+
+
+def _parity_algebras():
+    """The algebras the one-elimination cohomology is compared on: the
+    diagonal seeds 0-199 with their shears and cohomology algebras, the
+    non-diagonal seeds 0-49, and the hand-built ones."""
+    for seed in range(200):
+        R = fm.random_diagonal_instance(seed)
+        sub, _, _, hd = fm.shear_subalgebra(R)
+        yield from (_fresh(R), _fresh(sub), _fresh(hd.algebra))
+    for seed in range(50):
+        yield fm.random_nondiagonal_instance(seed)
+    yield unit_line()
+    for at in ((0, 0), (0, 1), (-2, 3)):
+        yield acyclic_pair(at=at)
+    yield _with_unit([(0, 0), (1, 1)])
+    yield _with_unit([(0, 0), (0, 0), (1, 0)], [(2, 1)])
+    yield _with_unit([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)],
+                     [(2, 1), (4, 3)])
+
+
+def test_cohomology_matches_per_bidegree_reference():
+    rng = np.random.default_rng(11)
+    count = 0
+    for R in _parity_algebras():
+        ref = _cohomology_by_bidegree(R)
+        got = fm.cohomology(R)
+        assert np.array_equal(got.reps, ref.reps)
+        assert got.algebra.bidegrees == ref.algebra.bidegrees
+        assert np.array_equal(got.algebra.mult, ref.algebra.mult)
+        assert got.algebra.unit == ref.algebra.unit
+        cycles = la.mod_nullspace(R.diff, R.p)
+        batch = la.mod_matmul(
+            rng.integers(0, R.p, size=(6, len(cycles))), cycles, R.p)
+        assert np.array_equal(got.classify(batch), ref.classify(batch))
+        count += 1
+    assert count == 657
+
+
+def test_cohomology_eliminates_once_whatever_the_bidegrees(monkeypatch):
+    # the eliminations outside the class map's coordinate maps (one per
+    # bidegree, on first use) are one nullspace and one RREF
+    calls = {"rref": 0, "coordinates": 0}
+    rref, coordinates = la.mod_rref, la.mod_coordinates
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(la, "mod_rref", counted("rref", rref))
+    monkeypatch.setattr(la, "mod_coordinates",
+                        counted("coordinates", coordinates))
+    sizes = set()
+    for seed in range(20):
+        R = fm.random_diagonal_instance(seed)
+        calls.update(rref=0, coordinates=0)
+        fm.cohomology(R)
+        sizes.add(len(R.dims_by_bidegree()))
+        assert calls["rref"] - calls["coordinates"] == 2
+    assert len(sizes) > 5
+
+
+def test_leibniz_check_is_chunked(monkeypatch):
+    # the Leibniz rule at dim 40 in chunks of a, three products each, not
+    # three per basis element; four more products certify d^2 and the unit
+    n = 40
+    R = _with_unit([(0, 0)] + [(1, 1)] * (n - 1))
+    calls = []
+    matmul = la.mod_matmul
+
+    def counted(*args):
+        calls.append(args)
+        return matmul(*args)
+
+    monkeypatch.setattr(la, "mod_matmul", counted)
+    R.check()
+    step = fm._LEIBNIZ_CHUNK // (n * n)
+    assert 1 < step < n
+    assert len(calls) == 4 + 3 * -(-n // step) < 3 * n
