@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -151,6 +152,55 @@ def test_decompositions_match_frozen_digest():
         decs.append(pm.decompose(M))
     digest = hashlib.sha256(repr(decs).encode()).hexdigest()
     assert digest == FROZEN["phimod_decompositions_sha256"]
+
+
+def _random_rational_module(rng):
+    """An l-integral rational phi whose denominators have lcm D > 1:
+    half U T U^-1 with T triangular over (1/D) Z, its diagonal mu / D or
+    a power of q (rational spectrum, split or coupled mod l), half random
+    entries in (1/D) Z (mostly an irrational spectrum: Hensel blocks,
+    repeated residues or irreducible factors mod l)."""
+    ell = rng.choice([5, 7, 13])
+    q = rng.choice([2, 3])
+    D = rng.choice([2, 3, 4, 6])
+    n = rng.randint(1, 4)
+    while True:
+        if rng.random() < 0.5:
+            T = [[Fraction(0)] * n for _ in range(n)]
+            for a in range(n):
+                T[a][a] = rng.choice([Fraction(q) ** rng.randrange(3),
+                                      Fraction(rng.randint(-6, 6), D)])
+                for b in range(a + 1, n):
+                    T[a][b] = Fraction(rng.randint(-2, 2), D)
+            U = [[int(a == b) for b in range(n)] for a in range(n)]
+            U_inv = [row[:] for row in U]
+            for _ in range(n if n > 1 else 0):
+                a, b = rng.sample(range(n), 2)
+                c = rng.choice((-1, 1))
+                U[a] = [x + c * y for x, y in zip(U[a], U[b])]
+                for row in U_inv:
+                    row[b] -= c * row[a]
+            phi = la.frac_matmul(la.frac_matmul(U, T), U_inv)
+        else:
+            phi = [[Fraction(rng.randint(-4, 4), D) for _ in range(n)]
+                   for _ in range(n)]
+        if math.lcm(*(x.denominator for row in phi for x in row)) == 1:
+            continue
+        det = la.frac_det(phi)
+        if det != 0 and la.lval(det, ell) == 0:
+            return pm.PhiModule.build(phi, ell, q)
+
+
+def test_rational_decompositions_match_frozen_digest():
+    # phi with denominators: the eigenvalues mu / D, the leftover factor
+    # rescaled to phi's coefficients and its Hensel step are all pinned
+    rng = random.Random(20261020)
+    decs = [pm.decompose(_random_rational_module(rng)) for _ in range(150)]
+    assert {d.status for d in decs} == \
+        {"decomposable", "indecomposable", "undecidable"}
+    assert any(not s.exact for d in decs for s in d.summands)
+    digest = hashlib.sha256(repr(decs).encode()).hexdigest()
+    assert digest == FROZEN["phimod_rational_decompositions_sha256"]
 
 
 def test_criterion_soundness_randoms():
