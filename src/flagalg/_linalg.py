@@ -6,7 +6,8 @@ Two arithmetic worlds live here:
 * dense linear algebra over a prime field F_p, done on numpy int64 arrays
   with entries reduced to [0, p);
 * exact arithmetic over the l-local integers Z_(l) (rationals whose
-  denominator is prime to l), done with Fraction entries.
+  denominator is prime to l), done with Fraction entries, and over Z in
+  int where denominators can be cleared (the charpoly, the determinant).
 
 Nothing in this module knows about Weyl groups or graded algebras; it is
 only pivoting, kernels, certified coordinates in a span (mod_coordinates,
@@ -18,6 +19,7 @@ every layer can raise it.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -594,16 +596,14 @@ def frac_identity(n):
 
 
 def frac_matmul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
-             for j in range(m)] for i in range(n)]
+    """a b for exact entries, Fraction or int: int operands stay int."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def frac_scalar_shift(a, c):
-    """a - c * identity"""
+    """a - c * identity, exact: int a and c stay int."""
     n = len(a)
-    c = Fraction(c)
     return [[a[i][j] - (c if i == j else 0) for j in range(n)]
             for i in range(n)]
 
@@ -625,24 +625,31 @@ def frac_is_zero(a):
 
 
 def frac_det(a):
-    m = [[Fraction(x) for x in row] for row in a]
+    """Determinant of a rational square matrix, by Bareiss's fraction-free
+    elimination (1968) on the rows cleared of denominators, divided by the
+    product of those denominators.  After step k every entry below and
+    right of the pivot is a (k+1)-minor, so each division by the previous
+    pivot is exact."""
+    m, scale = [], 1
+    for row in a:
+        d = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
     n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def frac_rref(a):
@@ -817,19 +824,22 @@ def lloc_elementary_exponents(rows, ell):
     return sorted(exps)
 
 
-def frac_charpoly(a):
-    """Characteristic polynomial of a rational square matrix, monic, as a
-    low-degree-first coefficient list (Faddeev-LeVerrier)."""
+def int_charpoly(a):
+    """Characteristic polynomial of an integer square matrix, monic, as a
+    low-degree-first list of ints (Faddeev-LeVerrier over Z).  With
+    M_1 = I and M_{k+1} = a M_k + c_k I, the coefficient c_k is
+    -tr(a M_k) / k, an integer: a trace that k does not divide raises
+    StructuralError."""
     n = len(a)
-    if n == 0:
-        return [Fraction(1)]
-    cs = [Fraction(1)] + [Fraction(0)] * n
-    mk = frac_identity(n)
+    cs = [1] + [0] * n
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         amk = frac_matmul(a, mk)
         tr = sum(amk[i][i] for i in range(n))
-        ck = -tr / k
-        cs[k] = ck
-        mk = [[amk[i][j] + (ck if i == j else 0) for j in range(n)]
-              for i in range(n)]
-    return list(reversed(cs))
+        if tr % k:
+            raise StructuralError(
+                f"charpoly: trace {tr} at step {k} is not divisible by {k}")
+        cs[k] = -tr // k
+        mk = [[x + cs[k] if i == j else x for j, x in enumerate(row)]
+              for i, row in enumerate(amk)]
+    return cs[::-1]

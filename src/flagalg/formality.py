@@ -146,6 +146,29 @@ def _by_bidegree(R):
     return dict(sorted(by_bd.items()))
 
 
+def _nullspace(R):
+    """(ker, at): the nullspace of the differential, one basis vector per
+    row, and the index in _by_bidegree(R) of each vector's bidegree, that
+    of its first nonzero entry (see `cohomology`).  Checks R first;
+    memoized per instance, so that `cohomology` and `shear_subalgebra`
+    share one check and one elimination."""
+    cached = getattr(R, "_kernel", None)
+    if cached is None:
+        R.check()
+        ker = la.mod_nullspace(np.mod(R.diff, R.p), R.p)
+        cached = R._kernel = (ker, _bidegree_index(R)[
+            (ker != 0).argmax(axis=1)])
+    return cached
+
+
+def _bidegree_index(R):
+    """The index in _by_bidegree(R) of each basis element's bidegree."""
+    label = np.empty(R.dim, dtype=np.int64)
+    for t, idxs in enumerate(_by_bidegree(R).values()):
+        label[idxs] = t
+    return label
+
+
 def _products(R, X):
     """Every product x_a x_b of rows of X in R, as an (m, m, dim) array."""
     return la.tensor_products(R.tensor, X, X, R.p)
@@ -199,20 +222,16 @@ def cohomology(R):
     cached = getattr(R, "_cohomology", None)
     if cached is not None:
         return cached
-    R.check()
+    ker, ker_at = _nullspace(R)
     p, n = R.p, R.dim
     by_bd = _by_bidegree(R)
-    label = np.empty(n, dtype=np.int64)     # index of each bidegree
-    for t, idxs in enumerate(by_bd.values()):
-        label[idxs] = t
     D = np.mod(R.diff, p)
-    ker = la.mod_nullspace(D, p)
     _, piv = la.mod_rref(np.concatenate([D, ker.T], axis=1), p)
     piv = np.array(piv, dtype=np.int64)
-    hs, bnd = ker[piv[piv >= n] - n], D[:, piv[piv < n]].T
-    # a vector's bidegree is that of its first nonzero entry
-    hs_at = label[(hs != 0).argmax(axis=1)]
-    bnd_at = label[(bnd != 0).argmax(axis=1)]
+    hs, hs_at = ker[piv[piv >= n] - n], ker_at[piv[piv >= n] - n]
+    # a boundary's bidegree is that of its first nonzero entry
+    bnd = D[:, piv[piv < n]].T
+    bnd_at = _bidegree_index(R)[(bnd != 0).argmax(axis=1)]
     reps, rep_bd, offset, bases = [], [], {}, {}
     for t, (bd, idxs) in enumerate(by_bd.items()):
         here = hs[hs_at == t]
@@ -268,22 +287,21 @@ def shear_subalgebra(R):
     quasi-isomorphisms.  The products of all pairs of basis vectors, the
     unit and the differential are coordinatised by _linalg.mod_coordinates
     on the basis of the sub, which certifies that basis independent and
-    raises StructuralError if the sub is not closed."""
-    R.check()
+    raises StructuralError if the sub is not closed.  The kernel at
+    (i, i) is read off the one nullspace of D that `cohomology` shares."""
+    ker, ker_at = _nullspace(R)
     p = R.p
-    by_bd = _by_bidegree(R)
     blocks, row_bd = [], []
-    for bd, idxs in by_bd.items():
+    for t, (bd, idxs) in enumerate(_by_bidegree(R).items()):
         i, j = bd
         if j > i:
-            local = np.eye(len(idxs), dtype=np.int64)
+            block = _lift(R, idxs, np.eye(len(idxs), dtype=np.int64))
         elif j == i:
-            local = la.mod_nullspace(
-                R.diff[np.ix_(by_bd.get((i + 1, j), []), idxs)], p)
+            block = ker[ker_at == t]
         else:
             continue
-        blocks.append(_lift(R, idxs, local))
-        row_bd.extend([bd] * len(local))
+        blocks.append(block)
+        row_bd.extend([bd] * len(block))
     inc = np.concatenate(blocks).T if blocks else \
         np.zeros((R.dim, 0), dtype=np.int64)
     n = inc.shape[1]

@@ -3,15 +3,23 @@ Free lattices over the l-local integers with an automorphism: q-weight
 support, the eigenvalue-separation splitting criterion, and explicit
 generalized-eigenspace decompositions.
 
-The base ring is Z_(l) = {a/b : l does not divide b}, handled exactly with
-Fractions.  "M has q-weights obtained from I" means that the product of
-(phi - q^i) over i in I is nilpotent.  A lattice is decomposable under phi
-when it is the direct sum of its generalized eigenspaces.  With D the lcm
-of the denominators of phi, every rational eigenvalue is mu / D for an
-integer mu dividing the constant term of the monic integer charpoly of
-D phi, |mu| at most its largest absolute row sum: one scan finds them
-exactly, each with its exact q-exponent.  The rest of the spectrum falls
-back to Hensel-refined rank-one blocks for simple residues, and reports
+The base ring is Z_(l) = {a/b : l does not divide b}, handled exactly.
+"M has q-weights obtained from I" means that the product of (phi - q^i)
+over i in I is nilpotent.  A lattice is decomposable under phi when it is
+the direct sum of its generalized eigenspaces.  With D the lcm of the
+denominators of phi (prime to l), every rational eigenvalue is mu / D for
+an integer mu dividing the constant term of the monic integer charpoly
+of D phi, |mu| at most its largest absolute row sum: one scan finds them
+exactly, each with its exact q-exponent.  The core of `decompose` runs on
+the integer matrix D phi in int: the charpoly (Faddeev-LeVerrier over Z,
+each trace division certified exact), the root scan, the powers of
+D phi - mu whose kernels are the eigenlattices, and the determinant
+(Bareiss); Fractions remain in the eigenlattice eliminations (kernel,
+saturation, stability), the Hensel step and the returned values.  Each
+eigenlattice is certified to have rank equal to its multiplicity and to
+be phi-stable over Z_(l), and a decomposable verdict to have bases of
+unit determinant mod l.  The rest of the spectrum falls back to
+Hensel-refined rank-one blocks for simple residues, and reports
 `undecidable` at the working precision for the genuinely ambiguous
 remainder rather than guessing.
 """
@@ -157,10 +165,11 @@ def decompose(M):
     the exact q-exponent of a rational eigenvalue, with no cap.
     """
     phi = M.phi_frac()
-    rest = la.frac_charpoly(phi)
     D = math.lcm(*(x.denominator for row in phi for x in row))
-    const = (D ** M.rank * rest[0]).numerator
-    bound = int(max(sum(abs(D * x) for x in row) for row in phi))
+    A = _scaled(phi, D)
+    rest = la.int_charpoly(A)
+    const = rest[0]
+    bound = max(sum(map(abs, row)) for row in A)
 
     summands = []
     for mu in range(-bound, bound + 1):
@@ -168,20 +177,22 @@ def decompose(M):
             break
         if mu == 0 or const % mu:
             continue
-        lam = Fraction(mu, D)
         m = 0
-        quot, value = _divide_linear(rest, lam)
+        quot, value = _divide_linear(rest, mu)
         while value == 0:
             rest, m = quot, m + 1
-            quot, value = _divide_linear(rest, lam)
+            quot, value = _divide_linear(rest, mu)
         if m:
+            lam = Fraction(mu, D)
             basis = _eigenlattice(phi, lam, m, M.ell)
             summands.append(Summand(
                 basis=tuple(tuple(r) for r in basis),
                 eigenvalue=lam, exponent=_q_exponent(lam, M.q), exact=True))
 
-    # leftover characteristic factor, analyzed by residues (none if the
-    # spectrum is rational)
+    # leftover characteristic factor, rescaled from D phi to phi
+    # (c_k / D^(deg - k)) and analyzed by residues (none if the spectrum
+    # is rational)
+    rest = [Fraction(c, D ** (len(rest) - 1 - k)) for k, c in enumerate(rest)]
     rest_mod = [la.frac_mod_ell(c, M.ell) for c in rest]
     parts = la.coprime_power_split(rest_mod, M.ell)
     if any(not la.poly_roots(f, M.ell) for f in parts):
@@ -234,24 +245,38 @@ def _assemble_verdict(M, summands):
 def _eigenlattice(phi, lam, m, ell):
     """Saturated basis of ker (phi - lam)^m, lam an eigenvalue of
     multiplicity m: the generalized eigenlattice, certified to have rank m
-    and to be phi-stable."""
-    kernel = la.frac_kernel(la.frac_matpow(la.frac_scalar_shift(phi, lam), m))
+    and to be phi-stable.  Both run on A = D phi and mu = D lam in int, D
+    the lcm of their denominators (prime to l for an eigenvalue): the
+    kernel of (A - mu)^m is that of (phi - lam)^m, and the images of the
+    basis under A have l-integral coordinates in it iff those under phi
+    do, all read off one elimination of [basis^T | images^T]."""
+    D = math.lcm(lam.denominator, *(x.denominator for row in phi for x in row))
+    A = _scaled(phi, D)
+    mu = lam.numerator * (D // lam.denominator)
+    kernel = la.frac_kernel(la.frac_matpow(la.frac_scalar_shift(A, mu), m))
     if len(kernel) != m:
         raise la.StructuralError(
             f"generalized eigenspace of {lam} has rank {len(kernel)}, "
             f"not its multiplicity {m}")
     basis = la.lloc_saturate(kernel, ell)
-    for row in basis:
-        img = la.frac_matmul([list(row)], _transpose(phi))[0]
-        if not la.lloc_membership(img, basis, ell):
-            raise la.StructuralError("eigenlattice is not phi-stable")
+    k = len(basis)
+    red, piv = la.frac_rref(_transpose(basis + la.frac_matmul(
+        basis, _transpose(A))))
+    if piv != list(range(k)) or not all(
+            la.is_l_integral(x, ell) for row in red[:k] for x in row[k:]):
+        raise la.StructuralError("eigenlattice is not phi-stable")
     return basis
+
+
+def _scaled(phi, D):
+    """D phi as an int matrix, D a multiple of every denominator."""
+    return [[x.numerator * (D // x.denominator) for x in row] for row in phi]
 
 
 def _divide_linear(f, x):
     """Synthetic division f(X) = (X - x) g(X) + f(x), coefficients low
     degree first: returns (g, f(x)).  So f'(x) = g(x)."""
-    acc = Fraction(0)
+    acc = 0
     high_first = []
     for c in reversed(f):
         acc = acc * x + c

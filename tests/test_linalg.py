@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -121,8 +122,95 @@ def test_frac_matpow_by_binary_powering(e, monkeypatch):
 
 
 def test_charpoly():
-    cp = la.frac_charpoly(frac_mat([[1, 0], [0, 6]]))
-    assert cp == [Fraction(6), Fraction(-7), Fraction(1)]
+    assert la.int_charpoly([[1, 0], [0, 6]]) == [6, -7, 1]
+
+
+def _frac_charpoly(a):
+    """Faddeev-LeVerrier over Q: the reference for int_charpoly."""
+    n = len(a)
+    cs = [Fraction(1)] + [Fraction(0)] * n
+    mk = la.frac_identity(n)
+    for k in range(1, n + 1):
+        amk = la.frac_matmul(frac_mat(a), mk)
+        cs[k] = -sum(amk[i][i] for i in range(n)) / k
+        mk = [[amk[i][j] + (cs[k] if i == j else 0) for j in range(n)]
+              for i in range(n)]
+    return list(reversed(cs))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_int_charpoly_matches_rational_reference(n):
+    rng = random.Random(n)
+    for trial in range(20):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n:
+            a[-1] = [2 * x for x in a[0]]       # singular
+        got = la.int_charpoly(a)
+        assert got == _frac_charpoly(a)
+        assert all(type(c) is int for c in got) and got[-1] == 1
+
+
+def test_int_charpoly_certifies_each_trace_division(monkeypatch):
+    # a product off by one in a corner: at step 2 the trace of a M_2 is
+    # odd, and no integer coefficient exists
+    matmul = la.frac_matmul
+
+    def off_by_one(x, y):
+        out = matmul(x, y)
+        out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(la, "frac_matmul", off_by_one)
+    with pytest.raises(la.StructuralError, match="not divisible by 2"):
+        la.int_charpoly([[0, 0], [0, 0]])
+
+
+def _frac_det_loop(a):
+    """Gaussian elimination over Q: the reference for the Bareiss
+    frac_det."""
+    m = frac_mat(a)
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(c + 1, n):
+            f = m[i][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def test_frac_det_matches_elimination():
+    rng = random.Random(3)
+    cases = [[], [[Fraction(2, 3)]], [[0, 1], [1, 0]],
+             [[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[1, 2], [2, 4]]]
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        a = [[Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
+              for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0:
+            a[rng.randrange(n)] = [Fraction(0)] * n       # singular
+        if trial % 5 == 1 and n > 1:
+            a[1] = [3 * x for x in a[0]]                 # singular
+        if trial % 5 == 2:
+            for row in a:
+                row[0] = Fraction(0)                     # singular
+        if trial % 5 == 3:
+            a[0][0] = Fraction(0)                        # a row swap
+        cases.append(a)
+    for a in cases:
+        got = la.frac_det(a)
+        assert got == _frac_det_loop(a) and isinstance(got, Fraction)
+    assert la.frac_det([]) == 1
+    assert la.frac_det([[0, 1], [1, 0]]) == -1
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,17 @@ def test_certificates_raise_structural_errors(monkeypatch):
         pm._eigenlattice([[0, 1], [1, 0]], Fraction(1), 1, 5)
 
 
+def test_stability_certificate_checks_every_basis_row(monkeypatch):
+    # the Jordan block at 1 on the basis (5, 0), (0, 1): the first row is
+    # fixed, the last maps to (1, 1) = (0, 1) + (5, 0) / 5, which leaves
+    # the Z_(5)-span
+    monkeypatch.setattr(la, "lloc_saturate", lambda rows, ell: [[5, 0],
+                                                               [0, 1]])
+    with pytest.raises(la.StructuralError,
+                       match="^eigenlattice is not phi-stable$"):
+        pm._eigenlattice([[1, 1], [0, 1]], Fraction(1), 2, 5)
+
+
 _WRONG_MULTIPLICITY = """
 from fractions import Fraction
 from flagalg import _linalg as la
@@ -426,3 +437,39 @@ def test_multiplicity_certificate_raises_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ("StructuralError: generalized eigenspace "
                                    "of 2 has rank 1, not its multiplicity 2")
+
+
+_MUTANTS = """
+from fractions import Fraction
+from flagalg import _linalg as la
+from flagalg import phimod as pm
+if __debug__:
+    raise SystemExit("expected python -O")
+M = pm.PhiModule.build([[1, 0], [0, 2]], 5, 2)
+matmul = la.frac_matmul
+la.frac_matmul = lambda x, y: [[v + (i == j == 0) for j, v in enumerate(r)]
+                               for i, r in enumerate(matmul(x, y))]
+try:
+    pm.decompose(M)
+except la.StructuralError as exc:
+    print("StructuralError:", exc)
+la.frac_matmul = matmul
+la.lloc_saturate = lambda rows, ell: [[5, 0], [0, 1]]
+try:
+    pm._eigenlattice([[1, 1], [0, 1]], Fraction(1), 2, 5)
+except la.StructuralError as exc:
+    print("StructuralError:", exc)
+"""
+
+
+def test_charpoly_and_stability_certificates_raise_under_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _MUTANTS],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "StructuralError: charpoly: trace -5 at step 2 is not divisible by 2",
+        "StructuralError: eigenlattice is not phi-stable"]
