@@ -219,12 +219,15 @@ def _order(q, ell):
     return o
 
 
-def _random_criterion_module(rank_max=5):
+def _random_criterion_parts(rank_max):
+    """(M, ell, U, blocks) for _random_criterion_module: phi = U m U^-1,
+    and blocks lists (first index, size, q-exponent) of m's blocks, so
+    that U e_t spans a phi-stable line modulo U e_(t-1) in its block."""
     ell = random.choice([5, 7, 13])
     q = random.choice([2, 3])
     o = _order(q, ell)
     rank = random.randint(1, rank_max)
-    blocks = []
+    blocks, exps = [], []
     used = set()
     remaining = rank
     while remaining:
@@ -237,14 +240,17 @@ def _random_criterion_module(rank_max=5):
               (1 if a == c - 1 and random.random() < 0.5 else 0)
               for c in range(sz)] for a in range(sz)]
         blocks.append(b)
+        exps.append(i)
         remaining -= sz
     n = rank
     m = [[0] * n for _ in range(n)]
     off = 0
-    for b in blocks:
+    spans = []
+    for b, i in zip(blocks, exps):
         for a in range(len(b)):
             for c in range(len(b)):
                 m[off + a][off + c] = b[a][c]
+        spans.append((off, len(b), i))
         off += len(b)
     while True:
         U = [[random.randint(-2, 2) for _ in range(n)] for _ in range(n)]
@@ -257,7 +263,13 @@ def _random_criterion_module(rank_max=5):
     red, piv = la.frac_rref(aug)
     inv = [row[n:] for row in red]
     conj = la.frac_matmul(la.frac_matmul(Uf, frac_mat(m)), inv)
-    return pm.PhiModule.build(conj, ell, q), ell
+    return pm.PhiModule.build(conj, ell, q), ell, U, spans
+
+
+def _random_criterion_module(rank_max=5):
+    """A random lattice U m U^-1 with q-weights separated mod l, m block
+    diagonal with upper-triangular Jordan-like blocks at powers of q."""
+    return _random_criterion_parts(rank_max)[:2]
 
 
 def test_decompose_undecidable_repeated_residue():
@@ -381,6 +393,59 @@ def test_free_cover_random_torsion():
         pres = pm.Presentation.build(2, rel, [[1, 0], [0, q]], ell, q)
         fc = pm.free_cover(pres, pm.WeightSupport.of(0, 1))
         assert pm.has_weights_from(fc.cover, pm.WeightSupport.of(0, 1))
+
+
+def _initial_segments(spans):
+    """Indices t of U e_t over a random initial segment of each block."""
+    return [t for off, size, _ in spans
+            for t in range(off, off + random.randint(0, size))]
+
+
+def _random_presentation():
+    """(presentation, I) of a random module: phi from
+    _random_criterion_parts, I its q-exponents, and the independent
+    phi-stable relations l^a U e_t over initial segments of the blocks, a
+    nondecreasing along each block."""
+    M, ell, U, spans = _random_criterion_parts(rank_max=3)
+    n = M.rank
+    rel, a = [], 0
+    for t in _initial_segments(spans):
+        a = 0 if any(t == off for off, _, _ in spans) else a
+        a = random.randint(a, 2)
+        rel.append([ell ** a * U[r][t] for r in range(n)])
+    I = {i for _, _, i in spans}
+    return pm.Presentation.build(n, rel, M.phi, ell, M.q), I
+
+
+def test_sub_quotient_splits_and_free_covers_match_frozen_digest():
+    # the repr of every result: stable_sub_quotient_split on phi-stable
+    # saturated sublattices (stable coordinate axes, and U e_t over
+    # initial segments of the blocks of m in phi = U m U^-1, their first
+    # row shifted by the second), and free_cover on presentations whose
+    # relations l^a U e_t (a nondecreasing along a block) are independent
+    random.seed(20261021)
+    splits = []
+    while len(splits) < 40:
+        M, ell, U, spans = _random_criterion_parts(rank_max=4)
+        n = M.rank
+        subs = [[[int(i == j) for i in range(n)]] for j in range(n)
+                if all(M.phi[i][j] == 0 for i in range(n) if i != j)]
+        ts = _initial_segments(spans)
+        if 0 < len(ts) < n:
+            rows = [[U[a][t] for a in range(n)] for t in ts]
+            if len(rows) > 1:
+                rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+            subs.append(rows)
+        splits += [(M, rows, pm.stable_sub_quotient_split(M, rows))
+                   for rows in subs if n > 1]
+    covers = []
+    for _ in range(40):
+        pres, I = _random_presentation()
+        covers.append((pres, pm.free_cover(pres, I)))
+    assert any(c.identity_shortcut for _, c in covers)
+    assert any(not c.identity_shortcut for _, c in covers)
+    digest = hashlib.sha256(repr((splits, covers)).encode()).hexdigest()
+    assert digest == FROZEN["phimod_sub_quotient_free_cover_sha256"]
 
 
 # ---------------------------------------------------------------------------
