@@ -10,10 +10,14 @@ Two arithmetic worlds live here:
   int where denominators can be cleared (the charpoly, the determinant).
 
 Nothing in this module knows about Weyl groups or graded algebras; it is
-only pivoting, kernels, certified coordinates in a span (mod_coordinates,
-through which every F_p solve in a span goes), minimal polynomials, an
-l-local echelon form, the one stored form of structure constants, and the
-Jacobson radical of a small F_p-algebra given by its structure tensor.
+only pivoting, kernels, coordinates in a span (mod_coordinates over F_p,
+certified, and frac_coordinates over Q: every solve in a span goes
+through one of them), minimal polynomials, the Z_(l)-basis of the
+lattice a spanning set spans (lloc_basis: membership is l-integral
+coordinates in it), residues mod l (lloc_mod_ell: a basis spans a direct
+summand iff they stay independent) and saturation, the one stored form
+of structure constants, and the Jacobson radical of a small F_p-algebra
+given by its structure tensor.
 StructuralError, the failure of a certificate, is defined here so that
 every layer can raise it.
 """
@@ -44,14 +48,6 @@ def is_prime(n):
             return False
         d += 1
     return True
-
-
-def mod_mat(rows, p):
-    """Build an int64 matrix with entries reduced mod p."""
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return np.mod(a, p)
 
 
 # below this many multiply-adds, casting both operands to float64 costs
@@ -697,17 +693,19 @@ def frac_kernel(a):
     return out
 
 
-def frac_solve(a, b):
-    """One solution of a x = b over Q, or None."""
-    aug = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
-    r, pivots = frac_rref(aug)
-    ncols = len(a[0]) if a else 0
-    if ncols in pivots:
+def frac_coordinates(basis, vectors):
+    """Q-coordinates of the rows of `vectors` in the rows of `basis`: the
+    rows c with vectors[j] = sum_i c[j][i] basis[i], read off one
+    frac_rref of [basis^T | vectors^T], or None when some vector lies
+    outside the span.  A dependent basis, a basis column left without a
+    pivot, raises StructuralError."""
+    k = len(basis)
+    red, piv = frac_rref(list(zip(*basis, *vectors)))
+    if piv[:k] != list(range(k)):
+        raise StructuralError("basis is not independent")
+    if len(piv) > k:
         return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = r[i][ncols]
-    return x
+    return [[red[i][k + j] for i in range(k)] for j in range(len(vectors))]
 
 
 def lval(x, ell):
@@ -738,6 +736,33 @@ def frac_mod_ell(x, ell):
     return (x.numerator * pow(x.denominator, -1, ell)) % ell
 
 
+def lloc_mod_ell(rows, ell):
+    """The residues mod l of l-integral rows, an int64 array; an entry
+    with l in its denominator raises ValueError.  Independent l-integral
+    rows span a sublattice with free quotient, a direct summand, exactly
+    when their residues stay independent."""
+    return np.array([[frac_mod_ell(x, ell) for x in row] for row in rows],
+                    dtype=np.int64)
+
+
+def lloc_basis(rows, ell):
+    """A Z_(l)-basis of the Z_(l)-span of the rows, in echelon form over
+    the discrete valuation ring Z_(l) (Cohen 1993, section 2.4): in each
+    column the remaining row whose entry has the least l-valuation is the
+    pivot, and every other remaining row subtracts the multiple of it that
+    clears the column, a multiple that is l-integral by that choice."""
+    left = [[Fraction(x) for x in row] for row in rows]
+    basis = []
+    for c in range(len(left[0]) if left else 0):
+        live = [row for row in left if row[c]]
+        if live:
+            top = min(live, key=lambda row: lval(row[c], ell))
+            basis.append(top)
+            left = [[x - row[c] / top[c] * y for x, y in zip(row, top)]
+                    if row[c] else row for row in left if row is not top]
+    return basis
+
+
 def lloc_saturate(rows, ell):
     """Basis over Z_(l) of (Q-span of rows) intersected with Z_(l)^n.
 
@@ -750,9 +775,7 @@ def lloc_saturate(rows, ell):
     if not basis:
         return []
     while True:
-        red = np.array([[frac_mod_ell(x, ell) for x in row] for row in basis],
-                       dtype=np.int64)
-        dep = mod_nullspace(red.T, ell)
+        dep = mod_nullspace(lloc_mod_ell(basis, ell).T, ell)
         if dep.shape[0] == 0:
             return basis
         c = dep[0]
@@ -777,51 +800,6 @@ def _unit_content(row, ell):
         return list(row)
     f = Fraction(ell) ** vmin
     return [x / f for x in row]
-
-
-def lloc_membership(vec, basis, ell):
-    """Is vec in the Z_(l)-span of the basis rows?"""
-    if not basis:
-        return all(Fraction(x) == 0 for x in vec)
-    sol = frac_solve([list(col) for col in zip(*basis)], list(vec))
-    if sol is None:
-        return False
-    return all(is_l_integral(c, ell) for c in sol)
-
-
-def lloc_elementary_exponents(rows, ell):
-    """Exponents of the elementary divisors l^e of the Z_(l)-span of the
-    rows inside Z_(l)^n (Smith reduction over the local PID Z_(l))."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    for row in m:
-        for x in row:
-            if not is_l_integral(x, ell):
-                raise ValueError("matrix is not l-integral")
-    exps = []
-    while m and any(any(x != 0 for x in row) for row in m):
-        best = None
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x != 0:
-                    v = lval(x, ell)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        v, i, j = best
-        exps.append(v)
-        piv = m[i][j]
-        # clear column j with row operations, then row i with column ops
-        for k in range(len(m)):
-            if k != i and m[k][j] != 0:
-                f = m[k][j] / piv
-                m[k] = [x - f * y for x, y in zip(m[k], m[i])]
-        for jj in range(len(m[i])):
-            if jj != j and m[i][jj] != 0:
-                f = m[i][jj] / piv
-                for k in range(len(m)):
-                    m[k][jj] -= f * m[k][j]
-        m = [[x for jj, x in enumerate(row) if jj != j]
-             for ii, row in enumerate(m) if ii != i]
-    return sorted(exps)
 
 
 def int_charpoly(a):

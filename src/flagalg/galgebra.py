@@ -689,16 +689,15 @@ def simple_dims(projectives):
     dim P_x = sum_y [P_x : L_y] dim L_y with [P_x : L_y] = dim Hom(P_y, P_x)
     (split endomorphism rings).  Verified to be positive integers."""
     keys = sorted(projectives, key=str)
-    n = len(keys)
     h = [[sum(hom_dims(projectives[y], projectives[x]).values())
           for y in keys] for x in keys]
     dims = [projectives[x].dim for x in keys]
-    sol = la.frac_solve([[h[i][j] for j in range(n)] for i in range(n)],
-                        dims)
+    # dims = h L: the coordinates of dims in the columns of h
+    sol = la.frac_coordinates(list(zip(*h)), [dims])
     if sol is None:
         raise StructuralError("no simple dimensions fit the projectives")
     out = {}
-    for k, v in zip(keys, sol):
+    for k, v in zip(keys, sol[0]):
         if v.denominator != 1 or v <= 0:
             raise StructuralError(
                 "simple dimensions are not positive integers; "

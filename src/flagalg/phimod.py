@@ -14,8 +14,11 @@ exactly, each with its exact q-exponent.  The core of `decompose` runs on
 the integer matrix D phi in int: the charpoly (Faddeev-LeVerrier over Z,
 each trace division certified exact), the root scan, the powers of
 D phi - mu whose kernels are the eigenlattices, and the determinant
-(Bareiss); Fractions remain in the eigenlattice eliminations (kernel,
-saturation, stability), the Hensel step and the returned values.  Each
+(Bareiss).  Fractions remain in the eigenlattice kernel and saturation,
+in the coordinates over Q that decide phi-stability and the induced phi
+on a sub and quotient (`_linalg.frac_coordinates`, one elimination per
+basis), in the relation lattice of a presentation (`_linalg.lloc_basis`),
+in the Hensel step and in the returned values.  Each
 eigenlattice is certified to have rank equal to its multiplicity and to
 be phi-stable over Z_(l), and a decomposable verdict to have bases of
 unit determinant mod l.  The rest of the spectrum falls back to
@@ -249,7 +252,7 @@ def _eigenlattice(phi, lam, m, ell):
     the lcm of their denominators (prime to l for an eigenvalue): the
     kernel of (A - mu)^m is that of (phi - lam)^m, and the images of the
     basis under A have l-integral coordinates in it iff those under phi
-    do, all read off one elimination of [basis^T | images^T]."""
+    do, all read off one frac_coordinates elimination."""
     D = math.lcm(lam.denominator, *(x.denominator for row in phi for x in row))
     A = _scaled(phi, D)
     mu = lam.numerator * (D // lam.denominator)
@@ -259,11 +262,9 @@ def _eigenlattice(phi, lam, m, ell):
             f"generalized eigenspace of {lam} has rank {len(kernel)}, "
             f"not its multiplicity {m}")
     basis = la.lloc_saturate(kernel, ell)
-    k = len(basis)
-    red, piv = la.frac_rref(_transpose(basis + la.frac_matmul(
-        basis, _transpose(A))))
-    if piv != list(range(k)) or not all(
-            la.is_l_integral(x, ell) for row in red[:k] for x in row[k:]):
+    coords = la.frac_coordinates(basis, la.frac_matmul(basis, _transpose(A)))
+    if coords is None or not all(
+            la.is_l_integral(x, ell) for row in coords for x in row):
         raise la.StructuralError("eigenlattice is not phi-stable")
     return basis
 
@@ -364,72 +365,42 @@ def _approx_eigenbasis(M, lam_n):
 
 def stable_sub_quotient_split(M, sublattice_rows):
     """Decompose a phi-stable sublattice N (given by basis rows) and the
-    quotient M/N.  The quotient must be free over Z_(l) (no elementary
-    divisor of the inclusion divisible by l); this hypothesis cannot be
-    dropped.  Returns (sub_decomposition, quotient_decomposition)."""
+    quotient M/N.  The quotient must be free over Z_(l), that is, the rows
+    stay independent mod l; this hypothesis cannot be dropped.  Returns
+    (sub_decomposition, quotient_decomposition).
+
+    N is completed to a basis of the ambient lattice by the e_j for which
+    no vector of N mod l has its last nonzero entry at j: the free columns
+    of the RREF of N mod l with its columns reversed.  The coordinates of
+    phi of the completed basis in itself give phi on N (top left block)
+    and on M/N (bottom right); N is stable when the top right block is
+    zero and the top left block l-integral."""
     rows = [[Fraction(x) for x in row] for row in sublattice_rows]
-    for row in rows:
-        for x in row:
-            if not la.is_l_integral(x, M.ell):
-                raise ValueError("sublattice basis must be l-integral")
-    exps = la.lloc_elementary_exponents(rows, M.ell)
-    if any(e > 0 for e in exps):
+    ell, n, k = M.ell, M.rank, len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"sublattice rows must have length {n}")
+    if not all(la.is_l_integral(x, ell) for row in rows for x in row):
+        raise ValueError("sublattice basis must be l-integral")
+    _, piv = la.mod_rref(la.lloc_mod_ell(rows, ell).reshape(k, n)[:, ::-1],
+                         ell)
+    if len(piv) < k:
+        if len(la.lloc_basis(rows, ell)) < k:
+            raise ValueError("sublattice rows are dependent over Q")
         raise ValueError(
-            "quotient has l-torsion (elementary divisor exponents "
-            f"{exps}); the splitting statement requires a free quotient")
-    phi = M.phi_frac()
-    k = len(rows)
-
-    # induced automorphism on N, in the given basis
-    coeffs = []
-    for row in rows:
-        img = la.frac_matmul([list(row)], _transpose(phi))[0]
-        sol = la.frac_solve(_transpose(rows), img)
-        if sol is None or not all(la.is_l_integral(c, M.ell) for c in sol):
-            raise ValueError("sublattice is not phi-stable")
-        coeffs.append(sol)
-    sub = PhiModule.build(_transpose(coeffs), M.ell, M.q, M.precision)
-
-    # complete N to a basis of the ambient lattice (N is saturated, so a
-    # subset of the standard vectors completes it; rescan until full)
-    full = [list(r) for r in rows]
-    n = M.rank
-    progress = True
-    while len(full) < n and progress:
-        progress = False
-        for j in range(n):
-            e = [Fraction(int(i == j)) for i in range(n)]
-            trial = full + [e]
-            if len(la.frac_rref(trial)[1]) == len(full) + 1 and \
-                    _saturated(trial, M.ell):
-                full = trial
-                progress = True
-                if len(full) == n:
-                    break
-    if len(full) != n:
-        raise la.StructuralError(
-            "failed to complete the sublattice to a basis")
-    change = _transpose(full)
-    conj = la.frac_matmul(_frac_inverse(change), la.frac_matmul(phi, change))
-    quot_phi = [[conj[i][j] for j in range(k, n)] for i in range(k, n)]
-    quot = PhiModule.build(quot_phi, M.ell, M.q, M.precision)
+            "quotient has l-torsion (the rows are dependent mod l); the "
+            "splitting statement requires a free quotient")
+    full = rows + [[Fraction(int(i == j)) for i in range(n)]
+                   for j in range(n) if n - 1 - j not in piv]
+    coords = la.frac_coordinates(full, la.frac_matmul(full,
+                                                      _transpose(M.phi)))
+    if any(x != 0 for row in coords[:k] for x in row[k:]) or not all(
+            la.is_l_integral(x, ell) for row in coords[:k] for x in row[:k]):
+        raise ValueError("sublattice is not phi-stable")
+    sub = PhiModule.build(_transpose([row[:k] for row in coords[:k]]), ell,
+                          M.q, M.precision)
+    quot = PhiModule.build(_transpose([row[k:] for row in coords[k:]]), ell,
+                           M.q, M.precision)
     return decompose(sub), decompose(quot)
-
-
-def _saturated(rows, ell):
-    exps = la.lloc_elementary_exponents(
-        [[Fraction(x) for x in r] for r in rows], ell)
-    return all(e == 0 for e in exps)
-
-
-def _frac_inverse(m):
-    n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, piv = la.frac_rref(aug)
-    if piv[:n] != list(range(n)):
-        raise la.StructuralError("matrix not invertible")
-    return [row[n:] for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +492,18 @@ def _nilpotency_index(pres, exps):
     for i in exps:
         prod = la.frac_matmul(prod, la.frac_scalar_shift(
             [list(r) for r in pres.phi], Fraction(pres.q) ** i))
-    rel = [list(r) for r in pres.relations]
+    basis = la.lloc_basis(pres.relations, pres.ell)
     power = la.frac_identity(k)
     for n in range(1, k * max(len(exps), 1) + 2):
         power = la.frac_matmul(prod, power)
-        if all(la.lloc_membership(c, rel, pres.ell)
-               for c in _transpose(power)):
+        coords = la.frac_coordinates(basis, _transpose(power))
+        if coords is not None and all(la.is_l_integral(x, pres.ell)
+                                      for row in coords for x in row):
             return n
     raise ValueError("module does not have q-weights from I")
 
 
 def _surjective_mod_ell(pres, surj):
-    ell = pres.ell
-    k = pres.gens
-    rel = [[la.frac_mod_ell(x, ell) for x in row] for row in pres.relations]
-    img = [[la.frac_mod_ell(x, ell) for x in row] for row in _transpose(surj)]
-    stacked = rel + img
-    full = la.mod_rank(la.mod_mat(stacked, ell), ell) if stacked else 0
-    base = la.mod_rank(la.mod_mat(rel, ell), ell) if rel else 0
-    return full - base == k - base
+    """Do the relations and the images of the cover basis span F_l^gens?"""
+    stacked = la.lloc_mod_ell([*pres.relations, *_transpose(surj)], pres.ell)
+    return la.mod_rank(stacked, pres.ell) == pres.gens

@@ -8,7 +8,7 @@ from flagalg import _linalg as la
 
 
 def test_rref_nullspace_roundtrip():
-    a = la.mod_mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 5)
+    a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert la.mod_rank(a, 5) == 2
     ns = la.mod_nullspace(a, 5)
     assert ns.shape[0] == 1
@@ -16,7 +16,7 @@ def test_rref_nullspace_roundtrip():
 
 
 def test_minpoly_jordan():
-    b = la.mod_mat([[2, 1], [0, 2]], 5)
+    b = np.array([[2, 1], [0, 2]])
     assert la.mod_minpoly(b, 5) == [4, 1, 1]  # (X - 2)^2
 
 
@@ -87,16 +87,141 @@ def test_lloc_saturation():
     sat = la.lloc_saturate(rows, 5)
     assert len(sat) == 2
     # (1, -1, 0) lies in the span and must be an l-integral combination
-    assert la.lloc_membership([1, -1, 0], sat, 5)
-    red = np.array([[la.frac_mod_ell(x, 5) for x in r] for r in sat])
-    assert la.mod_rank(red, 5) == 2  # saturated iff full rank mod l
+    assert _in_lattice([[1, -1, 0]], sat, 5)
+    assert la.mod_rank(la.lloc_mod_ell(sat, 5), 5) == 2  # saturated
+
+
+def test_frac_coordinates():
+    basis = [[1, 2, 0], [0, Fraction(1, 3), 1]]
+    assert la.frac_coordinates(basis, [[2, 5, 3], [0, 0, 0]]) == [[2, 3],
+                                                                  [0, 0]]
+    assert la.frac_coordinates(basis, [[1, 2, 0], [0, 0, 1]]) is None
+    assert la.frac_coordinates(basis, []) == []
+    assert la.frac_coordinates([], [[0, 0]]) == [[]]
+    assert la.frac_coordinates([], [[0, 1]]) is None
+    with pytest.raises(la.StructuralError,
+                       match="^basis is not independent$"):
+        la.frac_coordinates([[1, 2], [2, 4]], [[1, 2]])
+
+
+def _smith_exponents(rows, ell):
+    """Exponents of the elementary divisors l^e of the Z_(l)-span of the
+    rows inside Z_(l)^n, by Smith reduction over the local PID Z_(l): the
+    reference for the saturation test and for lloc_basis."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    for row in m:
+        for x in row:
+            if not la.is_l_integral(x, ell):
+                raise ValueError("matrix is not l-integral")
+    exps = []
+    while m and any(any(x != 0 for x in row) for row in m):
+        best = None
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x != 0:
+                    v = la.lval(x, ell)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        v, i, j = best
+        exps.append(v)
+        piv = m[i][j]
+        # clear column j with row operations, then row i with column ops
+        for k in range(len(m)):
+            if k != i and m[k][j] != 0:
+                f = m[k][j] / piv
+                m[k] = [x - f * y for x, y in zip(m[k], m[i])]
+        for jj in range(len(m[i])):
+            if jj != j and m[i][jj] != 0:
+                f = m[i][jj] / piv
+                for k in range(len(m)):
+                    m[k][jj] -= f * m[k][j]
+        m = [[x for jj, x in enumerate(row) if jj != j]
+             for ii, row in enumerate(m) if ii != i]
+    return sorted(exps)
+
+
+def _in_lattice(vectors, basis, ell):
+    """Are the vectors l-integral combinations of the basis rows?"""
+    coords = la.frac_coordinates(basis, vectors)
+    return coords is not None and all(la.is_l_integral(x, ell)
+                                      for row in coords for x in row)
+
+
+def _free_quotient(rows, ell):
+    """The saturation test: l-integral rows are a basis of a direct
+    summand exactly when they stay independent mod l."""
+    return la.mod_rank(la.lloc_mod_ell(rows, ell), ell) == len(rows)
 
 
 def test_elementary_exponents():
-    assert la.lloc_elementary_exponents([[1, 1], [0, 5]], 5) == [0, 1]
-    assert la.lloc_elementary_exponents([[2, 0], [0, 3]], 5) == [0, 0]
-    with pytest.raises(ValueError):
-        la.lloc_elementary_exponents([[Fraction(1, 5)]], 5)
+    # the Smith reference itself, and the saturation test that replaced it
+    # in the library: Q-dependent rows are not a basis of a direct summand
+    assert _smith_exponents([[1, 1], [0, 5]], 5) == [0, 1]
+    assert _smith_exponents([[2, 0], [0, 3]], 5) == [0, 0]
+    assert not _free_quotient([[1, 1], [0, 5]], 5)
+    assert _free_quotient([[2, 0], [0, 3]], 5)
+    assert not _free_quotient([[1, 0], [2, 0]], 5)
+    for check in (_smith_exponents, _free_quotient):
+        with pytest.raises(ValueError):
+            check([[Fraction(1, 5)]], 5)
+
+
+def _random_l_integral(rng, ell):
+    """An l-integral rational: a small integer times a power of l, over a
+    denominator prime to l."""
+    den = rng.choice([d for d in (1, 1, 2, 3, 4, 7) if d % ell])
+    return Fraction(rng.randint(-3, 3) * ell ** rng.choice([0, 0, 1, 2]),
+                    den)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_saturation_test_and_lloc_basis_match_smith_reduction(ell):
+    # random l-integral rows, a third of them with a row dependent on the
+    # others over Q: the saturation test agrees with the Smith exponents,
+    # and lloc_basis is a basis of the same lattice (it holds the rows,
+    # and has the same rank and elementary divisors inside Z_(l)^n)
+    rng = random.Random(ell)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        rows = [[_random_l_integral(rng, ell) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        if len(rows) > 1 and rng.random() < 1 / 3:
+            a, b = rng.sample(rows, 2)
+            c = rng.randint(-2, 2)
+            rows.insert(rng.randrange(len(rows)),
+                        [x + c * y for x, y in zip(a, b)])
+        exps = _smith_exponents(rows, ell)
+        assert _free_quotient(rows, ell) == (
+            len(exps) == len(rows) and not any(exps))
+        basis = la.lloc_basis(rows, ell)
+        assert len(basis) == len(exps)
+        assert _smith_exponents(basis, ell) == exps
+        assert _in_lattice(rows, basis, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_lloc_basis_of_a_redundant_spanning_set(ell):
+    # a basis B, spanned again by unit multiples of its rows mixed with
+    # l b and b1 + b2: each basis has l-integral coordinates in the other
+    rng = random.Random(10 + ell)
+    units = [u for u in (1, -1, 2, 3, 7) if u % ell]
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 4)
+        B = [[_random_l_integral(rng, ell) for _ in range(n)]
+             for _ in range(rng.randint(1, n))]
+        if len(_smith_exponents(B, ell)) < len(B):
+            continue
+        rows = [[u * x for x in b] for u, b in zip(
+            rng.choices(units, k=len(B)), B)]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(B), rng.choice(B)
+            rows.append(rng.choice([[ell * x for x in a],
+                                    [x + y for x, y in zip(a, b)]]))
+        rng.shuffle(rows)
+        basis = la.lloc_basis(rows, ell)
+        assert _in_lattice(B, basis, ell) and _in_lattice(basis, B, ell)
+        checked += 1
 
 
 def frac_mat(rows):

@@ -129,8 +129,7 @@ def test_decompose_idempotence_and_certificate():
         base = [list(r) for r in s.basis]
         imgs = [la.frac_matmul([r], [list(c) for c in zip(*phi)])[0]
                 for r in base]
-        coeffs = [la.frac_solve([list(c) for c in zip(*base)], img)
-                  for img in imgs]
+        coeffs = la.frac_coordinates(base, imgs)
         sub_phi = [list(c) for c in zip(*coeffs)]
         sub = pm.PhiModule.build(sub_phi, ell, q)
         dd = pm.decompose(sub)
@@ -344,6 +343,9 @@ def test_stable_sub_quotient():
     # non-stable sublattice rejected
     with pytest.raises(ValueError, match="stable"):
         pm.stable_sub_quotient_split(M, [[1, 1]])
+    # rows that are dependent over Q are no basis, and are rejected at entry
+    with pytest.raises(ValueError, match="^sublattice rows are dependent"):
+        pm.stable_sub_quotient_split(M, [[1, 0], [2, 0]])
 
 
 def test_stable_sub_quotient_randomized():
@@ -393,6 +395,35 @@ def test_free_cover_random_torsion():
         pres = pm.Presentation.build(2, rel, [[1, 0], [0, q]], ell, q)
         fc = pm.free_cover(pres, pm.WeightSupport.of(0, 1))
         assert pm.has_weights_from(fc.cover, pm.WeightSupport.of(0, 1))
+
+
+def test_free_cover_of_the_zero_module():
+    # the relations 5 and 1 span Z_(5): the presented module is 0, so it
+    # has q-weights from any I, and the cover is the rank-one O[X]/(X - q)
+    pres = pm.Presentation.build(1, [[5], [1]], [[1]], 5, 2)
+    fc = pm.free_cover(pres, [1])
+    assert fc.cover.rank == 1 and not fc.identity_shortcut
+
+
+def test_free_cover_ignores_redundant_relations():
+    # l r and r1 + r2 add nothing to the relation lattice, wherever they
+    # stand among the independent relations
+    random.seed(20261022)
+    checked = 0
+    while checked < 30:
+        pres, I = _random_presentation()
+        rel = [list(r) for r in pres.relations]
+        if not rel:
+            continue
+        mixed = rel + [[pres.ell * x for x in random.choice(rel)],
+                       [x + y for x, y in zip(random.choice(rel),
+                                              random.choice(rel))]]
+        random.shuffle(mixed)
+        redundant = pm.Presentation.build(pres.gens, mixed, pres.phi,
+                                          pres.ell, pres.q)
+        want, got = pm.free_cover(pres, I), pm.free_cover(redundant, I)
+        assert (got.cover, got.surjection) == (want.cover, want.surjection)
+        checked += 1
 
 
 def _initial_segments(spans):
@@ -457,9 +488,9 @@ def test_certificates_raise_structural_errors(monkeypatch):
     phi = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
     with pytest.raises(la.StructuralError, match="not its multiplicity 2"):
         pm._eigenlattice(phi, Fraction(2), 2, 5)
-    with pytest.raises(la.StructuralError, match="matrix not invertible"):
-        pm._frac_inverse([[Fraction(1), Fraction(2)],
-                          [Fraction(2), Fraction(4)]])
+    with pytest.raises(la.StructuralError, match="not independent"):
+        la.frac_coordinates([[Fraction(1), Fraction(2)],
+                             [Fraction(2), Fraction(4)]], [])
     # the swap has eigenlattice (1, 1) at 1; (1, 0) in its place is not
     # phi-stable
     monkeypatch.setattr(la, "lloc_saturate", lambda rows, ell: [[1, 0]])
@@ -524,6 +555,10 @@ try:
     pm._eigenlattice([[1, 1], [0, 1]], Fraction(1), 2, 5)
 except la.StructuralError as exc:
     print("StructuralError:", exc)
+try:
+    la.frac_coordinates([[1, 2], [2, 4]], [[1, 2]])
+except la.StructuralError as exc:
+    print("StructuralError:", exc)
 """
 
 
@@ -537,4 +572,5 @@ def test_charpoly_and_stability_certificates_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "StructuralError: charpoly: trace -5 at step 2 is not divisible by 2",
-        "StructuralError: eigenlattice is not phi-stable"]
+        "StructuralError: eigenlattice is not phi-stable",
+        "StructuralError: basis is not independent"]

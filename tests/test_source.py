@@ -139,3 +139,20 @@ def test_one_coordinates_helper():
                   and any(_calls(eye, "eye") for eye in ast.walk(sub))
                   for arg in node.args for sub in ast.walk(arg))]
     assert trees and not found, found
+
+
+def test_one_rational_coordinates_helper():
+    # every solve in a span over Q or Z_(l) goes through _linalg's
+    # frac_coordinates or lloc_basis: no other module row-reduces over Q
+    # itself, and the solvers these replaced stay gone
+    trees = _trees(SRC)
+    gone = {"frac_solve", "lloc_membership", "lloc_elementary_exponents",
+            "_frac_inverse", "_saturated"}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in gone]
+    found += sorted(gone & _referenced_names(trees.values()))
+    found += [f"{name}:{node.lineno}" for name, tree in trees.items()
+              if name != "_linalg.py" for node in ast.walk(tree)
+              if _calls(node, "frac_rref")]
+    assert trees and not found, found
