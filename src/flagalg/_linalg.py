@@ -150,14 +150,16 @@ def mod_rref_nullspace(red, pivots, p):
 
 def mod_coordinates(basis, p, dependent="basis is not independent",
                     outside="vector outside the span"):
-    """(coords, sect) for the rows of `basis`, a stack of vectors or of
-    matrices read as vectors, from one RREF of [B | I] = [T B | T]: a pivot
-    in the identity block raises StructuralError(dependent).
+    """(coords, sect, rref) for the rows of `basis`, a stack of vectors or
+    of matrices read as vectors, from one RREF of [B | I] = [T B | T]: a
+    pivot in the identity block raises StructuralError(dependent).
 
     coords takes a stack like `basis`, its entries reduced mod p, and
     returns the coordinates P[:, piv] @ T of its rows P, certified by
     coords @ B == P, else StructuralError(outside).  sect is T on the
-    pivot rows and zero elsewhere, so that B @ sect = 1."""
+    pivot rows and zero elsewhere, so that B @ sect = 1.  rref is (T B,
+    piv), the RREF of B itself, from which mod_rref_nullspace reads the
+    kernel of B."""
     basis = basis.reshape(len(basis), math.prod(basis.shape[1:]))
     n, width = basis.shape
     red, piv = mod_rref(np.concatenate(
@@ -175,7 +177,7 @@ def mod_coordinates(basis, p, dependent="basis is not independent",
 
     sect = np.zeros((width, n), dtype=np.int64)
     sect[piv] = to_coords
-    return coords, sect
+    return coords, sect, (red[:, :width], piv)
 
 
 class _Echelon:

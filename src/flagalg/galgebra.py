@@ -23,6 +23,8 @@ it returns to be a homogeneous module map.  Coordinates in a span (the
 section of a presentation, composites in the basis of a Hom block, the
 unit of K) all come from _linalg.mod_coordinates, which certifies the
 basis independent and every vector it is given to lie in the span.
+Composites of module maps (the products of E, E^s and K, the action on
+Upsilon(M)) are formed and read on the generators of their source only.
 
 The submodule R A that rows R generate is spanned by the products r e_a
 over the basis of A, and that span is already A-stable, since
@@ -463,11 +465,12 @@ def module_presentation(M):
 
 def _relations_and_section(span, p):
     """(rel, sect) for a presentation whose cover has the matrix span: the
-    rows of rel span its kernel and span @ sect = 1.  The generators
-    generate iff the rows of span are independent."""
-    sect = la.mod_coordinates(
-        span, p, dependent="generators do not generate")[1]
-    return la.mod_nullspace(span, p), sect
+    rows of rel span its kernel and span @ sect = 1, both from one
+    elimination.  The generators generate iff the rows of span are
+    independent."""
+    _, sect, rref = la.mod_coordinates(
+        span, p, dependent="generators do not generate")
+    return la.mod_rref_nullspace(*rref, p), sect
 
 
 def _solve_homs(span, rel, sect, lifts, shifts, gap, p, degrees=None):
@@ -864,7 +867,7 @@ def koszul_module_check(A, M, cap=None):
                for i, layer in enumerate(res))
 
 
-def _block_products(left, right, target, p):
+def _block_products(left, right, target, gens, p):
     """Every composite l @ r of a map l in block (a, b) of `left` with a
     map r in block (b, c) of `right`, in the coordinates of block (a, c)
     of `target`.
@@ -873,17 +876,31 @@ def _block_products(left, right, target, p):
     maps as one (n, rows, cols) array, the first of them basis index
     `start`.  Returns the products as unsorted rows (i, j, k, c), one
     (m, 4) array: the composite of left map i with right map j has the
-    nonzero coefficient c at target basis index k."""
+    nonzero coefficient c at target basis index k.
+
+    The columns G of gens[c] generate the source c, and every map is a
+    module map; so is l r, and module maps that agree on G are equal.  So
+    l r is formed as l (r G) and read in the coordinates of T G, T the
+    target stack: coords @ T G == (l r) G, which mod_coordinates
+    certifies, gives coords @ T == l r."""
+    def restrict(stack, c):
+        return la.mod_matmul(stack.reshape(-1, stack.shape[2]), gens[c],
+                             p).reshape(*stack.shape[:2], gens[c].shape[1])
+
+    right = {(b, c): (r0, restrict(rstack, c))
+             for (b, c), (r0, rstack) in right.items() if len(rstack)}
     pairs = {}
     for (a, b), lblock in left.items():
         for (b2, c), rblock in right.items():
-            if b2 == b and len(lblock[1]) and len(rblock[1]):
+            if b2 == b and len(lblock[1]):
                 pairs.setdefault((a, c), []).append((lblock, rblock))
     chunks = [np.zeros((0, 4), dtype=np.int64)]
-    for key, todo in pairs.items():
-        t0, tstack = target[key]
+    for (a, c), todo in pairs.items():
+        t0, tstack = target[(a, c)]
         coords = la.mod_coordinates(
-            tstack, p, outside="composite outside computed hom space")[0]
+            restrict(tstack, c), p,
+            dependent="target basis dependent on the generators",
+            outside="composite outside computed hom space")[0]
         for (l0, lstack), (r0, rstack) in todo:
             nb = len(rstack)
             rmat = rstack.transpose(1, 0, 2).reshape(rstack.shape[1], -1)
@@ -944,6 +961,13 @@ def _hom_blocks(sources, targets):
     return basis, blocks
 
 
+def _generator_columns(modules):
+    """{i: the generators of module_presentation(modules[i]) as the columns
+    of one matrix}, for nonzero modules."""
+    return {i: np.array([g for g, _ in module_presentation(M)[0]]).T
+            for i, M in enumerate(modules)}
+
+
 def _ext_algebra(E, projectives):
     """ext_algebra_of_projectives, with its basis maps as the blocks
     {(tgt, src): (start, stack)} of _hom_blocks, the projectives in sorted
@@ -955,7 +979,8 @@ def _ext_algebra(E, projectives):
     degrees = [n for _, _, n in basis]
     if min(degrees) < 0:
         raise StructuralError("projective regrading has negative part")
-    mult = _block_products(blocks, blocks, blocks, p)
+    mult = _block_products(blocks, blocks, blocks, _generator_columns(mods),
+                           p)
     # 1 is the identity of each block (i, i), in that block's coordinates
     unit = {}
     for i, P in enumerate(mods):
@@ -981,6 +1006,7 @@ def upsilon_module(E, projectives, M):
     mbasis, mblocks = _hom_blocks(mods, [M])
     # kappa: P_si -> P_ti acts on psi: P_ti -> M to give psi o kappa
     action = np.zeros((K.dim, len(mbasis), len(mbasis)), dtype=np.int64)
-    i, j, k, c = _block_products(mblocks, kblocks, mblocks, E.p).T
+    i, j, k, c = _block_products(mblocks, kblocks, mblocks,
+                                 _generator_columns(mods), E.p).T
     action[j, k, i] = c
     return K, RightModule(K, [d for _, _, d in mbasis], action)

@@ -172,7 +172,7 @@ def decompose(M):
     A = _scaled(phi, D)
     rest = la.int_charpoly(A)
     const = rest[0]
-    bound = max(sum(map(abs, row)) for row in A)
+    bound = max((sum(map(abs, row)) for row in A), default=0)
 
     summands = []
     for mu in range(-bound, bound + 1):
@@ -262,11 +262,17 @@ def _eigenlattice(phi, lam, m, ell):
             f"generalized eigenspace of {lam} has rank {len(kernel)}, "
             f"not its multiplicity {m}")
     basis = la.lloc_saturate(kernel, ell)
-    coords = la.frac_coordinates(basis, la.frac_matmul(basis, _transpose(A)))
-    if coords is None or not all(
-            la.is_l_integral(x, ell) for row in coords for x in row):
+    if not _in_lattice(basis, la.frac_matmul(basis, _transpose(A)), ell):
         raise la.StructuralError("eigenlattice is not phi-stable")
     return basis
+
+
+def _in_lattice(basis, rows, ell):
+    """Do the rows have l-integral coordinates in the independent basis,
+    that is, lie in the Z_(l)-lattice it spans?"""
+    coords = la.frac_coordinates(basis, rows)
+    return coords is not None and all(
+        la.is_l_integral(x, ell) for row in coords for x in row)
 
 
 def _scaled(phi, D):
@@ -410,13 +416,26 @@ def stable_sub_quotient_split(M, sublattice_rows):
 class Presentation:
     """Finitely generated module over Z_(l) with automorphism: generators
     g_1..g_k, relation rows (coefficient vectors spanning the relation
-    submodule), and phi with phi(g_j) = sum_i phi[i][j] g_i."""
+    submodule), and phi with phi(g_j) = sum_i phi[i][j] g_i.  phi and the
+    relations are l-integral, and phi maps the relation submodule into
+    itself (so it acts on the presented module), else ValueError."""
 
     gens: int
     relations: tuple
     phi: tuple
     ell: int
     q: int
+
+    def __post_init__(self):
+        k, ell, rows = self.gens, self.ell, (*self.phi, *self.relations)
+        if len(self.phi) != k or any(len(r) != k for r in rows):
+            raise ValueError(f"phi must be {k} x {k} and every relation "
+                             f"of length {k}")
+        if not all(la.is_l_integral(x, ell) for r in rows for x in r):
+            raise ValueError("phi and the relations must be l-integral")
+        if not _in_lattice(la.lloc_basis(self.relations, ell), la.frac_matmul(
+                self.relations, _transpose(self.phi)), ell):
+            raise ValueError("phi does not preserve the relation submodule")
 
     @staticmethod
     def build(gens, relations, phi_rows, ell, q):
@@ -496,9 +515,7 @@ def _nilpotency_index(pres, exps):
     power = la.frac_identity(k)
     for n in range(1, k * max(len(exps), 1) + 2):
         power = la.frac_matmul(prod, power)
-        coords = la.frac_coordinates(basis, _transpose(power))
-        if coords is not None and all(la.is_l_integral(x, pres.ell)
-                                      for row in coords for x in row):
+        if _in_lattice(basis, _transpose(power), pres.ell):
             return n
     raise ValueError("module does not have q-weights from I")
 

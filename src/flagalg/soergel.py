@@ -437,7 +437,10 @@ def _assemble_end_algebra(C, words, modules, wall=None):
         basis_mats[r.start:r.stop], dtype=np.int64).reshape(
             len(r), modules[ft].dim, modules[fs].dim))
         for (ft, fs), r in span.items()}
-    mult = _block_products(blocks, blocks, blocks, ell)
+    # a map out of D_fs is read on the generators of its presentation
+    gens = {fs: np.eye(modules[fs].dim, dtype=np.int64)[
+        :, _presentation(C, modules[fs], wall)[1]] for fs in words}
+    mult = _block_products(blocks, blocks, blocks, gens, ell)
 
     unit = {}
     for f in words:
@@ -493,18 +496,20 @@ def wall_algebra(C, s, words=None):
     full = endomorphism_algebra(C, words)
     data = _assemble_end_algebra(C, words, modules, wall=s)
     ell = C.ell
-    # each block of E, in the coordinates of the same block of E^s
+    # each block of E, in the coordinates of the same block of E^s, read on
+    # the C^s-generators of the source (a C-linear map is C^s-linear)
     emb = np.zeros((data.algebra.dim, full.algebra.dim), dtype=np.int64)
     for (ft, fs), rows in data.block_ranges.items():
         cols = full.block_ranges[(ft, fs)]
         if not cols:
             continue
+        gens = _presentation(C, modules[fs], s)[1]
         coords = la.mod_coordinates(np.array(
             data.basis_mats[rows.start:rows.stop], dtype=np.int64).reshape(
-                len(rows), modules[ft].dim, modules[fs].dim), ell,
-            outside="embedding failed: C-map not C^s-map?")[0]
+                len(rows), modules[ft].dim, modules[fs].dim)[:, :, gens],
+            ell, outside="embedding failed: C-map not C^s-map?")[0]
         emb[rows.start:rows.stop, cols.start:cols.stop] = coords(
-            np.array(full.basis_mats[cols.start:cols.stop])).T
+            np.array(full.basis_mats[cols.start:cols.stop])[:, :, gens]).T
     if la.mod_rank(emb, ell) != full.algebra.dim:
         raise StructuralError("embedding not injective")
     # e_f maps to e_f

@@ -402,6 +402,48 @@ def test_upsilon_and_standard_koszul_modules(C_A1):
             frozen[x.serialize()]
 
 
+def _full_matrix_products(left, right, target, p):
+    """_block_products' rows from every composite l @ r formed in full and
+    read in the coordinates of the full target block, one pair at a time."""
+    rows = []
+    for (a, b), (l0, lstack) in left.items():
+        for (b2, c), (r0, rstack) in right.items():
+            if b2 != b or not len(lstack) or not len(rstack):
+                continue
+            t0, tstack = target[(a, c)]
+            coords = la.mod_coordinates(tstack, p)[0]
+            for i, lmap in enumerate(lstack):
+                for j, rmap in enumerate(rstack):
+                    cs = coords(la.mod_matmul(lmap, rmap, p)[None])[0]
+                    rows += [(l0 + i, r0 + j, t0 + k, cs[k])
+                             for k in np.flatnonzero(cs)]
+    return la.canonical_mult(np.array(rows, dtype=np.int64).reshape(-1, 4),
+                             10 ** 6, p)
+
+
+def test_block_products_on_generators_match_full_composites(C_A2):
+    # K and the Upsilon modules read each composite on the generators of
+    # its source only; formed in full, every composite has the same
+    # coordinates
+    E = sg.endomorphism_algebra(C_A2).algebra
+    projs = go.projectives_for(C_A2)
+    mods = [projs[k] for k in sorted(projs, key=str)]
+    gens = ga._generator_columns(mods)
+    assert all(G.shape == (M.dim, len(ga.module_presentation(M)[0]))
+               for M, G in zip(mods, gens.values()))
+    assert any(G.shape[1] < M.dim for M, G in zip(mods, gens.values()))
+    _, blocks = ga._hom_blocks(mods, mods)
+    cases = [(blocks, blocks, blocks)]
+    for M in go.standard_modules(C_A2).values():
+        mblocks = ga._hom_blocks(mods, [M])[1]
+        cases.append((mblocks, blocks, mblocks))
+    for left, right, target in cases:
+        got = ga._block_products(left, right, target, gens, E.p)
+        assert np.array_equal(la.canonical_mult(got, 10 ** 6, E.p),
+                              _full_matrix_products(left, right, target,
+                                                    E.p))
+
+
 def test_hom_all_consistency_small():
     # presentation-based homs agree with brute force on a small case
     A = dual_numbers(deg=1)
@@ -925,6 +967,7 @@ _CERTIFICATE_UNDER_O = """
 import numpy as np
 from flagalg import formality as fm
 from flagalg import galgebra as ga
+from flagalg import gradedO as go
 from flagalg import soergel as sg
 if __debug__:
     raise SystemExit("expected python -O")
@@ -961,6 +1004,20 @@ except ga.StructuralError as exc:
         "r = sect.any(axis=1).argmax(); sect[r, 0] = (sect[r, 0] + 1) % 7; "
         "ga.hom_all(X, Y)",
         "Hom basis map is not a module map", id="hom_all-section-corrupted"),
+    # K(A1) with one map short in a target block: the composite of the
+    # identity with that map lies outside what is left
+    pytest.param(
+        "C = sg.coinvariant_algebra('A1', 5); "
+        "E = sg.endomorphism_algebra(C).algebra; "
+        "projs = go.projectives_for(C); "
+        "mods = [projs[k] for k in sorted(projs, key=str)]; "
+        "_, blocks = ga._hom_blocks(mods, mods); "
+        "key = max(blocks, key=lambda k: len(blocks[k][1])); "
+        "target = dict(blocks); "
+        "target[key] = (blocks[key][0], blocks[key][1][:-1]); "
+        "ga._block_products(blocks, blocks, target, "
+        "ga._generator_columns(mods), 5)",
+        "composite outside computed hom space", id="k-target-short"),
     # the two certificates of _linalg.mod_coordinates: a dependent basis,
     # and a row outside the span of an independent one
     pytest.param("ga.la.mod_coordinates(np.array([[1, 2], [2, 4]]), 5, "

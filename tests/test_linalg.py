@@ -513,8 +513,11 @@ def test_mod_coordinates_recovers_coefficients(p, n, shape):
     width = int(np.prod(shape))
     basis = _independent_stack(rng, p, n, shape)
     flat = basis.reshape(n, width)
-    coords, sect = la.mod_coordinates(basis, p)
+    coords, sect, (red, piv) = la.mod_coordinates(basis, p)
     assert sect.shape == (width, n)
+    # the third value is the RREF of the basis itself
+    want_red, want_piv = la.mod_rref(flat, p)
+    assert np.array_equal(red, want_red) and list(piv) == list(want_piv)
     assert np.array_equal(la.mod_matmul(flat, sect, p),
                           np.eye(n, dtype=np.int64))
     want = rng.integers(0, p, size=(7, n))
@@ -542,13 +545,13 @@ def test_mod_coordinates_certificates(p):
         np.concatenate([flat, np.eye(1, 8, k, dtype=np.int64)]), p) == 4)
     items = np.stack([flat.sum(axis=0) % p,
                       np.eye(1, 8, k, dtype=np.int64)[0]])
-    coords, _ = la.mod_coordinates(basis, p, outside="not in the span")
+    coords = la.mod_coordinates(basis, p, outside="not in the span")[0]
     assert np.array_equal(coords(items[:1].reshape(1, 2, 4)), [[1, 1, 1]])
     with pytest.raises(la.StructuralError, match="^not in the span$"):
         coords(items.reshape(2, 2, 4))
     # no rows: only zero has coordinates
-    coords, sect = la.mod_coordinates(np.zeros((0, 8), dtype=np.int64), p,
-                                      outside="empty span")
+    coords, sect, _ = la.mod_coordinates(np.zeros((0, 8), dtype=np.int64),
+                                         p, outside="empty span")
     assert sect.shape == (8, 0)
     assert coords(np.zeros((2, 8), dtype=np.int64)).shape == (2, 0)
     with pytest.raises(la.StructuralError, match="^empty span$"):

@@ -386,15 +386,53 @@ def test_free_cover_examples():
 
 
 def test_free_cover_random_torsion():
+    # O/l^a + O/l^b with phi = diag(1, q): relations along the eigenvectors
+    # e_0, e_1 of phi, so that phi preserves them
     random.seed(3)
     for _ in range(10):
         ell, q = 5, 2
-        rel = [[ell * random.randint(0, 2), ell * random.randint(0, 2)]]
-        if rel == [[0, 0]]:
-            rel = [[ell, 0]]
+        rel = [[ell * random.randint(0, 2), 0],
+               [0, ell * random.randint(0, 2)]]
+        rel = [r for r in rel if any(r)] or [[ell, 0]]
         pres = pm.Presentation.build(2, rel, [[1, 0], [0, q]], ell, q)
         fc = pm.free_cover(pres, pm.WeightSupport.of(0, 1))
         assert pm.has_weights_from(fc.cover, pm.WeightSupport.of(0, 1))
+
+
+def test_presentation_validates_at_construction():
+    # the swap phi moves the relation e_0 to e_1, outside <e_0>: no
+    # phi-module is presented, so no cover may be returned
+    with pytest.raises(ValueError, match="preserve the relation submodule"):
+        pm.Presentation.build(2, [[1, 0]], [[0, 1], [1, 0]], 5, -1)
+    # diag(1, 2) sends the relation 5 (e_0 + e_1) off its line
+    with pytest.raises(ValueError, match="preserve the relation submodule"):
+        pm.Presentation.build(2, [[5, 5]], [[1, 0], [0, 2]], 5, 2)
+    for rel, phi in (([[Fraction(1, 5)]], [[1]]), ([[5]], [[Fraction(2, 5)]])):
+        with pytest.raises(ValueError, match="must be l-integral"):
+            pm.Presentation.build(1, rel, phi, 5, 2)
+    for rel, phi in (([[1]], [[1, 0], [0, 1]]), ([], [[1, 0]])):
+        with pytest.raises(ValueError, match="must be 2 x 2"):
+            pm.Presentation.build(2, rel, phi, 5, 2)
+    # stable relations pass: l e_0 and l^2 (e_0 + e_1) under phi = 1 + l N
+    # with N e_1 = e_0, since phi(e_0 + e_1) = (1 + l) e_0 + e_1
+    pres = pm.Presentation.build(2, [[5, 0], [25, 25]], [[1, 5], [0, 1]], 5,
+                                 6)
+    assert pres.relations == ((5, 0), (25, 25))
+
+
+def test_rank_zero_phi_modules():
+    # the empty lattice decomposes into no summands, and a split with
+    # N = 0 or N = M has one trivial side
+    assert pm.decompose(pm.PhiModule.build([], 5, 6)) == \
+        pm.Decomposition(status="decomposable")
+    M = pm.PhiModule.build([[1, 0], [0, 6]], 5, 6)
+    whole = pm.decompose(M)
+    assert whole.status == "decomposable" and len(whole.summands) == 2
+    empty = pm.Decomposition(status="decomposable")
+    sub, quot = pm.stable_sub_quotient_split(M, [[1, 0], [0, 1]])
+    assert (sub, quot) == (whole, empty)
+    sub, quot = pm.stable_sub_quotient_split(M, [])
+    assert (sub, quot) == (empty, whole)
 
 
 def test_free_cover_of_the_zero_module():

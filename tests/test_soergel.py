@@ -618,6 +618,19 @@ def test_g2_hom_blocks_frozen():
     assert digest.hexdigest() == frozen["sha256"]
 
 
+@pytest.mark.slow
+def test_end_algebra_a3_frozen():
+    # E(A3) at ell = 7, its structure constants pinned with every
+    # composite formed in full; a fresh C, so that nothing of this algebra
+    # stays cached after the test
+    frozen = FIX["end_algebra_large"]["A3"]
+    E = sg.endomorphism_algebra(
+        sg.CoinvariantAlgebra("A3", frozen["ell"])).algebra
+    assert (E.dim, len(E.mult)) == (frozen["dim"], frozen["rows"])
+    assert hashlib.sha256(E.mult.tobytes()).hexdigest() == \
+        frozen["mult_sha256"]
+
+
 def test_presentation_generators_g2():
     # as C-modules D_sts has 2 generators, D_stst 3, D_ststs and D_tstst
     # 6; every presentation spans its module

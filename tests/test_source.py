@@ -141,6 +141,29 @@ def test_one_coordinates_helper():
     assert trees and not found, found
 
 
+def test_block_products_read_composites_on_generators():
+    # every composite of E, E^s, K and Upsilon(M) is formed and certified
+    # on the generators of its source: _block_products takes them with no
+    # default, and every call in src/ passes them
+    trees = _trees(SRC)
+    defs = [node for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_block_products"]
+    assert len(defs) == 1
+    params = [a.arg for a in defs[0].args.args]
+    assert "gens" in params and not defs[0].args.defaults
+    at = params.index("gens")
+    calls = [(name, node) for name, tree in trees.items()
+             for node in ast.walk(tree) if _calls(node, "_block_products")]
+    missing = []
+    for name, node in calls:
+        given = node.args[at] if len(node.args) > at else next(
+            (k.value for k in node.keywords if k.arg == "gens"), None)
+        if given is None or isinstance(given, ast.Constant):
+            missing.append(f"{name}:{node.lineno}")
+    assert len(calls) >= 3 and not missing, missing
+
+
 def test_one_rational_coordinates_helper():
     # every solve in a span over Q or Z_(l) goes through _linalg's
     # frac_coordinates or lloc_basis: no other module row-reduces over Q
