@@ -10,11 +10,16 @@ that e_i e_j has coefficient c at e_k, 0 < c < p, the rows lexsorted by
 (i, j, k), none repeated; the constructor puts rows given in any order
 in that form.
 
-A RightModule stores its action as one int64 array of shape (dim A,
-dim M, dim M) (columns are coordinates, so coords(x * e_a) = action[a] @
-coords(x)), and RightModule.matrix sums it over the nonzero coefficients
-of an algebra element.  Module maps of degree d send degree e to degree
-e + d.  Every Hom space of flagalg, over C and C^s (soergel's
+A RightModule stores its action as live rows: the nonzero rows of the
+matrices of the e_a (columns are coordinates, so the matrix of e_a sends
+coords(x) to coords(x e_a)), each under the key a * dim M + row, keys
+sorted.  Almost every entry of those matrices is zero, and no (dim A,
+dim M, dim M) stack is formed.  The products x e_a of vectors x with the
+whole basis are one product of the live rows with the x, scattered by
+the keys (_images), a few basis elements at a time; submodules,
+covers, Hom lifts and the spans under the action all take them from
+there.  Module maps of degree d send degree e to degree e + d.  Every
+Hom space of flagalg, over C and C^s (soergel's
 graded_hom_basis) as over E, E^s and the regraded algebra K (hom_all),
 comes from one solver, _solve_homs, working from a presentation of the
 source: a hom is fixed by its values on module generators, subject to
@@ -41,9 +46,11 @@ the blocks of E and E^s that graded category O is built from) comes from
 idempotent_slice, which works from the sparse structure constants: the
 products x e_b for a chunk of basis elements b come from one scatter of
 the constants, and each chunk is certified in one comparison to lie in
-e A.  The certified rows of e A stay on the algebra, where presentations
-find them.  The regular module is the slice by the unit.  direct_sum and
-restrict_module assemble and restrict such slices.
+e A.  Each slice is built once per (algebra, idempotent) and stays on
+the algebra with its certified rows, where presentations, projectives
+and translation to the wall find it.  The regular module is the slice
+by the unit.  direct_sum and restrict_module assemble and restrict such
+slices.
 
 Indecomposability is certified through degree-zero endomorphism rings:
 the splitting search combines Fitting decompositions with the coprime
@@ -176,12 +183,16 @@ class GradedAlgebra:
 
 @dataclass(eq=False)
 class RightModule:
-    """Graded right module: degrees per basis index, and the action as one
-    int64 array of shape (algebra.dim, dim, dim)."""
+    """Graded right module: degrees per basis index, and the action as its
+    live rows.  Row j of the matrix of e_a (columns are coordinates, so
+    that it sends coords(x) to coords(x e_a)) is kept, when it is nonzero,
+    as rows[i] under keys[i] = a * dim + j; keys strictly increase and
+    entries lie in [0, p)."""
 
     algebra: GradedAlgebra
     degrees: list
-    action: np.ndarray  # action[a] @ coords(x) = coords(x * e_a)
+    keys: np.ndarray    # int64, one a * dim + j per live row
+    rows: np.ndarray    # int64, shape (len(keys), dim)
 
     @property
     def dim(self):
@@ -191,13 +202,14 @@ class RightModule:
         return dict(sorted(Counter(self.degrees).items()))
 
     def matrix(self, avec):
-        """The matrix of x -> x (sum avec[a] e_a), summed in place over the
-        nonzero avec[a] only."""
+        """The matrix of x -> x (sum avec[a] e_a), summed over the live rows
+        of the nonzero avec[a] only."""
         p = self.algebra.p
         avec = np.mod(avec, p)
+        a, j = np.divmod(self.keys, self.dim)
+        sel = np.flatnonzero(avec[a])
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for a in np.flatnonzero(avec):
-            out += avec[a] * self.action[a]
+        np.add.at(out, j[sel], avec[a[sel], None] * self.rows[sel] % p)
         out %= p
         return out
 
@@ -205,10 +217,57 @@ class RightModule:
         if not np.array_equal(self.matrix(self.algebra.unit_vector()),
                               np.eye(self.dim, dtype=np.int64)):
             raise StructuralError("unit does not act as identity")
-        a, i, j = np.nonzero(self.action)
+        r, x = np.nonzero(self.rows)
+        a, j = np.divmod(self.keys[r], self.dim)
         deg = np.array(self.degrees, dtype=np.int64)
-        if np.any(deg[i] != deg[j] + np.array(self.algebra.degrees)[a]):
+        if np.any(deg[j] != deg[x] + np.array(self.algebra.degrees)[a]):
             raise StructuralError("action does not respect degrees")
+
+
+def _live_rows(new, src, coef, rows, p):
+    """(keys, rows) of the live rows sum_i coef[i] rows[src[i]] over each
+    distinct key new[i], zero sums dropped; the terms are summed for
+    _PRODUCT_BUDGET // len(row) keys (or one key) at a time."""
+    order = np.argsort(new, kind="stable")
+    new, src, coef = new[order], src[order], coef[order]
+    starts = np.flatnonzero(np.diff(new, prepend=-1))
+    step = max(1, _PRODUCT_BUDGET // max(1, rows.shape[1]))
+    bounds = np.append(starts[::step], len(new))
+    out_keys, out_rows = [new[:0]], [rows[:0]]
+    for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        runs = starts[c * step: (c + 1) * step] - lo
+        sums = np.add.reduceat(rows[src[lo:hi]] * coef[lo:hi, None] % p,
+                               runs, axis=0) % p
+        live = sums.any(axis=1)
+        out_keys.append(new[lo + runs[live]])
+        out_rows.append(sums[live])
+    return np.concatenate(out_keys), np.concatenate(out_rows)
+
+
+def _images(M, X):
+    """The products x e_a of the columns x of X (dim M x k, entries in
+    [0, p)) with the basis elements a of the algebra, a run of consecutive
+    basis elements at a time: yields (a0, W) with W[a - a0] the matrix of
+    e_a times X, so that W[a - a0][:, t] = X[:, t] e_a; W is one (run,
+    dim M, k) array of at most _PRODUCT_BUDGET entries (or one basis
+    element).  A run's products are one mod_matmul of its live rows with
+    X, scattered by their keys; runs with no live row are skipped."""
+    n, dim, k = M.algebra.dim, M.dim, X.shape[1]
+    step = max(1, _PRODUCT_BUDGET // max(1, k * dim))
+    starts = np.arange(0, n, step)
+    bounds = np.searchsorted(M.keys, np.append(starts, n) * dim)
+    for a0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+        if lo < hi:
+            W = np.zeros((min(step, n - a0) * dim, k), dtype=np.int64)
+            W[M.keys[lo:hi] - a0 * dim] = la.mod_matmul(M.rows[lo:hi], X,
+                                                         M.algebra.p)
+            yield a0, W.reshape(len(W) // dim, dim, k)
+
+
+def _vectors(W):
+    """The nonzero columns of the stack W of _images, in (a, t) order."""
+    V = W.transpose(0, 2, 1).reshape(-1, W.shape[1])
+    return V[V.any(axis=1)]
 
 
 def regular_module(alg):
@@ -219,8 +278,8 @@ def regular_module(alg):
 def shift_module(M, k):
     """M<k>: the component in degree i is the old component in degree
     i - k, so every basis degree goes up by k."""
-    return RightModule(M.algebra, [d + k for d in M.degrees],
-                       M.action.copy())
+    return RightModule(M.algebra, [d + k for d in M.degrees], M.keys,
+                       M.rows)
 
 
 def submodule(M, rows):
@@ -238,13 +297,21 @@ def submodule(M, rows):
             raise StructuralError("submodule basis is not homogeneous")
         degrees.append(ds.pop())
     # for echelon rows the coordinates of an ambient vector are just its
-    # pivot entries, provided it lies in the span; verify membership
-    # wholesale afterwards
-    img = la.mod_matmul(M.action, basis.T, p)       # A.dim x dim x k
-    action = img[:, piv, :]
-    if not np.array_equal(la.mod_matmul(basis.T, action, p), img):
-        raise StructuralError("rows are not closed under the action")
-    return RightModule(M.algebra, degrees, action), basis
+    # pivot entries, provided it lies in the span: the nonzero images
+    # b e_a are checked a chunk at a time, and the live row i of e_a on
+    # the span is the pivot row piv[i] of e_a applied to the basis
+    for _, W in _images(M, basis.T):
+        V = _vectors(W)
+        if not np.array_equal(la.mod_matmul(V[:, piv], basis, p), V):
+            raise StructuralError("rows are not closed under the action")
+    pos = np.full(M.dim, -1)
+    pos[piv] = np.arange(k)
+    a, j = np.divmod(M.keys, M.dim)
+    sel = np.flatnonzero(pos[j] >= 0)
+    on_span = la.mod_matmul(M.rows[sel], basis.T, p)
+    live = on_span.any(axis=1)
+    return RightModule(M.algebra, degrees, (a[sel] * k + pos[j[sel]])[live],
+                       on_span[live]), basis
 
 
 def quotient_module(M, rows):
@@ -266,8 +333,16 @@ def quotient_module(M, rows):
     deg = np.array(M.degrees, dtype=np.int64)
     if np.any((proj[:, piv] != 0) & (deg[keep][:, None] != deg[piv])):
         raise StructuralError("quotient reduction is not graded")
-    action = la.mod_matmul(proj, M.action[:, :, keep], p)
-    return RightModule(M.algebra, deg[keep].tolist(), action), proj
+    # row i of e_a on the quotient is sum_j proj[i, j] (row j of e_a) on
+    # the kept columns
+    j_of, i_of = np.nonzero(proj.T)
+    a, j = np.divmod(M.keys, dim)
+    lo, hi = np.searchsorted(j_of, j), np.searchsorted(j_of, j, side="right")
+    at, src = _ranges(lo, hi)
+    i = i_of[at]
+    keys, rows = _live_rows(a[src] * len(keep) + i, src, proj[i, j[src]],
+                            M.rows[:, keep], p)
+    return RightModule(M.algebra, deg[keep].tolist(), keys, rows), proj
 
 
 def _idempotent_vectors(alg):
@@ -318,14 +393,24 @@ def _right_products(A, X):
 def idempotent_slice(A, e):
     """e A, for an idempotent vector e of A, as a right A-module built from
     the structure constants (no regular module is formed), a chunk of
-    basis elements b at a time (_right_products).  The rows are kept in
-    A._slice_rows under e's bytes, where module_presentation finds them.
+    basis elements b at a time (_right_products).  Built once per
+    (algebra, idempotent): the result is kept in A._slices under e's
+    bytes.
 
     Returns (module, rows, pivots): the module's basis is the RREF basis
     `rows` of e A in A's coordinates, so the coordinates of a vector of
     e A are its entries in the pivot columns."""
     p = A.p
     e = np.mod(np.asarray(e, dtype=np.int64), p)
+    cache = A.__dict__.setdefault("_slices", {})
+    if e.tobytes() not in cache:
+        cache[e.tobytes()] = _slice(A, e)
+    return cache[e.tobytes()]
+
+
+def _slice(A, e):
+    """idempotent_slice(A, e), built afresh."""
+    p = A.p
     spans = np.concatenate([img.reshape(-1, A.dim)
                             for _, img in _right_products(A, e[None])])
     red, piv = la.mod_rref(spans[spans.any(axis=1)], p)
@@ -339,37 +424,59 @@ def idempotent_slice(A, e):
     outside = ~rows.any(axis=0)
     free = ~outside
     free[piv] = False
-    action = np.empty((A.dim, len(piv), len(piv)), dtype=np.int64)
+    # the live row i of e_b holds the coordinates of rows[t] e_b at piv[i]
+    keys, live = [], []
     for b0, img in _right_products(A, rows):
         coords = img[:, :, piv]
         if np.any(img[:, :, outside]) or not np.array_equal(
                 img[:, :, free], la.mod_matmul(coords, rows[:, free], p)):
             raise StructuralError("e A is not closed under the action")
-        action[b0: b0 + len(img)] = coords.transpose(0, 2, 1)
-    A.__dict__.setdefault("_slice_rows", {})[e.tobytes()] = rows
-    return RightModule(A, deg[piv].tolist(), action), rows, piv
+        coords = coords.transpose(0, 2, 1).reshape(-1, len(piv))
+        nz = np.flatnonzero(coords.any(axis=1))
+        keys.append(b0 * len(piv) + nz)
+        live.append(coords[nz])
+    return RightModule(A, deg[piv].tolist(), np.concatenate(keys),
+                       np.concatenate(live)), rows, piv
 
 
 def direct_sum(modules, shifts):
     """The block-diagonal direct sum of modules over one algebra, the i-th
     summand shifted up by shifts[i]."""
     degrees = [d + k for M, k in zip(modules, shifts) for d in M.degrees]
-    action = np.zeros((modules[0].algebra.dim, len(degrees), len(degrees)),
-                      dtype=np.int64)
-    start = 0
-    for M in modules:
-        action[:, start: start + M.dim, start: start + M.dim] = M.action
-        start += M.dim
-    return RightModule(modules[0].algebra, degrees, action)
+    n = len(degrees)
+    starts = np.cumsum([0] + [M.dim for M in modules])
+    keys = np.concatenate([M.keys // M.dim * n + start + M.keys % M.dim
+                           for M, start in zip(modules, starts) if M.dim]
+                          + [np.zeros(0, dtype=np.int64)])
+    rows = np.zeros((len(keys), n), dtype=np.int64)
+    at = 0
+    for M, start in zip(modules, starts):
+        rows[at: at + len(M.keys), start: start + M.dim] = M.rows
+        at += len(M.keys)
+    order = np.argsort(keys)
+    return RightModule(modules[0].algebra, degrees, keys[order], rows[order])
 
 
 def restrict_module(N, B, emb):
     """N restricted along an algebra map B -> N.algebra given by the matrix
-    emb (column b is the image of e_b): e_b acts as its image."""
-    action = np.empty((B.dim, N.dim, N.dim), dtype=np.int64)
-    for b in range(B.dim):
-        action[b] = N.matrix(emb[:, b])
-    return RightModule(B, list(N.degrees), action)
+    emb (column b is the image of e_b): e_b acts as its image, whose row j
+    is sum_a emb[a, b] (row j of e_a), read on the nonzero entries of emb."""
+    p = B.p
+    emb = np.mod(emb, p)
+    a_of, b_of = np.nonzero(emb)
+    a, j = np.divmod(N.keys, N.dim)
+    src, at = _ranges(np.searchsorted(a, a_of),
+                      np.searchsorted(a, a_of, side="right"))
+    keys, rows = _live_rows(b_of[at] * N.dim + j[src], src,
+                            emb[a_of[at], b_of[at]], N.rows, p)
+    return RightModule(B, list(N.degrees), keys, rows)
+
+
+def _ranges(lo, hi):
+    """(concatenation of the ranges [lo[i], hi[i]), the i of each entry)."""
+    at = np.repeat(np.arange(len(lo)), hi - lo)
+    ends = np.cumsum(hi - lo)
+    return np.arange(len(at)) - (ends - (hi - lo) - lo)[at], at
 
 
 def span_under_action(M, rows, base=None):
@@ -385,14 +492,8 @@ def span_under_action(M, rows, base=None):
         (np.zeros((0, M.dim), dtype=np.int64), [])
     rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, M.dim)
     rows = rows[rows.any(axis=1)]
-    if not rows.size:
-        return red, piv
-    step = max(1, _PRODUCT_BUDGET // rows.size)
-    for a0 in range(0, M.algebra.dim, step):
-        prods = la.mod_matmul(
-            rows, M.action[a0: a0 + step].transpose(0, 2, 1), p)
-        stack = np.concatenate([red, prods.reshape(-1, M.dim)])
-        r, piv = la.mod_rref(stack[stack.any(axis=1)], p)
+    for _, W in _images(M, rows.T):
+        r, piv = la.mod_rref(np.concatenate([red, _vectors(W)]), p)
         red = r[: len(piv)]
     return red, piv
 
@@ -432,10 +533,15 @@ def _cover(M, gens, rows):
     """The matrix of the cover of M by one slice e_h A per generator (g, h)
     of gens, e_h A with the basis rows[h]: its columns run over (generator
     g, row beta of rows[h]), with value g beta."""
+    if not gens:
+        return np.zeros((M.dim, 0), dtype=np.int64)
     p = M.algebra.p
-    cols = [la.mod_matmul(rows[h], M.action @ g % p, p) for g, h in gens]
-    return np.concatenate(cols).T if cols else \
-        np.zeros((M.dim, 0), dtype=np.int64)
+    cols = [np.zeros((len(rows[h]), M.dim), dtype=np.int64) for _, h in gens]
+    for a0, W in _images(M, np.array([g for g, _ in gens]).T):
+        for i, (_, h) in enumerate(gens):
+            cols[i] += la.mod_matmul(rows[h][:, a0: a0 + len(W)], W[:, :, i],
+                                     p)
+    return np.concatenate(cols).T % p
 
 
 def module_presentation(M):
@@ -449,14 +555,8 @@ def module_presentation(M):
     alg = M.algebra
     idems = _idempotent_vectors(alg)
     gens = module_generators(M, idems)
-    # rows of e_h A, kept on the algebra by the first idempotent_slice of e_h
-    slice_rows = alg.__dict__.setdefault("_slice_rows", {})
-    proj_rows = {}
-    for h in {h for _, h in gens}:
-        key = idems[h].tobytes()
-        if key not in slice_rows:
-            idempotent_slice(alg, idems[h])
-        proj_rows[h] = slice_rows[key]
+    proj_rows = {h: idempotent_slice(alg, idems[h])[1]
+                 for h in {h for _, h in gens}}
     pi = _cover(M, gens, proj_rows)
     out = (gens, idems, proj_rows, pi, *_relations_and_section(pi, alg.p))
     M._presentation = out
@@ -529,27 +629,36 @@ def hom_all(M, N, degrees=None):
 
     They are solved by _solve_homs from the presentation of M by the
     projectives e_h A of its generators' idempotent slots: the values of
-    the generator attached to slot h range over N e_h, on its RREF basis
-    w, whose rows are homogeneous, and w beta over the cover rows beta of
-    e_h A is w_u beta_t = sum_a beta_t[a] (w_u e_a)."""
+    the generator attached to slot h range over N e_h (_hom_target)."""
     if M.dim == 0 or N.dim == 0:
         return {}
-    alg = M.algebra
-    p = alg.p
     gens, idems, proj_rows, span, rel, sect = module_presentation(M)
-    lifts, degs = {}, {}
+    targets = N.__dict__.setdefault("_hom_targets", {})
     for h, rows in proj_rows.items():
-        img = N.matrix(idems[h]).T
-        red, piv = la.mod_rref(img[img.any(axis=1)], p)
-        aw = la.mod_matmul(N.action, red[: len(piv)].T, p)
-        lifts[h] = la.mod_matmul(rows, aw.reshape(alg.dim, -1), p).reshape(
-            len(rows), N.dim, len(piv))
-        degs[h] = np.array(N.degrees, dtype=np.int64)[piv]
+        if h not in targets:
+            targets[h] = _hom_target(N, idems[h], rows)
     homs = _solve_homs(
-        span, rel, sect, [lifts[h] for _, h in gens],
-        [degs[h] - M.degrees[np.flatnonzero(g)[0]] for g, h in gens],
-        np.subtract.outer(N.degrees, M.degrees), p, degrees)
+        span, rel, sect, [targets[h][0] for _, h in gens],
+        [targets[h][1] - M.degrees[np.flatnonzero(g)[0]] for g, h in gens],
+        np.subtract.outer(N.degrees, M.degrees), M.algebra.p, degrees)
     return {d: list(maps) for d, maps in homs.items()}
+
+
+def _hom_target(N, e, rows):
+    """(lifts, degrees) for the values in N of a generator of slot e, kept
+    on N per slot by hom_all: they range over N e, on its RREF basis w,
+    whose rows are homogeneous of the given degrees, and lifts[t, :, u] is
+    w_u beta_t = sum_a beta_t[a] (w_u e_a) over the rows beta of e A."""
+    p = N.algebra.p
+    img = N.matrix(e).T
+    red, piv = la.mod_rref(img[img.any(axis=1)], p)
+    lifts = np.zeros((len(rows), N.dim, len(piv)), dtype=np.int64)
+    for a0, W in _images(N, red[: len(piv)].T):
+        beta = rows[:, a0: a0 + len(W)]
+        live = beta.any(axis=0)
+        lifts += la.mod_matmul(beta[:, live], W[live].reshape(
+            live.sum(), N.dim * len(piv)), p).reshape(lifts.shape)
+    return lifts % p, np.array(N.degrees, dtype=np.int64)[piv]
 
 
 def module_hom_basis(M, N, d):
@@ -775,9 +884,10 @@ def _simple_idempotents(A, A0, zero_idx):
 def _radical_rows(A, M):
     """The nonzero vectors x e_a spanning M A_+, over the basis vectors x of
     M and the positive-degree basis elements a, in (a, x) order."""
-    act = M.action[np.array(A.degrees) > 0]
-    rows = act.transpose(0, 2, 1).reshape(len(act) * M.dim, M.dim) % A.p
-    return rows[rows.any(axis=1)]
+    positive = np.array(A.degrees) > 0
+    return np.concatenate([np.zeros((0, M.dim), dtype=np.int64)] + [
+        _vectors(W[positive[a0: a0 + len(W)]])
+        for a0, W in _images(M, np.eye(M.dim, dtype=np.int64))])
 
 
 def minimal_resolution(A, M, idempotent_vectors, slices, steps):
@@ -1004,9 +1114,11 @@ def upsilon_module(E, projectives, M):
     mods, K, kblocks = _cached_ext_algebra(E, projectives)
     # basis of the module: per source block si, homs P_si -> M by degree
     mbasis, mblocks = _hom_blocks(mods, [M])
-    # kappa: P_si -> P_ti acts on psi: P_ti -> M to give psi o kappa
-    action = np.zeros((K.dim, len(mbasis), len(mbasis)), dtype=np.int64)
+    # kappa: P_si -> P_ti acts on psi: P_ti -> M to give psi o kappa, so
+    # the composite psi_i kappa_j with coefficient c at psi_k is the entry
+    # c of row k of kappa_j's matrix in column i
     i, j, k, c = _block_products(mblocks, kblocks, mblocks,
                                  _generator_columns(mods), E.p).T
-    action[j, k, i] = c
-    return K, RightModule(K, [d for _, _, d in mbasis], action)
+    n = len(mbasis)
+    keys, rows = _live_rows(j * n + k, i, c, np.eye(n, dtype=np.int64), K.p)
+    return K, RightModule(K, [d for _, _, d in mbasis], keys, rows)

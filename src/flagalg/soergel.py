@@ -541,16 +541,11 @@ def _restricted_slices(E, Es, emb):
 
 
 def regular_slices(e_data):
-    """The right-module direct summands e_f E of the regular module,
-    memoized on the algebra data."""
-    cached = getattr(e_data, "_reg_slices", None)
-    if cached is not None:
-        return cached
+    """The right-module direct summands e_f E of the regular module (each
+    built once, by idempotent_slice)."""
     E = e_data.algebra
-    out = [idempotent_slice(E, E.basis_vec(E.idempotents[f]))[0]
-           for f in e_data.words]
-    e_data._reg_slices = out
-    return out
+    return [idempotent_slice(E, E.basis_vec(E.idempotents[f]))[0]
+            for f in e_data.words]
 
 
 def hom_dims_to_regular(X, e_data):

@@ -13,6 +13,7 @@ from flagalg import formality as fm
 from flagalg import galgebra as ga
 from flagalg import gradedO as go
 from flagalg import soergel as sg
+from dense_view import _dense, _from_dense
 
 FIX = json.load(open(os.path.join(os.path.dirname(__file__),
                                   "fixtures", "frozen.json")))
@@ -135,8 +136,7 @@ def test_v_forget():
     reg = ga.regular_module(A)
     shifted = ga.shift_module(reg, 3)
     assert shifted.dim == reg.dim
-    assert [m.tolist() for m in shifted.action] == \
-        [m.tolist() for m in reg.action]
+    assert _dense(shifted).tolist() == _dense(reg).tolist()
 
 
 def test_v_bar_shear_laws():
@@ -175,13 +175,10 @@ def test_decompose_simple_and_shifted_sum():
 
 def _direct_sum(M, N):
     degs = list(M.degrees) + list(N.degrees)
-    action = []
-    for a in range(M.algebra.dim):
-        m = np.zeros((len(degs), len(degs)), dtype=np.int64)
-        m[: M.dim, : M.dim] = M.action[a]
-        m[M.dim:, M.dim:] = N.action[a]
-        action.append(m)
-    return ga.RightModule(M.algebra, degs, np.array(action))
+    action = np.zeros((M.algebra.dim, len(degs), len(degs)), dtype=np.int64)
+    action[:, : M.dim, : M.dim] = _dense(M)
+    action[:, M.dim:, M.dim:] = _dense(N)
+    return _from_dense(M.algebra, degs, action)
 
 
 def test_decompose_basis_permutation_invariance(C_A1):
@@ -197,8 +194,8 @@ def test_decompose_basis_permutation_invariance(C_A1):
     for i, j in enumerate(perm):
         pm[j, i] = 1
     inv = pm.T
-    shuffled = ga.RightModule(
-        E, [reg.degrees[j] for j in perm], (inv @ reg.action @ pm) % E.p)
+    shuffled = _from_dense(
+        E, [reg.degrees[j] for j in perm], (inv @ _dense(reg) @ pm) % E.p)
     shuffled.check()
     pieces2 = ga.decompose_module(shuffled)
     dims2 = sorted(tuple(sorted(p.dims_by_degree().items()))
@@ -261,7 +258,7 @@ def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2, monkeypatch):
     # E11 + E21, E12 + E22 are not basis vectors; the reference submodule
     # of the regular module is built from A.mul_vec.  Each slice is built
     # with the default chunks of products and with one basis element per
-    # chunk
+    # chunk, each time past the slices already kept on the algebra
     cases = [(_m2(), np.array([1, 0, 1, 0]))]
     for A in (sg.endomorphism_algebra(C_A1).algebra,
               sg.endomorphism_algebra(C_A2).algebra,
@@ -276,11 +273,12 @@ def test_idempotent_slice_matches_regular_submodule(C_A1, C_A2, monkeypatch):
         for budget in (ga._PRODUCT_BUDGET, 1):
             with monkeypatch.context() as patch:
                 patch.setattr(ga, "_PRODUCT_BUDGET", budget)
+                patch.setitem(A.__dict__, "_slices", {})
                 M, got_rows, got_piv = ga.idempotent_slice(A, e)
             assert np.array_equal(got_rows, rows)
             assert got_piv == piv
             assert M.degrees == degrees
-            assert np.array_equal(M.action, action)
+            assert np.array_equal(_dense(M), action)
 
 
 def test_idempotent_slice_certificates():
@@ -453,9 +451,9 @@ def test_hom_all_consistency_small():
     assert {d: len(v) for d, v in homs.items()} == {0: 1, 1: 1}
     for d, mats in homs.items():
         for m in mats:
-            for a in range(A.dim):
-                lhs = (m @ reg.action[a]) % 5
-                rhs = (reg.action[a] @ m) % 5
+            for act in _dense(reg):
+                lhs = (m @ act) % 5
+                rhs = (act @ m) % 5
                 assert np.array_equal(lhs, rhs)
 
 
@@ -476,8 +474,7 @@ def _brute_hom_dims(M, N):
         if not pos:
             continue
         rows = []
-        for a in range(alg.dim):
-            am, an = M.action[a], N.action[a]
+        for a, am, an in zip(range(alg.dim), _dense(M), _dense(N)):
             for m in range(M.dim):
                 for n in range(N.dim):
                     if N.degrees[n] != M.degrees[m] + d + alg.degrees[a]:
@@ -583,7 +580,8 @@ def _module_generators_closure(M, alg_gens):
     idems = ga._idempotent_vectors(alg)
     span = la._Echelon(M.dim, p)
     acting = [alg.unit_vector()] + [alg.basis_vec(a) for a in alg_gens]
-    mats = [sum((int(av[a]) * M.action[a] for a in np.nonzero(av)[0]),
+    act = _dense(M)
+    mats = [sum((int(av[a]) * act[a] for a in np.nonzero(av)[0]),
                 np.zeros((M.dim, M.dim), dtype=np.int64)) % p
             for av in acting]
     gens = []
@@ -629,23 +627,53 @@ def test_module_generators_match_closure(C_A1, C_A2):
 
 
 def test_module_builders_return_one_action_array(C_A1):
+    # every builder keeps its action as live rows: int64, strictly
+    # increasing keys, one nonzero row of length dim per key; densified,
+    # they give the stack of the dense construction
     A = dual_numbers()
+    p = A.p
     reg = ga.regular_module(A)
+    R = _slice_reference(A, A.unit_vector())[3]
+    sub, basis = ga.submodule(reg, [[0, 1]])
+    quot, proj = ga.quotient_module(reg, [[0, 1]])
+    both = np.zeros((A.dim, 4, 4), dtype=np.int64)
+    both[:, :2, :2] = both[:, 2:, 2:] = R
     E = sg.endomorphism_algebra(C_A1).algebra
     Es, emb = sg.wall_algebra(C_A1, 0)
+    W = _slice_reference(Es.algebra, Es.algebra.basis_vec(0))[3]
     projs = go.projectives_for(C_A1)
     std = go.standard_modules(C_A1)[C_A1.group.identity]
-    mods = [reg, ga.idempotent_slice(A, A.unit_vector())[0],
-            ga.submodule(reg, [[0, 1]])[0],
-            ga.quotient_module(reg, [[0, 1]])[0],
-            ga.direct_sum([reg, reg], [0, 1]), ga.shift_module(reg, 2),
-            ga.restrict_module(ga.idempotent_slice(
-                Es.algebra, Es.algebra.basis_vec(0))[0], E, emb),
-            ga.upsilon_module(E, projs, std)[1]]
-    for M in mods:
-        assert isinstance(M.action, np.ndarray)
-        assert M.action.dtype == np.int64
-        assert M.action.shape == (M.algebra.dim, M.dim, M.dim)
+    mods, K, kblocks = ga._cached_ext_algebra(E, projs)
+    mbasis, mblocks = ga._hom_blocks(mods, [std])
+    U = np.zeros((K.dim, len(mbasis), len(mbasis)), dtype=np.int64)
+    i, j, k, c = ga._block_products(mblocks, kblocks, mblocks,
+                                    ga._generator_columns(mods), E.p).T
+    U[j, k, i] = c
+    cases = [
+        (reg, R), (ga.idempotent_slice(A, A.unit_vector())[0], R),
+        (sub, (R @ basis.T % p)[:, [1], :]),
+        (quot, proj @ R[:, :, [0]] % p),
+        (ga.direct_sum([reg, reg], [0, 1]), both),
+        (ga.shift_module(reg, 2), R),
+        (ga.restrict_module(ga.idempotent_slice(
+            Es.algebra, Es.algebra.basis_vec(0))[0], E, emb),
+         np.einsum("ab,ajk->bjk", emb % E.p, W) % E.p),
+        (ga.upsilon_module(E, projs, std)[1], U)]
+    for M, want in cases:
+        assert M.keys.dtype == M.rows.dtype == np.int64
+        assert np.all(np.diff(M.keys) > 0)
+        assert M.rows.shape == (len(M.keys), M.dim)
+        assert M.rows.any(axis=1).all()
+        assert np.array_equal(_dense(M), want)
+
+
+def test_wall_row_blocks_store_an_eighth_of_the_dense_action(C_A2):
+    # the live rows of the A2 modules e_f E^s over E take about 0.5 MB,
+    # where (dim E, dim, dim) int64 stacks would take 5.9 MB
+    mods = sg.wall_row_block_modules(C_A2, 0)
+    stored = sum(M.keys.nbytes + M.rows.nbytes for M in mods)
+    dense = sum(M.algebra.dim * M.dim ** 2 * 8 for M in mods)
+    assert 8 * stored <= dense
 
 
 def test_span_under_action_is_the_generated_submodule():
@@ -692,23 +720,25 @@ def test_submodule_not_closed_raises_structural_error():
 
 def test_presentations_slice_each_idempotent_once(monkeypatch):
     # the regular module and the presentations of two modules over one
-    # algebra: the rows of e A are built once, by regular_module
+    # algebra: the slice e A is built once, by regular_module, and kept
+    # on the algebra with its rows
     A = dual_numbers()
     calls = []
-    real = ga.idempotent_slice
+    real = ga._slice
 
     def counted(B, e):
         calls.append(e.tobytes())
         return real(B, e)
 
-    monkeypatch.setattr(ga, "idempotent_slice", counted)
+    monkeypatch.setattr(ga, "_slice", counted)
     reg = ga.regular_module(A)
     first = ga.module_presentation(reg)
     second = ga.module_presentation(ga.shift_module(reg, 1))
     assert len(calls) == 1
+    assert ga.idempotent_slice(A, A.unit_vector())[0] is reg
     assert first[2].keys() == second[2].keys()
     for h in first[2]:
-        assert np.array_equal(first[2][h], second[2][h])
+        assert first[2][h] is second[2][h]
 
 
 def _slices_a2_ell7():
@@ -732,19 +762,40 @@ def test_presentation_without_generators_raises(monkeypatch):
         ga.hom_dims(X, Y)
 
 
-def test_hom_all_section_certificate(C_A2):
+def test_hom_all_builds_target_data_once_per_slot(monkeypatch):
+    # the basis of N e_h and its lifts are kept on the target N per slot h
+    # and serve every source; the homs do not change
+    X, Y = _slices_a2_ell7()
+    calls = []
+    real = ga._hom_target
+    monkeypatch.setattr(ga, "_hom_target", lambda N, e, rows: calls.append(
+        (id(N), e.tobytes())) or real(N, e, rows))
+    first = ga.hom_all(X, Y)
+    for src in (Y, ga.shift_module(X, 1), X):
+        ga.hom_all(src, Y)
+    assert calls and len(calls) == len(set(calls))
+    again = ga.hom_all(X, Y)
+    assert {d: np.array(v).tolist() for d, v in again.items()} == \
+        {d: np.array(v).tolist() for d, v in first.items()}
+
+
+def test_hom_all_section_certificate(C_A2, monkeypatch):
     # one wrong entry in the cached section of a presentation, over E
     # (Hom(e_2 E, e_3 E) for A2 at ell = 7) and over K (End of the regular
-    # K-module for A2): the maps built with it are no longer module maps
+    # K-module for A2): the maps built with it are no longer module maps.
+    # The regular K-module is kept on K, so its presentation is replaced
+    # for this test only
     X, Y = _slices_a2_ell7()
     assert ga.hom_dims(X, Y) == {2: 2, 4: 3, 6: 1}
     K = ga.ext_algebra_of_projectives(sg.endomorphism_algebra(C_A2).algebra,
                                       go.projectives_for(C_A2))
     R = ga.regular_module(K)
     for src, tgt in ((X, Y), (R, R)):
-        sect = ga.module_presentation(src)[5]
+        pres = ga.module_presentation(src)
+        sect = pres[5].copy()
         r = sect.any(axis=1).argmax()
         sect[r, 0] = (sect[r, 0] + 1) % src.algebra.p
+        monkeypatch.setattr(src, "_presentation", (*pres[:5], sect))
         with pytest.raises(ga.StructuralError,
                            match="Hom basis map is not a module map"):
             ga.hom_all(src, tgt)
@@ -834,7 +885,7 @@ def _upsilon_module_ref(E, projectives, M):
                                    la.mod_matmul(psi, kappa, p)).items():
                     m[k, j] = c
         action.append(m)
-    return K, ga.RightModule(K, [d for _, d, _ in mbasis], action)
+    return K, _from_dense(K, [d for _, d, _ in mbasis], action)
 
 
 def _same_algebra(A, B):
@@ -864,8 +915,8 @@ def test_upsilon_matches_per_pair_reference(cartan, C_A1, C_A2):
         K0, U0 = _upsilon_module_ref(E, projs, M)
         _same_algebra(K, K0)
         assert U.degrees == U0.degrees
-        assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                   for a, b in zip(U.action, U0.action, strict=True))
+        assert U.rows.dtype == U0.rows.dtype == np.int64
+        assert np.array_equal(_dense(U), _dense(U0))
 
 
 def _tops_and_cover_echelon(A, M, idempotent_vectors):
@@ -875,6 +926,7 @@ def _tops_and_cover_echelon(A, M, idempotent_vectors):
     p = A.p
     zero_idx = [a for a in range(A.dim) if A.degrees[a] == 0]
     span = la._Echelon(M.dim, p)
+    act = _dense(M)
     for v in ga._radical_rows(A, M):
         span.insert(v)
     gens = []
@@ -886,7 +938,7 @@ def _tops_and_cover_echelon(A, M, idempotent_vectors):
                 continue
             gens.append((v, j, M.degrees[x]))
             for a in zero_idx:
-                span.insert((M.action[a] @ v) % p)
+                span.insert((act[a] @ v) % p)
             span.insert(v)
     return gens
 
@@ -978,6 +1030,15 @@ except ga.StructuralError as exc:
 """
 
 
+# the regular module of F[x]/(x^2), whose live rows are those of 1 under
+# keys 0, 1 and that of x under key 3 = (x, row 1), with one more live row
+# under key 2 = (x, row 0): it sends x to 1, out of the span of x, and
+# lowers the degree
+_MUTANT = ("M = ga.RightModule(ga.GradedAlgebra(5, [0, 1], [(0, 0, 0, 1), "
+           "(0, 1, 1, 1), (1, 0, 1, 1)], {0: 1}), [0, 1], np.array([0, 1, 2, "
+           "3]), np.array([[1, 0], [0, 1], [0, 1], [1, 0]])); ")
+
+
 @pytest.mark.parametrize("call, message", [
     # d e_0 = e_1 and d e_1 = e_2 in bidegrees (0, 0), (1, 0), (2, 0)
     ("fm.BigradedDgAlgebra(5, [(0, 0), (1, 0), (2, 0)], [(0, k, k, 1) "
@@ -1025,7 +1086,13 @@ except ga.StructuralError as exc:
                  id="coordinates-dependent"),
     pytest.param("ga.la.mod_coordinates(np.array([[1, 2]]), 5, "
                  "outside='not in the span')[0](np.array([[0, 1]]))",
-                 "not in the span", id="coordinates-outside")])
+                 "not in the span", id="coordinates-outside"),
+    # a live row that breaks closure, and one of the wrong degree
+    pytest.param(_MUTANT + "ga.submodule(M, np.array([[0, 1]]))",
+                 "rows are not closed under the action",
+                 id="live-row-not-closed"),
+    pytest.param(_MUTANT + "M.check()", "action does not respect degrees",
+                 id="live-row-wrong-degree")])
 def test_certificates_raise_under_python_O(call, message):
     assert _run_optimized(_CERTIFICATE_UNDER_O.replace("CALL", call)) == \
         f"StructuralError: {message}"
@@ -1098,12 +1165,15 @@ def test_check_certificates_raise_structural_errors():
     with pytest.raises(ga.StructuralError, match="unit fails"):
         broken.check()
     reg = ga.regular_module(A)
+    # the live rows that _MUTANT extends by one
+    assert reg.keys.tolist() == [0, 1, 3]
+    assert reg.rows.tolist() == [[1, 0], [0, 1], [1, 0]]
     with pytest.raises(ga.StructuralError,
                        match="unit does not act as identity"):
-        ga.RightModule(broken, reg.degrees, reg.action).check()
+        ga.RightModule(broken, reg.degrees, reg.keys, reg.rows).check()
     with pytest.raises(ga.StructuralError,
                        match="action does not respect degrees"):
-        ga.RightModule(A, [0, 0], reg.action).check()
+        ga.RightModule(A, [0, 0], reg.keys, reg.rows).check()
 
 
 def test_check_names_the_unit_side_that_fails():
