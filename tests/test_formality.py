@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -10,6 +12,9 @@ import pytest
 from flagalg import _linalg as la
 from flagalg import formality as fm
 from flagalg.galgebra import StructuralError
+
+FROZEN = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
+                                     "frozen.json")))
 
 
 def unit_line(p=5):
@@ -122,6 +127,33 @@ def test_seeded_instances_all_pass():
         assert fm.diagonal_check(R)
         assert fm.verify_quasi_iso(sub, R, inc)
         assert fm.verify_quasi_iso(sub, hd.algebra, proj)
+
+
+def _structure(A):
+    return (A.p, list(A.bidegrees), A.mult.tolist(), sorted(A.unit.items()),
+            np.mod(A.diff, A.p).tolist())
+
+
+def test_structures_match_frozen_digest():
+    # the structure constants, unit and differential of every algebra the
+    # shear builds (R, its shear subalgebra, both cohomology algebras), the
+    # inclusion, the projection and the representatives, for the diagonal
+    # seeds 0-99, and of the non-diagonal seeds 0-49 with their cohomology
+    parts = []
+    for seed in range(100):
+        R = fm.random_diagonal_instance(seed)
+        sub, inc, proj, hd = fm.shear_subalgebra(R)
+        hs = fm.cohomology(sub)
+        parts.append([_structure(A) for A in (R, sub, hd.algebra, hs.algebra)]
+                     + [inc.tolist(), proj.tolist(), hd.reps.tolist(),
+                        hs.reps.tolist()])
+    for seed in range(50):
+        R = fm.random_nondiagonal_instance(seed)
+        hd = fm.cohomology(R)
+        parts.append([_structure(R), _structure(hd.algebra),
+                      hd.reps.tolist()])
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == FROZEN["formality_structures_sha256"]
 
 
 # ---------------------------------------------------------------------------
