@@ -12,13 +12,16 @@ dg-subalgebra, and both the inclusion into R and the projection onto the
 cohomology are quasi-isomorphisms; this module computes all three objects
 and certifies the two maps.
 
-Products go through the dense structure tensor T[a, b, k] (the
-coefficient of e_k in e_a e_b), built from the rows of `mult` and cached
-per instance.  `check` raises StructuralError unless: D D = 0; D and T
-are nonzero only where the bidegrees fit; u T and T u (u the unit vector)
-are the identity; D u = 0; and D T[a, b, :] = sum_c D[c, a] T[c, b, :] +
-(-1)^i sum_c D[c, b] T[a, c, :] for all a, b, as three matrix products
-over a chunk of consecutive a at a time.  Associativity is not checked.
+Every product-side certificate reads the rows (a, b, k, c) of `mult`
+(e_a e_b has coefficient c at e_k) and the nonzero entries of D; no
+dense (dim, dim, dim) array is formed.  `check` raises StructuralError
+unless: D D = 0; D and the rows are nonzero only where the bidegrees
+fit; the unit u acts as the identity on both sides; D u = 0; the graded
+Leibniz rule d(e_a e_b) = (d e_a) e_b + (-1)^i e_a (d e_b) holds for
+all a, b; and (e_a e_b) e_c = e_a (e_b e_c) for all a, b, c.  Each
+side of the last two is a join of rows of `mult` with entries of D, or
+with rows of `mult` on the middle index, summed by its key (a, b, l) or
+(a, b, c, l): its cost follows the nonzeros, not dim^3.
 
 Seeded random instances are built so the hypothesis holds by
 construction: a square-zero diagonal algebra extended by acyclic
@@ -28,7 +31,6 @@ then genuine tests of the shear, not of instance luck.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +42,6 @@ __all__ = [
     "verify_quasi_iso", "random_diagonal_instance",
     "random_nondiagonal_instance",
 ]
-
-# entries of each (chunk of a, b, k) array of the Leibniz check.  At 2^14
-# an int64 array is 128 KiB, glibc's default threshold for serving an
-# allocation by mmap, and the peak RSS of a run of shears rises by about
-# 0.3 MB (by 2-3 MB with all of a at once, 2^16 entries at dim 40); at
-# 2^13 it stays where the loop over single a kept it, as fast
-_LEIBNIZ_CHUNK = 2**13
 
 
 @dataclass(eq=False)
@@ -64,6 +59,10 @@ class BigradedDgAlgebra:
     diff: np.ndarray
 
     def __post_init__(self):
+        if (self.p - 1) ** 2 >= 2**63:
+            raise OverflowError("modulus too large for int64 elimination")
+        if not la.is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
         self.mult = la.canonical_mult(self.mult, self.dim, self.p)
 
     @property
@@ -79,60 +78,89 @@ class BigradedDgAlgebra:
             v[k] = c % self.p
         return v
 
-    @cached_property
-    def tensor(self):
-        """T[a, b, k], the coefficient of e_k in e_a e_b, from `mult`."""
-        return la.structure_tensor(self.mult, self.dim)
-
     def mul_vec(self, a, b):
-        n, p = self.dim, self.p
-        left = la.mod_matmul(np.mod(a, p)[None],
-                             self.tensor.reshape(n, n * n), p)
-        return la.mod_matmul(np.mod(b, p)[None], left.reshape(n, n), p)[0]
+        """a b, summed over the rows (i, j, k, c) of mult at once."""
+        p = self.p
+        i, j, k, c = self.mult.T
+        out = np.zeros(self.dim, dtype=np.int64)
+        np.add.at(out, k, np.mod(a, p)[i] * np.mod(b, p)[j] % p * c % p)
+        return out % p
 
     def check(self):
-        """d^2 = 0, bidegree bookkeeping, unit, and the graded Leibniz rule
-        on all basis pairs, over the structure tensor; raises
-        StructuralError.  Runs once per instance."""
+        """d^2 = 0, bidegree bookkeeping, unit, the graded Leibniz rule on
+        all basis pairs and associativity on all basis triples, over the
+        rows of `mult` and the nonzeros of D; raises StructuralError.
+        Runs once per instance."""
         if getattr(self, "_checked", False):
             return
         n, p = self.dim, self.p
         D = np.mod(self.diff, p)
-        T = self.tensor
         bd = _bidegree_array(self)
         if np.any(la.mod_matmul(D, D, p)):
             raise StructuralError("d^2 != 0")
         rows, cols = np.nonzero(self.diff)
         if np.any(bd[rows] != bd[cols] + (1, 0)):
             raise StructuralError("differential is not of bidegree (1, 0)")
-        a, b, k = np.nonzero(T)
-        if np.any(bd[k] != bd[a] + bd[b]):
+        i, j, k, c = self.mult.T
+        if np.any(bd[k] != bd[i] + bd[j]):
             raise StructuralError("product is not bidegree-additive")
         u = self.unit_vector()
-        eye = np.eye(n, dtype=np.int64)
-        flat = T.reshape(n, n * n)
-        if not np.array_equal(
-                la.mod_matmul(u[None], flat, p).reshape(n, n), eye):
-            raise StructuralError("unit fails")
-        if not np.array_equal(la.mod_matmul(u[None], T, p)[:, 0], eye):
-            raise StructuralError("unit fails")
+        for fixed, free in ((i, j), (j, i)):
+            # u e_b (or e_b u) for every b, keyed b * n + k: the identity
+            at = np.flatnonzero(u[fixed])
+            keys, sums = _sum_by_key(free[at] * n + k[at],
+                                     u[fixed[at]] * c[at], p)
+            live = sums != 0
+            if not (np.array_equal(keys[live], np.arange(n) * (n + 1))
+                    and np.all(sums[live] == 1)):
+                raise StructuralError("unit fails")
         if np.any(la.mod_matmul(D, u[:, None], p)):
             raise StructuralError("d(1) != 0")
+        # keyed (a * n + b) * n + l: d(e_a e_b) - (d e_a) e_b
+        # - (-1)^i e_a (d e_b), with d e_s = sum_r D[r, s] e_r
+        rows, cols = np.nonzero(D)
+        dval = D[rows, cols]
         sign = np.where(bd[:, 0] % 2 == 0, 1, p - 1)
-        step = max(1, _LEIBNIZ_CHUNK // (n * n))
-        for a0 in range(0, n, step):
-            Ta = T[a0:a0 + step]
-            m = len(Ta)
-            # [a - a0, b]: d(e_a e_b) - (d e_a) e_b - (-1)^i e_a (d e_b)
-            acc = la.mod_matmul(Ta.reshape(m * n, n), D.T, p).reshape(m, n, n)
-            acc -= la.mod_matmul(D.T[a0:a0 + m], flat, p).reshape(m, n, n)
-            acc -= sign[a0:a0 + m, None, None] * la.mod_matmul(
-                D.T, Ta.transpose(1, 0, 2).reshape(n, m * n),
-                p).reshape(n, m, n).transpose(1, 0, 2)
-            acc %= p
-            if np.any(acc):
-                raise StructuralError("Leibniz rule fails")
+        s, t = _join(k, cols)           # row (a, b, s, c), D[r, s]
+        keys = [(i[s] * n + j[s]) * n + rows[t]]
+        vals = [c[s] * dval[t]]
+        s, t = _join(i, rows)           # D[r, a], row (r, b, l, c)
+        keys.append((cols[t] * n + j[s]) * n + k[s])
+        vals.append(c[s] * (p - dval[t]))
+        s, t = _join(j, rows)           # D[r, b], row (a, r, l, c)
+        keys.append((i[s] * n + cols[t]) * n + k[s])
+        vals.append(c[s] * (p - dval[t]) % p * sign[i[s]])
+        if np.any(_sum_by_key(np.concatenate(keys), np.concatenate(vals),
+                              p)[1]):
+            raise StructuralError("Leibniz rule fails")
+        # keyed ((a * n + b) * n + c) * n + l: (e_a e_b) e_c - e_a (e_b e_c)
+        s, t = _join(k, i)              # row (a, b, m, .), row (m, c, l, .)
+        left = ((i[s] * n + j[s]) * n + j[t]) * n + k[t]
+        r, q = _join(k, j)              # row (b, c, m, .), row (a, m, l, .)
+        right = ((i[q] * n + i[r]) * n + j[r]) * n + k[q]
+        if np.any(_sum_by_key(np.concatenate([left, right]), np.concatenate(
+                [c[s] * c[t], c[r] * c[q] % p * (p - 1)]), p)[1]):
+            raise StructuralError("associativity fails")
         self._checked = True
+
+
+def _join(left, right):
+    """Index pairs (s, t) with left[s] == right[t], every such pair once."""
+    order = np.argsort(right, kind="stable")
+    lo = np.searchsorted(right[order], left, "left")
+    cnt = np.searchsorted(right[order], left, "right") - lo
+    s = np.repeat(np.arange(len(left)), cnt)
+    # the pairs of s read order[lo[s]], order[lo[s] + 1], ...
+    return s, order[lo[s] + np.arange(len(s)) - (np.cumsum(cnt) - cnt)[s]]
+
+
+def _sum_by_key(keys, vals, p):
+    """The distinct keys, ascending, and the sum of vals mod p at each;
+    each val is below p^2, so (p - 1)^2 < 2^63 keeps every term exact."""
+    uniq, at = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, at, vals % p)
+    return uniq, sums % p
 
 
 def _bidegree_array(R):
@@ -140,10 +168,15 @@ def _bidegree_array(R):
 
 
 def _by_bidegree(R):
-    by_bd = {}
-    for k, bd in enumerate(R.bidegrees):
-        by_bd.setdefault(bd, []).append(k)
-    return dict(sorted(by_bd.items()))
+    """{bidegree: its basis indices}, bidegrees ascending; memoized per
+    instance."""
+    cached = getattr(R, "_by_bd", None)
+    if cached is None:
+        by_bd = {}
+        for k, bd in enumerate(R.bidegrees):
+            by_bd.setdefault(bd, []).append(k)
+        cached = R._by_bd = dict(sorted(by_bd.items()))
+    return cached
 
 
 def _nullspace(R):
@@ -162,16 +195,36 @@ def _nullspace(R):
 
 
 def _bidegree_index(R):
-    """The index in _by_bidegree(R) of each basis element's bidegree."""
-    label = np.empty(R.dim, dtype=np.int64)
-    for t, idxs in enumerate(_by_bidegree(R).values()):
-        label[idxs] = t
-    return label
+    """The index in _by_bidegree(R) of each basis element's bidegree;
+    memoized per instance."""
+    cached = getattr(R, "_bd_index", None)
+    if cached is None:
+        cached = R._bd_index = np.empty(R.dim, dtype=np.int64)
+        for t, idxs in enumerate(_by_bidegree(R).values()):
+            cached[idxs] = t
+    return cached
 
 
 def _products(R, X):
-    """Every product x_a x_b of rows of X in R, as an (m, m, dim) array."""
-    return la.tensor_products(R.tensor, X, X, R.p)
+    """(pairs, vecs): every product x_a x_b of rows of X (m rows, entries
+    in [0, p)) that is not zero, as pairs[t] = a * m + b, ascending, and
+    vecs[t], its coordinates in R.  The nonzero entries X[a, i] and
+    X[b, j] are joined with the rows (i, j, k, c) of mult and summed by
+    (a, b, k)."""
+    n, p, m = R.dim, R.p, len(X)
+    i, j, k, c = R.mult.T
+    xa, xi = np.nonzero(X)
+    xv = X[xa, xi]
+    s, t = _join(i, xi)             # row (i, j, k, c), X[a, i]
+    r, q = _join(j[s], xi)          # and X[b, j]
+    s, t = s[r], t[r]
+    keys, sums = _sum_by_key((xa[t] * m + xa[q]) * n + k[s],
+                             c[s] * xv[t] % p * xv[q], p)
+    keys = keys[sums != 0]
+    pairs, at = np.unique(keys // n, return_inverse=True)
+    vecs = np.zeros((len(pairs), n), dtype=np.int64)
+    vecs[at, keys % n] = sums[sums != 0]
+    return pairs, vecs
 
 
 def _lift(R, idxs, local):
@@ -185,11 +238,11 @@ def _entry(vec):
     return {int(k): int(vec[k]) for k in np.flatnonzero(vec)}
 
 
-def _product_rows(coords, m):
+def _product_rows(coords, pairs, m):
     """Structure constants (a, b, k, c) from the coordinate rows of the
-    products x_a x_b, in (a, b) order."""
+    products x_a x_b, the row of x_a x_b at pairs[t] = a * m + b."""
     t, k = np.nonzero(coords)
-    return np.column_stack([t // m, t % m, k, coords[t, k]])
+    return np.column_stack([pairs[t] // m, pairs[t] % m, k, coords[t, k]])
 
 
 @dataclass(eq=False)
@@ -215,57 +268,53 @@ def cohomology(R):
     in turn, each vector supported in one bidegree.  The representatives
     are the kernel vectors that are pivot columns: each is independent of
     the boundaries and of the kernel vectors before it.  The columns of D
-    that are pivots are a basis of the image, and at each bidegree the
-    class map reads coordinates in the representatives stacked over them
-    (_linalg.mod_coordinates, built once per bidegree, on its first
-    use)."""
+    that are pivots are a basis of the image.  The class map reads
+    coordinates in the representatives stacked over them, one
+    _linalg.mod_coordinates for all bidegrees; since every basis vector
+    lies in one bidegree, a vector is outside their span exactly where
+    one of its bidegree parts is, and only then is the first such
+    bidegree looked up, to tell "not a cycle" (no cycles there) from
+    "not a cycle/boundary combo"."""
     cached = getattr(R, "_cohomology", None)
     if cached is not None:
         return cached
     ker, ker_at = _nullspace(R)
     p, n = R.p, R.dim
-    by_bd = _by_bidegree(R)
+    bds = list(_by_bidegree(R))
     D = np.mod(R.diff, p)
     _, piv = la.mod_rref(np.concatenate([D, ker.T], axis=1), p)
     piv = np.array(piv, dtype=np.int64)
     hs, hs_at = ker[piv[piv >= n] - n], ker_at[piv[piv >= n] - n]
+    order = np.argsort(hs_at, kind="stable")    # grouped by bidegree
+    reps, rep_bd = hs[order], [bds[t] for t in hs_at[order]]
     # a boundary's bidegree is that of its first nonzero entry
     bnd = D[:, piv[piv < n]].T
-    bnd_at = _bidegree_index(R)[(bnd != 0).argmax(axis=1)]
-    reps, rep_bd, offset, bases = [], [], {}, {}
-    for t, (bd, idxs) in enumerate(by_bd.items()):
-        here = hs[hs_at == t]
-        # rows: the representatives first, then a basis of the boundaries
-        bases[bd] = (idxs, np.concatenate([here, bnd[bnd_at == t]])[:, idxs],
-                     len(here))
-        offset[bd] = len(rep_bd)
-        reps.append(here)
-        rep_bd.extend([bd] * len(here))
-    reps_arr = np.concatenate(reps)
-    coords = {}         # bidegree -> coordinates map, built on first use
+    cycles = np.zeros(len(bds), dtype=bool)
+    cycles[hs_at] = True
+    cycles[_bidegree_index(R)[(bnd != 0).argmax(axis=1)]] = True
+    basis = np.concatenate([reps, bnd])
+    coords, sect, _ = la.mod_coordinates(basis, p)
+    h = len(reps)
 
     def classify(vecs):
         """Coordinates in the cohomology basis of each row of `vecs`, a
         batch of cycles; the representatives' coefficients are unique."""
         vecs = np.mod(vecs, p)
-        out = np.zeros((len(vecs), len(rep_bd)), dtype=np.int64)
-        for bd, (idxs, basis, nh) in bases.items():
-            local = vecs[:, idxs]
-            if not np.any(local):
-                continue
-            if bd not in coords:
-                coords[bd] = la.mod_coordinates(basis, p, outside=(
-                    "vector is not a cycle/boundary combo" if len(basis)
-                    else "vector is not a cycle"))[0]
-            out[:, offset[bd]: offset[bd] + nh] = coords[bd](local)[:, :nh]
-        return out
+        try:
+            return coords(vecs)[:, :h]
+        except StructuralError:
+            miss = np.any(vecs != la.mod_matmul(la.mod_matmul(
+                vecs, sect, p), basis, p), axis=0)
+            t = _bidegree_index(R)[miss].min()
+            raise StructuralError(
+                "vector is not a cycle/boundary combo" if cycles[t]
+                else "vector is not a cycle") from None
 
-    h = len(rep_bd)
-    cls = classify(np.concatenate([_products(R, reps_arr).reshape(-1, R.dim),
-                                   R.unit_vector()[None]]))
-    H = BigradedDgAlgebra(p, rep_bd, _product_rows(cls[:-1], h),
+    pairs, prods = _products(R, reps)
+    cls = classify(np.concatenate([prods, R.unit_vector()[None]]))
+    H = BigradedDgAlgebra(p, rep_bd, _product_rows(cls[:-1], pairs, h),
                           _entry(cls[-1]), np.zeros((h, h), dtype=np.int64))
-    out = CohomologyData(H, reps_arr, classify)
+    out = CohomologyData(H, reps, classify)
     R._cohomology = out
     return out
 
@@ -284,10 +333,11 @@ def shear_subalgebra(R):
     Returns (sub dg-algebra, inclusion matrix into R, projection matrix
     onto the cohomology, cohomology data).  The sub is always a
     dg-subalgebra; when the cohomology of R is diagonal, both maps are
-    quasi-isomorphisms.  The products of all pairs of basis vectors, the
-    unit and the differential are coordinatised by _linalg.mod_coordinates
-    on the basis of the sub, which certifies that basis independent and
-    raises StructuralError if the sub is not closed.  The kernel at
+    quasi-isomorphisms.  The nonzero products of pairs of basis vectors
+    (_products), the unit and the differential are coordinatised by
+    _linalg.mod_coordinates on the basis of the sub, which certifies that
+    basis independent and raises StructuralError if the sub is not
+    closed.  The kernel at
     (i, i) is read off the one nullspace of D that `cohomology` shares."""
     ker, ker_at = _nullspace(R)
     p = R.p
@@ -307,12 +357,13 @@ def shear_subalgebra(R):
     n = inc.shape[1]
     coords = la.mod_coordinates(
         inc.T, p, outside="shear subalgebra is not closed")[0]
-    # rows: every product x_a x_b, the unit, every d x_b
-    cs = coords(np.concatenate(
-        [_products(R, inc.T).reshape(n * n, R.dim), R.unit_vector()[None],
-         la.mod_matmul(np.mod(R.diff, p), inc, p).T]))
-    sub = BigradedDgAlgebra(p, row_bd, _product_rows(cs[:n * n], n),
-                            _entry(cs[n * n]), cs[n * n + 1:].T.copy())
+    # rows: every nonzero product x_a x_b, the unit, every d x_b
+    pairs, prods = _products(R, inc.T)
+    m = len(pairs)
+    cs = coords(np.concatenate([prods, R.unit_vector()[None],
+                                la.mod_matmul(np.mod(R.diff, p), inc, p).T]))
+    sub = BigradedDgAlgebra(p, row_bd, _product_rows(cs[:m], pairs, n),
+                            _entry(cs[m]), cs[m + 1:].T.copy())
     sub.check()
 
     hdata = cohomology(R)

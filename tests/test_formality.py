@@ -328,6 +328,19 @@ def _check_loop(A):
                    + sign * _mul_vec_loop(A, ea, (A.diff @ eb) % p,
                                           by_pair)) % p
             assert np.array_equal(lhs, rhs), "Leibniz rule fails"
+    # (a, b, c, l) -> the coefficient of e_l in (e_a e_b) e_c - e_a (e_b e_c)
+    by_left, by_right = {}, {}      # i -> [(j, k, c)], j -> [(i, k, c)]
+    for i, j, k, c in A.mult.tolist():
+        by_left.setdefault(i, []).append((j, k, c))
+        by_right.setdefault(j, []).append((i, k, c))
+    assoc = {}
+    for a, b, m, c1 in A.mult.tolist():
+        for c, l, c2 in by_left.get(m, ()):
+            assoc[a, b, c, l] = assoc.get((a, b, c, l), 0) + c1 * c2
+    for b, c, m, c2 in A.mult.tolist():
+        for a, l, c1 in by_right.get(m, ()):
+            assoc[a, b, c, l] = assoc.get((a, b, c, l), 0) - c1 * c2
+    assert all(v % p == 0 for v in assoc.values()), "associativity fails"
 
 
 def _fresh(A):
@@ -368,14 +381,18 @@ def _broken_leibniz():
 
 def _broken_leibniz_in_last_chunk(pad=36):
     # the same failure with x the last basis element, after pad closed
-    # elements, so that the check reaches it only in its last chunk of a
+    # elements
     n = pad + 5
     y, w, v, x = range(pad + 1, n)
-    R = _with_unit([(0, 0)] + [(2, 2)] * pad + [(1, 1), (0, 2), (1, 2),
-                                                (0, 1)],
-                   [(y, x), (v, w)], [(x, x, w, 1)])
-    assert n > fm._LEIBNIZ_CHUNK // (n * n)     # more than one chunk
-    return R
+    return _with_unit([(0, 0)] + [(2, 2)] * pad + [(1, 1), (0, 2), (1, 2),
+                                                   (0, 1)],
+                      [(y, x), (v, w)], [(x, x, w, 1)])
+
+
+def _non_associative():
+    # x x = y and x y = z, but y x = 0: (x x) x = 0 and x (x x) = z
+    return _with_unit([(0, 0), (1, 1), (2, 2), (3, 3)], (),
+                      [(1, 1, 2, 1), (1, 2, 3, 1)])
 
 
 MUTANTS = [
@@ -393,6 +410,7 @@ MUTANTS = [
      lambda: _with_unit([(0, 0), (1, 0)], [(1, 0)])),
     ("Leibniz rule fails", _broken_leibniz),
     ("Leibniz rule fails", _broken_leibniz_in_last_chunk),
+    ("associativity fails", _non_associative),
 ]
 
 
@@ -441,11 +459,17 @@ def broken(bidegrees, x, y, w, v):
     return fm.BigradedDgAlgebra(5, bidegrees, mult, {0: 1}, diff)
 
 
-pad = 36            # x last, in the last chunk of a
+pad = 36            # x last, after pad closed elements
+# x x = y and x y = z, but y x = 0
+non_associative = fm.BigradedDgAlgebra(
+    5, [(0, 0), (1, 1), (2, 2), (3, 3)],
+    [(0, k, k, 1) for k in range(4)] + [(k, 0, k, 1) for k in range(1, 4)]
+    + [(1, 1, 2, 1), (1, 2, 3, 1)], {0: 1}, np.zeros((4, 4), dtype=int))
 for R in (broken([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)], 1, 2, 3, 4),
           broken([(0, 0)] + [(2, 2)] * pad +
                  [(1, 1), (0, 2), (1, 2), (0, 1)],
-                 pad + 4, pad + 1, pad + 2, pad + 3)):
+                 pad + 4, pad + 1, pad + 2, pad + 3),
+          non_associative):
     try:
         R.check()
     except StructuralError as exc:
@@ -462,7 +486,8 @@ def test_broken_leibniz_raises_structural_error_under_O():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == \
-        ["StructuralError: Leibniz rule fails"] * 2
+        ["StructuralError: Leibniz rule fails"] * 2 + \
+        ["StructuralError: associativity fails"]
 
 
 def test_classify_rejects_non_cycles():
@@ -546,12 +571,15 @@ def _cohomology_by_bidegree(R):
         return out
 
     h = len(rep_bd)
+    # every product of two representatives, over the dense structure tensor
+    T = la.structure_tensor(R.mult, R.dim)
     cls = classify(np.concatenate(
-        [fm._products(R, reps_arr).reshape(-1, R.dim),
+        [la.tensor_products(T, reps_arr, reps_arr, p).reshape(-1, R.dim),
          R.unit_vector()[None]]))
-    H = fm.BigradedDgAlgebra(p, rep_bd, fm._product_rows(cls[:-1], h),
-                             fm._entry(cls[-1]),
-                             np.zeros((h, h), dtype=np.int64))
+    t, k = np.nonzero(cls[:-1])
+    H = fm.BigradedDgAlgebra(
+        p, rep_bd, np.column_stack([t // h, t % h, k, cls[t, k]]),
+        fm._entry(cls[-1]), np.zeros((h, h), dtype=np.int64))
     return fm.CohomologyData(H, reps_arr, classify)
 
 
@@ -592,9 +620,39 @@ def test_cohomology_matches_per_bidegree_reference():
     assert count == 657
 
 
+def test_products_match_dense_contraction():
+    # _products against two contractions with the dense structure tensor,
+    # on random rows X with every entry in [0, p)
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        p = int(rng.choice([3, 5, 7]))
+        R = _truncated_polynomial_exterior(rng, p)
+        X = rng.integers(0, p, size=(int(rng.integers(0, 5)), R.dim))
+        X[rng.random(X.shape) < 0.5] = 0
+        dense = la.tensor_products(la.structure_tensor(R.mult, R.dim), X, X,
+                                   p).reshape(-1, R.dim)
+        pairs, vecs = fm._products(R, X)
+        assert np.array_equal(pairs, np.flatnonzero(dense.any(axis=1)))
+        assert np.array_equal(vecs, dense[pairs])
+
+
+def test_cohomology_with_products_matches_reference():
+    # cohomology algebras with nonzero products of representatives
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        R = _truncated_polynomial_exterior(rng, int(rng.choice([3, 5, 7])))
+        ref, got = _cohomology_by_bidegree(R), fm.cohomology(R)
+        assert np.array_equal(got.reps, ref.reps)
+        assert np.array_equal(got.algebra.mult, ref.algebra.mult)
+        assert got.algebra.unit == ref.algebra.unit
+        cycles = la.mod_nullspace(R.diff, R.p)
+        batch = la.mod_matmul(
+            rng.integers(0, R.p, size=(6, len(cycles))), cycles, R.p)
+        assert np.array_equal(got.classify(batch), ref.classify(batch))
+
+
 def test_cohomology_eliminates_once_whatever_the_bidegrees(monkeypatch):
-    # the eliminations outside the class map's coordinate maps (one per
-    # bidegree, on first use) are one nullspace and one RREF
+    # one nullspace, one RREF and the class map's one coordinates map
     calls = {"rref": 0, "coordinates": 0}
     rref, coordinates = la.mod_rref, la.mod_coordinates
 
@@ -614,23 +672,151 @@ def test_cohomology_eliminates_once_whatever_the_bidegrees(monkeypatch):
         fm.cohomology(R)
         sizes.add(len(R.dims_by_bidegree()))
         assert calls["rref"] - calls["coordinates"] == 2
+        assert calls["coordinates"] == 1
     assert len(sizes) > 5
 
 
-def test_leibniz_check_is_chunked(monkeypatch):
-    # the Leibniz rule at dim 40 in chunks of a, three products each, not
-    # three per basis element; four more products certify d^2 and the unit
-    n = 40
-    R = _with_unit([(0, 0)] + [(1, 1)] * (n - 1))
-    calls = []
-    matmul = la.mod_matmul
+def _truncated_polynomial_exterior(rng, p, N=None):
+    """F_p[x]/(x^N) tensor Lambda(y), d y = lam x^m, on the basis x^a,
+    x^a y, each basis vector rescaled by a random unit (but the unit) and
+    the basis shuffled; N is random in [2, 6] unless given.  x has
+    bidegree (2, jx), so y has (2 m - 1, m jx); x commutes with y."""
+    N = int(rng.integers(2, 7)) if N is None else N
+    m = int(rng.integers(1, N + 1))
+    jx = int(rng.integers(-1, 3))
+    lam = int(rng.integers(1, p))
+    n = 2 * N
+    bd = [(2 * a, a * jx) for a in range(N)] + \
+        [(2 * (a + m) - 1, (a + m) * jx) for a in range(N)]
+    rows = []                       # x^a x^b, x^a (x^b y), (x^a y) x^b
+    for a in range(N):
+        for b in range(N - a):
+            rows += [(a, b, a + b, 1), (a, N + b, N + a + b, 1)]
+            rows += [(N + a, b, N + a + b, 1)]
+    diff = np.zeros((n, n), dtype=np.int64)
+    for a in range(N - m):
+        diff[a + m, N + a] = lam
+    # e'_k = scale[k] e_k, then e'_k renamed perm[k]
+    scale = np.concatenate([[1], rng.integers(1, p, size=n - 1)])
+    perm = rng.permutation(n)
+    inv = [pow(int(v), p - 2, p) for v in scale]
+    mult = [(perm[a], perm[b], perm[k],
+             c * int(scale[a]) * int(scale[b]) * inv[k] % p)
+            for a, b, k, c in rows]
+    new_diff = np.zeros((n, n), dtype=np.int64)
+    r, c = np.nonzero(diff)
+    new_diff[perm[r], perm[c]] = diff[r, c] * scale[c] % p * \
+        np.array(inv)[r] % p
+    new_bd = [None] * n
+    for k in range(n):
+        new_bd[perm[k]] = bd[k]
+    return fm.BigradedDgAlgebra(p, new_bd, mult, {int(perm[0]): 1},
+                                new_diff)
 
-    def counted(*args):
-        calls.append(args)
-        return matmul(*args)
 
-    monkeypatch.setattr(la, "mod_matmul", counted)
-    R.check()
-    step = fm._LEIBNIZ_CHUNK // (n * n)
-    assert 1 < step < n
-    assert len(calls) == 4 + 3 * -(-n // step) < 3 * n
+def test_truncated_polynomial_exterior_algebras_pass():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        A = _truncated_polynomial_exterior(rng, int(rng.choice([3, 5, 7])))
+        _check_loop(A)
+        A.check()
+
+
+def _corrupted(A, rng):
+    """A copy of A with one structure constant changed, dropped or added,
+    or one entry of D changed."""
+    p, n = A.p, A.dim
+    mult, diff = A.mult.copy(), A.diff.copy()
+    kind = int(rng.integers(4))
+    # mostly a row that is not a product with the unit
+    inner = np.flatnonzero(~np.isin(mult[:, :2], list(A.unit)).any(axis=1))
+    r = int(rng.choice(inner)) if len(inner) and rng.random() < 0.7 else \
+        int(rng.integers(len(mult)))
+    if kind == 0:
+        mult[r, 3] = (mult[r, 3] + rng.integers(1, p - 1)) % p or p - 1
+    elif kind == 1:
+        mult = np.delete(mult, r, axis=0)
+    elif kind == 2:
+        taken = {tuple(r) for r in mult[:, :3].tolist()}
+        a, b = (int(v) for v in rng.integers(n, size=2))
+        bd = np.add(A.bidegrees[a], A.bidegrees[b]).tolist()
+        fits = [k for k in range(n) if list(A.bidegrees[k]) == bd]
+        ks = [k for k in (fits if fits and rng.random() < 0.7
+                          else range(n)) if (a, b, k) not in taken]
+        if ks:
+            mult = np.concatenate(
+                [mult, [[a, b, int(rng.choice(ks)), rng.integers(1, p)]]])
+    else:
+        r, c = (int(v) for v in rng.integers(n, size=2))
+        fits = [(x, y) for x in range(n) for y in range(n)
+                if np.array_equal(np.subtract(A.bidegrees[x],
+                                              A.bidegrees[y]), (1, 0))]
+        if fits and rng.random() < 0.8:
+            r, c = fits[int(rng.integers(len(fits)))]
+        diff[r, c] = (diff[r, c] + rng.integers(1, p)) % p
+    return fm.BigradedDgAlgebra(p, list(A.bidegrees), mult, dict(A.unit),
+                                diff)
+
+
+def _verdict(run):
+    try:
+        run()
+    except (AssertionError, StructuralError) as exc:
+        return str(exc).splitlines()[0]     # not pytest's explanation
+    return None
+
+
+def test_check_agrees_with_loop_on_corrupted_algebras():
+    # 200 seeded sparse algebras with one corrupted row or entry of D: the
+    # same verdict and message from check and from the loop reference
+    rng = np.random.default_rng(29)
+    seen = []
+    for seed in range(200):
+        p = int(rng.choice([3, 5, 7]))
+        A = _truncated_polynomial_exterior(rng, p) if seed % 2 else \
+            fm.random_diagonal_instance(seed, max_dim=12, p=p)
+        B = _corrupted(A, rng)
+        got = _verdict(B.check)
+        assert got == _verdict(lambda: _check_loop(_fresh(B))), seed
+        seen.append(got)
+    assert {None, "d^2 != 0", "differential is not of bidegree (1, 0)",
+            "product is not bidegree-additive", "unit fails",
+            "Leibniz rule fails", "associativity fails"} <= set(seen)
+
+
+def test_certificates_need_no_structure_tensor(monkeypatch):
+    # at dim 40 every certificate reads the rows of mult and the nonzeros
+    # of D: forming or contracting a dense structure tensor raises
+    def refuse(*args):
+        raise AssertionError("dense structure tensor")
+
+    algebras = [fm.random_diagonal_instance(94),
+                _truncated_polynomial_exterior(np.random.default_rng(1), 5,
+                                               N=20)]
+    monkeypatch.setattr(la, "structure_tensor", refuse)
+    monkeypatch.setattr(la, "tensor_products", refuse)
+    verdicts = []
+    for R in map(_fresh, algebras):
+        assert R.dim == 40
+        R.check()
+        hd = fm.cohomology(R)
+        sub, inc, proj, _ = fm.shear_subalgebra(R)
+        verdicts.append((fm.verify_quasi_iso(sub, R, inc),
+                         fm.verify_quasi_iso(sub, hd.algebra, proj)))
+    assert verdicts[0] == (True, True)
+    assert len(algebras[1].mult) > 600
+
+
+def test_modulus_is_a_prime_with_exact_int64_products():
+    def build(p):
+        return fm.BigradedDgAlgebra(p, [(0, 0)], [(0, 0, 0, 1)], {0: 1},
+                                    np.zeros((1, 1), dtype=np.int64))
+
+    for p in (0, 1, 4, 6, 25):
+        with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+            build(p)
+    # (p - 1)^2 < 2^63 for the prime 3037000493, not for 3037000507
+    assert build(3037000493).p == 3037000493
+    for p in (3037000507, 2**61 - 1):
+        with pytest.raises(OverflowError, match="modulus too large"):
+            build(p)
