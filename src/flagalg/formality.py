@@ -133,7 +133,8 @@ class BigradedDgAlgebra:
         if np.any(_sum_by_key(np.concatenate(keys), np.concatenate(vals),
                               p)[1]):
             raise StructuralError("Leibniz rule fails")
-        # keyed ((a * n + b) * n + c) * n + l: (e_a e_b) e_c - e_a (e_b e_c)
+        # keyed ((a * n + b) * n + c) * n + l: (e_a e_b) e_c - e_a (e_b e_c);
+        # n^4 < 2^63 for every n whose dense (n, n) D fits in memory
         s, t = _join(k, i)              # row (a, b, m, .), row (m, c, l, .)
         left = ((i[s] * n + j[s]) * n + j[t]) * n + k[t]
         r, q = _join(k, j)              # row (b, c, m, .), row (a, m, l, .)
