@@ -53,7 +53,7 @@ from .galgebra import GradedAlgebra, StructuralError, _block_products, \
     _relations_and_section, _solve_homs, idempotent_slice, restrict_module
 
 __all__ = [
-    "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
+    "check_ell", "CoinvariantAlgebra", "BSModule", "EndAlgebraData",
     "coinvariant_algebra", "bott_samelson", "graded_hom",
     "endomorphism_algebra", "wall_algebra", "wall_row_block_modules",
     "regular_slices", "hom_dims_to_regular", "bimodule_shift_check",
@@ -77,6 +77,22 @@ def _divide_by_variable(p, up):
     return p[up]
 
 
+def check_ell(cartan_type, ell):
+    """The precondition on (type, ell) of every Soergel computation: a
+    supported type, ell > Coxeter number, (ell - 1)^2 < 2^63 for exact
+    int64 elimination, and ell prime; ell = None is refused as too small."""
+    if cartan_type not in CARTAN:
+        raise ValueError(f"unsupported Cartan type {cartan_type!r}")
+    h = COXETER_NUMBER[cartan_type]
+    if ell is None or ell <= h:
+        raise ValueError(f"need a prime ell > Coxeter number ({h}) for "
+                         f"type {cartan_type}")
+    if (ell - 1) ** 2 >= 2**63:
+        raise OverflowError("modulus too large for int64 elimination")
+    if not la.is_prime(ell):
+        raise ValueError(f"ell = {ell} is not prime")
+
+
 class CoinvariantAlgebra:
     """Coinvariant algebra of the given Cartan type over F_ell.
 
@@ -89,17 +105,7 @@ class CoinvariantAlgebra:
     """
 
     def __init__(self, cartan_type, ell):
-        if cartan_type not in CARTAN:
-            raise ValueError(f"unsupported Cartan type {cartan_type!r}")
-        h = COXETER_NUMBER[cartan_type]
-        if ell <= h:
-            raise ValueError(
-                f"need ell > Coxeter number ({h}) for type {cartan_type}; "
-                f"got ell = {ell}")
-        if (ell - 1) ** 2 >= 2**63:
-            raise OverflowError("modulus too large for int64 elimination")
-        if not la.is_prime(ell):
-            raise ValueError(f"ell = {ell} is not prime")
+        check_ell(cartan_type, ell)
         self.cartan_type = cartan_type
         self.ell = ell
         self.group = build_group(cartan_type)
@@ -497,8 +503,10 @@ def wall_algebra(C, s, words=None):
     data = _assemble_end_algebra(C, words, modules, wall=s)
     ell = C.ell
     # each block of E, in the coordinates of the same block of E^s, read on
-    # the C^s-generators of the source (a C-linear map is C^s-linear)
+    # the C^s-generators of the source (a C-linear map is C^s-linear); the
+    # blocks have disjoint rows and columns, so emb has the sum of ranks
     emb = np.zeros((data.algebra.dim, full.algebra.dim), dtype=np.int64)
+    rank = 0
     for (ft, fs), rows in data.block_ranges.items():
         cols = full.block_ranges[(ft, fs)]
         if not cols:
@@ -508,9 +516,10 @@ def wall_algebra(C, s, words=None):
             data.basis_mats[rows.start:rows.stop], dtype=np.int64).reshape(
                 len(rows), modules[ft].dim, modules[fs].dim)[:, :, gens],
             ell, outside="embedding failed: C-map not C^s-map?")[0]
-        emb[rows.start:rows.stop, cols.start:cols.stop] = coords(
+        emb[rows.start:rows.stop, cols.start:cols.stop] = block = coords(
             np.array(full.basis_mats[cols.start:cols.stop])[:, :, gens]).T
-    if la.mod_rank(emb, ell) != full.algebra.dim:
+        rank += la.mod_rank(block, ell)
+    if rank != full.algebra.dim:
         raise StructuralError("embedding not injective")
     # e_f maps to e_f
     for f in words:

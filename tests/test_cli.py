@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from flagalg import cli
+from flagalg import cli, soergel
 
 FROZEN_SHA256 = json.load(open(os.path.join(
     os.path.dirname(__file__), "fixtures", "frozen.json")))["cli_sha256"]
@@ -128,40 +128,119 @@ def test_endalg_cache_roundtrip(tmp_path, capsys):
     assert doc["dims_by_degree"] == {"0": 3, "2": 2}
 
 
+def _assert_recomputes(capsys, args, path, out1, bad):
+    """Replace the cache entry with `bad`: the next run warns, prints out1
+    and rewrites the entry, and the run after that reads it silently."""
+    good = path.read_bytes()
+    path.write_bytes(bad)
+    code, out2, err = run(capsys, *args)
+    assert code == 0 and "recomputing" in err and out2 == out1
+    assert path.read_bytes() == good
+    code, out3, err = run(capsys, *args)
+    assert code == 0 and err == "" and out3 == out1
+
+
 def test_endalg_cache_corruption_recovers(tmp_path, capsys):
     args = ("endalg", "--type", "A1", "--ell", "5", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)
     path = list(tmp_path.glob("endalg-*.json"))[0]
-    doc = json.loads(path.read_text())
-    assert '"dimension": 5' in doc["stdout"]
-    doc["stdout"] = doc["stdout"].replace('"dimension": 5',
-                                          '"dimension": 999')
-    path.write_text(json.dumps(doc))
-    code, out2, err = run(capsys, *args)
-    assert code == 0
-    assert "recomputing" in err
-    assert out2 == out1
+    good = path.read_bytes()
+    header, body = good.split(b"\n", 1)
+    assert json.loads(header) == {
+        "format": "endalg-stdout-2",
+        "sha256": hashlib.sha256(body).hexdigest()}
+    assert body == out1.encode()
+    k = body.index(b'"dimension": 5') + len(b'"dimension": ')
+    for bad in (
+            # one payload byte flipped: 5 -> 4
+            good[:len(header) + 1 + k] + b"4" + good[len(header) + 2 + k:],
+            b"not json\n" + body,                  # a non-JSON header
+            header,                                # no newline, no payload
+            good[:-100]):                          # truncated
+        _assert_recomputes(capsys, args, path, out1, bad)
 
 
 def test_endalg_cache_of_another_format_recomputes(tmp_path, capsys):
-    # a file in the earlier layout (the payload as a JSON object, with a
-    # valid checksum) is not read: it is recomputed and rewritten
+    # files in earlier layouts, each with a valid checksum, are not read:
+    # they are recomputed and rewritten
     args = ("endalg", "--type", "A1", "--ell", "5", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)
     path = list(tmp_path.glob("endalg-*.json"))[0]
     payload = json.loads(out1)
-    path.write_text(json.dumps({
-        "schema_version": 1, "payload": payload, "generated_unix_time": 0,
-        "checksum": hashlib.sha256(json.dumps(
-            payload, sort_keys=True).encode()).hexdigest()}, indent=1))
-    code, out2, err = run(capsys, *args)
-    assert code == 0 and "recomputing" in err and out2 == out1
-    code, out3, err = run(capsys, *args)
-    assert code == 0 and err == "" and out3 == out1
+    text = out1[:-1]        # the layout held the text without its newline
+    for bad in (
+            # the payload as a JSON object
+            json.dumps({
+                "schema_version": 1, "payload": payload,
+                "generated_unix_time": 0,
+                "checksum": hashlib.sha256(json.dumps(
+                    payload, sort_keys=True).encode()).hexdigest()},
+                indent=1),
+            # the printed text wrapped in a JSON object with its sha256
+            json.dumps({"format": "endalg-stdout-1", "stdout": text,
+                        "sha256": hashlib.sha256(text.encode()).hexdigest()},
+                       sort_keys=True)):
+        _assert_recomputes(capsys, args, path, out1, bad.encode())
     code, text, _ = run(capsys, *args, "--format", "text")
     assert code == 0
     assert text.splitlines()[:2] == [
         "E for A1 at ell = 5: dim 5", "graded dimension: 3 + 2*q^2"]
+
+
+def test_endalg_failed_cache_write_leaves_no_file(tmp_path, capsys,
+                                                  monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.main(["endalg", "--type", "A1", "--ell", "5",
+                  "--cache-dir", str(tmp_path)])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_endalg_cache_hit_builds_no_coinvariant_algebra(tmp_path, capsys,
+                                                        monkeypatch):
+    args = ("endalg", "--type", "B2", "--ell", "7", "--cache-dir", str(tmp_path))
+    code, out1, _ = run(capsys, *args)
+
+    def refuse(self, cartan_type, ell):
+        raise AssertionError("coinvariant algebra built on a cache hit")
+
+    monkeypatch.setattr(soergel.CoinvariantAlgebra, "__init__", refuse)
+    code, out2, err = run(capsys, *args)
+    assert code == 0 and err == "" and out2 == out1
+    # a bad ell is refused before the cache is read
+    for ell, message in (("4", "Coxeter"), ("9", "not prime"),
+                         ("4294967311", "modulus too large")):
+        code, out, err = run(capsys, "endalg", "--type", "B2", "--ell", ell,
+                             "--cache-dir", str(tmp_path))
+        assert code == 1 and out == "" and message in err
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, cli._CHUNK_ROWS])
+@pytest.mark.parametrize("cartan", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("ell", [5, 7])
+def test_endalg_writer_matches_json_dumps(cartan, ell, chunk, monkeypatch):
+    # the reference is the payload as a dict, through json.dumps
+    data = soergel.endomorphism_algebra(
+        soergel.coinvariant_algebra(cartan, ell))
+    alg = data.algebra
+    payload = {
+        "schema_version": 1, "type": cartan, "ell": ell,
+        "family": sorted(data.words), "dimension": alg.dim,
+        "degrees": list(alg.degrees),
+        "dims_by_degree": {str(k): v
+                           for k, v in alg.dims_by_degree().items()},
+        "idempotents": {w or "e": alg.idempotents[w] for w in data.words},
+        "structure_constants": alg.mult.tolist(),
+    }
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    out = cli._endalg_stdout(cli.Config(cartan_type=cartan, ell=ell), data)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if cartan == "B2" and chunk == 1000:
+        assert len(alg.mult) % chunk        # a short last chunk
 
 
 def test_decompose_matrix_file(tmp_path, capsys):

@@ -769,7 +769,14 @@ def test_wall_embedding_certificates():
         idems = full.algebra.idempotents
         idems[""], idems["s"] = idems["s"], idems[""]
 
+    def zero_block(full):
+        # the maps D_e -> D_s of E all zero: the block's coordinates are
+        # zero, so that block, and no other, loses rank
+        for j in full.block_ranges[("s", "")]:
+            full.basis_mats[j] = np.zeros_like(full.basis_mats[j])
+
     for tamper, message in ((duplicate, "embedding not injective"),
+                            (zero_block, "embedding not injective"),
                             (swap, "embedding moves an idempotent")):
         # a fresh C, whose cached E is then altered in place
         C = sg.coinvariant_algebra("A1", 5)
